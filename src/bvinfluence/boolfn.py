@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * Variables are 1-based: ``x1`` is bit 0 of the encoded integer.
 
 Values are immutable after construction and safe to share across
-threads.
+threads. The one lazily filled field, a truth table's cached spectrum, is
+a pure function of the table, so fills that race can only store equal
+values.
 """
 
 from __future__ import annotations
@@ -72,25 +74,46 @@ def point_mask(i: int, n: int) -> int:
     return 1 << (i - 1)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``, copied unless it is safe to keep.
+
+    A read-only array of the right dtype that owns its data is kept as is:
+    the package hands over the arrays it builds this way. Anything else,
+    in particular an array its caller can still write, is copied.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.astype(dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class TruthTable:
     """Evaluation table of a Boolean function over all 2^n inputs.
 
     ``bits[k]`` holds f(x) for the assignment with ``enc(x) == k``.
+    The table's Walsh spectrum is cached on it by
+    :func:`bvinfluence.spectrum.walsh_spectrum` and lives as long as the
+    table does.
     """
 
-    __slots__ = ("n", "bits")
+    __slots__ = ("n", "bits", "_spectrum")
 
     def __init__(self, n: int, bits):
         _check_n(n)
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size != (1 << n):
             raise ValueError(f"truth table for n={n} needs exactly {1 << n} bits, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
+        # Validate on the input's own dtype: casting first would wrap 256
+        # to 0 and truncate 0.7 to 0.
+        if arr.dtype == np.uint8:
+            if arr.max() > 1:
+                raise ValueError("truth table entries must be 0 or 1")
+        elif not ((arr == 0) | (arr == 1)).all():
             raise ValueError("truth table entries must be 0 or 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
         super().__setattr__("n", n)
-        super().__setattr__("bits", arr)
+        super().__setattr__("bits", _frozen(arr, np.uint8))
+        super().__setattr__("_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruthTable is immutable")
@@ -278,15 +301,20 @@ def from_anf(text: str, n: int) -> Anf:
 
 
 def to_truth_table(f: Anf) -> TruthTable:
-    """Tabulate an ANF: T[enc(x)] = XOR over monomials of AND of x's bits."""
-    size = 1 << f.n
-    index = np.arange(size, dtype=np.uint32)
-    bits = np.zeros(size, dtype=np.uint8)
+    """Tabulate an ANF: T[enc(x)] = XOR over monomials of AND of x's bits.
+
+    Each monomial is 1 exactly on the subcube where its variables are 1,
+    so it is XORed into that subcube of a (2,)*n view of the table; axis
+    n - k of the view is the bit of x_k.
+    """
+    bits = np.zeros(1 << f.n, dtype=np.uint8)
+    cube = bits.reshape((2,) * f.n)
     for mono in f.monomials:
-        mask = np.uint32(0)
+        subcube = [slice(None)] * f.n
         for k in mono:
-            mask |= np.uint32(1 << (k - 1))
-        bits ^= ((index & mask) == mask).astype(np.uint8)
+            subcube[f.n - k] = 1
+        cube[tuple(subcube)] ^= 1
+    bits.flags.writeable = False
     return TruthTable(f.n, bits)
 
 
@@ -294,4 +322,6 @@ def random_function(n: int, seed: int | None = None) -> TruthTable:
     """Uniformly random truth table; deterministic for a given seed."""
     _check_n(n)
     rng = make_generator(resolve_seed(seed))
-    return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+    bits.flags.writeable = False
+    return TruthTable(n, bits)

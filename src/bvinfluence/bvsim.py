@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index
+from .boolfn import TruthTable, _check_index, _frozen
 from .rng import make_generator, resolve_seed
-from .spectrum import WalshSpectrum, walsh_spectrum
+from .spectrum import WalshSpectrum, _half_cube_masses, walsh_spectrum
 
 STATEVECTOR_MAX_N = 12
 
@@ -34,6 +34,8 @@ class BvDistribution:
 
     ``weights`` are the squared integer Walsh coefficients, so all
     probabilities are exact rationals over the common denominator 4^n.
+    Only their cumulative table is stored; the weights, probabilities and
+    support are derived from it on demand.
     """
 
     def __init__(self, n: int, weights):
@@ -42,18 +44,23 @@ class BvDistribution:
             raise ValueError(f"distribution for n={n} needs {1 << n} weights, got {arr.size}")
         if arr.min(initial=0) < 0:
             raise ValueError("weights must be non-negative")
-        total = int(arr.sum())
-        if total != 1 << (2 * n):
-            raise ValueError(f"weights sum to {total}, expected 4^n = {1 << (2 * n)}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        cum = np.cumsum(arr)
+        if int(cum[-1]) != 1 << (2 * n):
+            raise ValueError(f"weights sum to {int(cum[-1])}, expected 4^n = {1 << (2 * n)}")
+        cum.flags.writeable = False
         self.n = n
-        self.weights = arr
         self.denominator = 1 << (2 * n)
-        self._cumulative = None
+        self._cumulative = cum
+        self._marginals = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The integer weights W(y)^2, as a new array."""
+        return np.diff(self._cumulative, prepend=0)
 
     def prob(self, y: int) -> Fraction:
-        return Fraction(int(self.weights[y]), self.denominator)
+        below = int(self._cumulative[y - 1]) if y else 0
+        return Fraction(int(self._cumulative[y]) - below, self.denominator)
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
@@ -63,18 +70,15 @@ class BvDistribution:
     def marginal_one(self, i: int) -> Fraction:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
         _check_index(i, self.n)
-        half = 1 << (i - 1)
-        mass = int(self.weights.reshape(-1, 2, half)[:, 1, :].sum())
-        return Fraction(mass, self.denominator)
+        if self._marginals is None:
+            self._marginals = _half_cube_masses(self.weights)[0]
+        return Fraction(self._marginals[i - 1], self.denominator)
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights)
 
     def cumulative(self) -> np.ndarray:
-        if self._cumulative is None:
-            cum = np.cumsum(self.weights)
-            cum.flags.writeable = False
-            self._cumulative = cum
+        """Read-only running sums of the weights; the sampler's lookup table."""
         return self._cumulative
 
     def __repr__(self):
@@ -89,9 +93,7 @@ class SampleBatch:
     """
 
     def __init__(self, n: int, outcomes, seed: int):
-        arr = np.asarray(outcomes, dtype=np.int64)
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = _frozen(outcomes, np.int64)
         self.n = n
         self.m = int(arr.size)
         self.outcomes = arr
@@ -99,15 +101,20 @@ class SampleBatch:
 
     def ones_counts(self) -> tuple[int, ...]:
         """Per position i, how many outcomes have y_i = 1."""
-        return tuple(int(((self.outcomes >> pos) & 1).sum()) for pos in range(self.n))
+        return tuple(int(np.count_nonzero(self.outcomes & (1 << pos))) for pos in range(self.n))
 
     def __repr__(self):
         return f"SampleBatch(n={self.n}, m={self.m}, seed={self.seed})"
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
-    """Squared, normalized spectrum; Parseval guarantees the total is 1."""
-    return BvDistribution(s.n, s.squares())
+    """Squared, normalized spectrum; Parseval guarantees the total is 1.
+
+    Built once per spectrum and cached on it.
+    """
+    if s._distribution is None:
+        s._distribution = BvDistribution(s.n, s.squares())
+    return s._distribution
 
 
 def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch:
@@ -122,6 +129,8 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     rng = make_generator(seed)
     u = rng.integers(0, d.denominator, size=m, dtype=np.int64)
     outcomes = np.searchsorted(d.cumulative(), u, side="right")
+    del u
+    outcomes.flags.writeable = False
     return SampleBatch(d.n, outcomes, seed)
 
 

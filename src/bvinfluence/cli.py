@@ -77,12 +77,15 @@ def read_table(path: str) -> TruthTable:
         if len(raw) - 1 != need:
             raise CliError(f"{path}: expected {need} payload bytes for n={n}, found {len(raw) - 1}")
         packed = np.frombuffer(raw[1:], dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[:size]
-        return TruthTable(n, bits)
+        bits = np.unpackbits(packed, bitorder="little")
+        if bits[size:].any():
+            raise CliError(f"{path}: nonzero padding bits after the {size} table bits")
+        return TruthTable(n, bits[:size])
 
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         payload = fh.readline().strip()
+        trailing = fh.read().strip()
     if not header.startswith("n="):
         raise CliError(f"{path}: first line must be 'n=<k>', found {header!r}")
     try:
@@ -96,6 +99,8 @@ def read_table(path: str) -> TruthTable:
         raise CliError(f"{path}: expected {size} table characters, found {len(payload)}")
     if set(payload) - {"0", "1"}:
         raise CliError(f"{path}: table line may contain only 0 and 1")
+    if trailing:
+        raise CliError(f"{path}: unexpected content after the table line")
     bits = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - ord("0")
     return TruthTable(n, bits)
 

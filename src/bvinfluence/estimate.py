@@ -21,33 +21,27 @@ from typing import Callable, Union
 import numpy as np
 
 from .boolfn import Anf, TruthTable, _check_index, to_truth_table
-from .bvsim import BvDistribution, SampleBatch, bv_distribution, bv_sample
+from .bvsim import SampleBatch, bv_distribution_of, bv_sample
 from .rng import make_generator, resolve_seed
-from .spectrum import walsh_spectrum
 
 
 class TableOracle:
     """Oracle backed by a full truth table; supports the sampling path.
 
-    The exact output distribution is computed once and cached, so
-    repeated estimation runs (different seeds) pay only for sampling.
+    The exact output distribution is cached on the table itself (through
+    its spectrum), so repeated estimation runs on one table, with any
+    seeds and through any oracle wrapping it, pay only for sampling.
     """
 
     def __init__(self, table: TruthTable):
         self.table = table
         self.n = table.n
-        self._distribution: BvDistribution | None = None
 
     def evaluate(self, x: int) -> int:
         return int(self.table.bits[x])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         return self.table.bits[xs]
-
-    def distribution(self) -> BvDistribution:
-        if self._distribution is None:
-            self._distribution = bv_distribution(walsh_spectrum(self.table))
-        return self._distribution
 
 
 class BlackBoxOracle:
@@ -147,7 +141,7 @@ def algorithm1(f: FunctionLike, m: int, seed: int | None = None) -> EstimateRepo
     (sum_i l_i) / m. Costs m oracle uses for all n variables together.
     """
     oracle = _sampling_oracle(f)
-    batch = bv_sample(oracle.distribution(), m, seed)
+    batch = bv_sample(bv_distribution_of(oracle.table), m, seed)
     ones = batch.ones_counts()
     p = tuple(Fraction(l, m) for l in ones)
     return EstimateReport(

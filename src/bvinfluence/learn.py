@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .bvsim import SampleBatch, bv_sample
+from .bvsim import SampleBatch, bv_distribution_of, bv_sample
 from .estimate import FunctionLike, _sampling_oracle, hoeffding_failure_bound
 
 DEFAULT_RHO = 20
@@ -112,7 +112,7 @@ def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None)
     if rho < 2:
         raise ValueError(f"need at least 2 repetitions, got {rho}")
     oracle = _sampling_oracle(f)
-    batch = bv_sample(oracle.distribution(), rho, seed)
+    batch = bv_sample(bv_distribution_of(oracle.table), rho, seed)
     mixed_window = (Fraction(0), Fraction(1))
     classes = []
     for index, ones in enumerate(batch.ones_counts(), start=1):
@@ -162,7 +162,7 @@ def algorithm3(
         raise ValueError(f"need at least 4 repetitions, got {lam}")
     eps = _check_epsilon(epsilon)
     oracle = _sampling_oracle(f)
-    batch = bv_sample(oracle.distribution(), lam, seed)
+    batch = bv_sample(bv_distribution_of(oracle.table), lam, seed)
     q_window = quadratic_window(eps)
     c_window = cubic_window(eps)
     classes = []

@@ -49,6 +49,12 @@ def naive_correlation(table: TruthTable) -> np.ndarray:
     return out
 
 
+def strided_half_mass(weights: np.ndarray, i: int) -> int:
+    """Sum of weights[y] over y with bit i set, by one strided pass per i."""
+    half = 1 << (i - 1)
+    return int(weights.reshape(-1, 2, half)[:, 1, :].sum())
+
+
 def lift(table: TruthTable, n: int, shift: int = 0) -> TruthTable:
     """Embed a k-variable table into n >= k variables.
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvinfluence import (
@@ -16,6 +16,7 @@ from bvinfluence import (
     point_mask,
     random_function,
     to_truth_table,
+    walsh_spectrum,
 )
 
 
@@ -129,6 +130,14 @@ def test_truth_table_validation():
         TruthTable(MAX_VARIABLES + 1, np.zeros(2 ** (MAX_VARIABLES + 1), dtype=np.uint8))
     with pytest.raises(ValueError):
         TruthTable(1, [0, 2])
+    # rejected on the input's own dtype, before any cast could wrap or truncate
+    for bad in (np.array([0, 256]), np.array([0, -1]), np.array([0.0, 0.7]), [1, 0.7]):
+        with pytest.raises(ValueError):
+            TruthTable(1, bad)
+    t = TruthTable(2, np.array([False, True, True, False]))
+    assert t.bits.dtype == np.uint8
+    assert t.bits.tolist() == [0, 1, 1, 0]
+    assert TruthTable(1, [0.0, 1.0]).bits.tolist() == [0, 1]
 
 
 def test_truth_table_immutable():
@@ -137,6 +146,22 @@ def test_truth_table_immutable():
         t.n = 3
     with pytest.raises(ValueError):
         t.bits[0] = 1
+
+
+def test_truth_table_spectrum_cache_is_invisible():
+    # equality, immutability and repr ignore the lazily filled spectrum slot
+    warm = to_truth_table(from_anf("x1 + x2*x3", 3))
+    cold = to_truth_table(from_anf("x1 + x2*x3", 3))
+    before = repr(warm)
+    walsh_spectrum(warm)
+    assert warm == cold and cold == warm
+    assert repr(warm) == repr(cold) == before
+    for name in ("n", "bits", "_spectrum", "other"):
+        with pytest.raises(AttributeError):
+            setattr(warm, name, None)
+    with pytest.raises(ValueError):
+        warm.bits[0] = 1
+    assert warm != to_truth_table(from_anf("x1", 3))
 
 
 def test_random_function_deterministic():
@@ -171,6 +196,10 @@ def anf_instances(draw):
 
 
 @given(anf_instances())
+@example(Anf([[]], 5))  # the constant term 1
+@example(Anf([], 5))  # the empty ANF 0
+@example(Anf([[5]], 5))  # a monomial on x_n, the slowest axis of the subcube view
+@example(Anf([[], [1, 5], [2, 3, 4], [1, 2, 3, 4, 5]], 5))
 @settings(max_examples=60, deadline=None)
 def test_table_agrees_with_direct_anf_evaluation(f):
     table = to_truth_table(f)

@@ -7,6 +7,7 @@ import scipy.stats
 from bvinfluence import (
     STATEVECTOR_MAX_N,
     BvDistribution,
+    SampleBatch,
     bv_distribution,
     bv_distribution_of,
     bv_sample,
@@ -166,3 +167,29 @@ def test_statevector_cap():
 def test_distribution_rejects_bad_weights():
     with pytest.raises(ValueError):
         BvDistribution(2, [1, 1, 1, 1])  # does not sum to 4^n
+
+
+def test_arrays_handed_to_results_are_not_shared():
+    weights = np.array([4, 4, 4, 4])
+    d = BvDistribution(2, weights)
+    outcomes = np.array([3, 1, 0])
+    batch = SampleBatch(2, outcomes, seed=1)
+    weights[0] = 16
+    outcomes[0] = 0
+    assert d.weights.tolist() == [4, 4, 4, 4]
+    assert d.probs == (Fraction(1, 4),) * 4
+    assert batch.outcomes.tolist() == [3, 1, 0]
+    assert batch.ones_counts() == (2, 1)
+    with pytest.raises(ValueError):
+        batch.outcomes[0] = 0
+    with pytest.raises(ValueError):
+        d.cumulative()[0] = 0
+
+
+def test_distribution_cached_on_the_table():
+    t = random_function(6, seed=8)
+    d = bv_distribution_of(t)
+    assert bv_distribution_of(t) is d
+    assert bv_distribution(walsh_spectrum(t)) is d
+    assert np.array_equal(d.weights, walsh_spectrum(t).squares())
+    assert np.array_equal(d.support(), np.flatnonzero(walsh_spectrum(t).w))

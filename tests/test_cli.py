@@ -241,6 +241,29 @@ def test_table_file_error_reporting(tmp_path):
         assert code == 2, name
         assert name.split(".")[0].replace("bad_", "") or err
 
+    # anything after the table line, other than blank lines, is rejected
+    trailing = tmp_path / "trailing.tt"
+    trailing.write_text("n=2\n0110\n0110\n")
+    code, out, err = invoke(["influence", "--table", str(trailing)])
+    assert code == 2
+    assert not out
+    assert "after the table line" in err
+    blank = tmp_path / "blank.tt"
+    blank.write_text("n=2\n0110\n\n\n")
+    assert invoke(["influence", "--table", str(blank)])[0] == 0
+
+    # below n=3 the single payload byte has padding bits, which must be 0
+    for n, payload in ((1, 0b0110), (2, 0b1_0110), (2, 0x80)):
+        padded = tmp_path / f"padded{n}.ttb"
+        padded.write_bytes(bytes([n, payload]))
+        code, out, err = invoke(["influence", "--table", str(padded)])
+        assert code == 2, (n, payload)
+        assert not out
+        assert "padding" in err
+    clean = tmp_path / "clean.ttb"
+    clean.write_bytes(bytes([2, 0b0110]))
+    assert read_table(str(clean)).bits.tolist() == [0, 1, 1, 0]
+
     short = tmp_path / "short.ttb"
     short.write_bytes(bytes([4, 0xFF]))  # n=4 needs 2 payload bytes
     code, _, err = invoke(["influence", "--table", str(short)])

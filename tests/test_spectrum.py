@@ -18,12 +18,18 @@ from bvinfluence import (
     influence_by_definition,
     influence_by_spectrum,
     influence_counts,
+    TruthTable,
+    WalshSpectrum,
+    algorithm1,
     influence_vector,
+    influential_list,
+    random_function,
     to_truth_table,
     verify_identities,
     walsh_spectrum,
 )
-from conftest import corpus, naive_correlation, naive_walsh
+from bvinfluence import spectrum
+from conftest import corpus, naive_correlation, naive_walsh, strided_half_mass
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
 # majority of three bits, as ANF
@@ -33,6 +39,11 @@ MAJ3 = to_truth_table(from_anf("x1*x2 + x1*x3 + x2*x3", 3))
 def test_fwht_matches_naive_summation():
     for t in corpus(40, ns=range(1, 9)):
         assert np.array_equal(walsh_spectrum(t).w, naive_walsh(t)), f"n={t.n}"
+    # Past the transform's cache block: g(x_1..x_9) xor h(x_10..x_18) has
+    # W(y) = W_g(y_1..y_9) * W_h(y_10..y_18), with both factors summed naively.
+    g, h = corpus(2, ns=[9])
+    t = TruthTable(18, (h.bits[:, None] ^ g.bits[None, :]).ravel())
+    assert np.array_equal(walsh_spectrum(t).w, np.outer(naive_walsh(h), naive_walsh(g)).ravel())
 
 
 def test_walsh_examples():
@@ -173,13 +184,16 @@ def test_correlation_at_unit_vectors_decomposition():
 
 def test_half_cube_mass_equals_flip_counts():
     # both halves of the squared spectrum recover the exact counts of
-    # unchanged/changed inputs
-    for t in corpus(24, ns=range(1, 9)):
+    # unchanged/changed inputs, and the fold's masses equal one strided
+    # pass per variable
+    for t in corpus(36, ns=range(1, 13)):
         s = walsh_spectrum(t)
         total = s.square_sum()
+        assert total == int(s.squares().sum())
         for i in range(1, t.n + 1):
             v0, v1 = influence_counts(t, i)
             v1sum = s.ones_square_sum(i)
+            assert v1sum == strided_half_mass(s.squares(), i), f"i={i}, n={t.n}"
             assert Fraction(v1sum, 1 << (2 * t.n)) == Fraction(v1, 1 << t.n)
             assert Fraction(total - v1sum, 1 << (2 * t.n)) == Fraction(v0, 1 << t.n)
 
@@ -188,6 +202,61 @@ def test_fwht_self_inversion():
     for t in corpus(10, ns=range(1, 11)):
         signs = t.signs()
         assert np.array_equal(fwht(fwht(signs)), signs * (1 << t.n))
+
+
+@pytest.mark.parametrize("anf", ["1", " + ".join(f"x{k}" for k in range(1, 25))], ids=["constant1", "parity24"])
+def test_int32_transform_at_the_cap(anf):
+    # |W| reaches 2^24 here: W(0) = -2^24 for the constant 1, and
+    # W(1...1) = 2^24 for the full parity
+    t = to_truth_table(from_anf(anf, 24))
+    w = walsh_spectrum(t).w
+    assert w.dtype == np.int64
+    assert np.array_equal(w, fwht(t.signs()))
+    peak = 0 if anf == "1" else (1 << 24) - 1
+    assert w[peak] == (-1 if anf == "1" else 1) << 24
+    assert np.count_nonzero(w) == 1
+
+
+def test_transform_runs_once_per_table(monkeypatch):
+    calls = []
+    kernel = spectrum._butterfly
+
+    def counted(values):
+        calls.append(values.dtype)
+        return kernel(values)
+
+    monkeypatch.setattr(spectrum, "_butterfly", counted)
+    t = random_function(9, seed=5)
+    s = walsh_spectrum(t)
+    assert walsh_spectrum(t) is s
+    first = influence_vector(t)
+    for seed in range(3):
+        algorithm1(t, 50, seed)
+        influential_list(t, 50, seed)
+    assert influence_vector(t) == first
+    assert calls == [np.int32]
+    # verify reuses the cached spectrum; its one transform is the
+    # autocorrelation check's
+    verify_identities(t)
+    assert calls == [np.int32, np.int64]
+
+
+def test_arrays_handed_to_results_are_not_shared():
+    n = 2
+    w = np.array([2, 2, 2, -2])
+    view = np.array([4, 0, 0, 0])
+    read_only_view = view[:]
+    read_only_view.flags.writeable = False
+    s = WalshSpectrum(n, w)
+    c = Correlation(n, read_only_view)
+    w[0] = 0
+    view[0] = 0
+    assert s.w.tolist() == [2, 2, 2, -2]
+    assert c.c.tolist() == [4, 0, 0, 0]
+    with pytest.raises(ValueError):
+        s.w[0] = 0
+    with pytest.raises(ValueError):
+        c.c[0] = 0
 
 
 def test_fwht_input_validation():
