@@ -51,7 +51,6 @@ class BvDistribution:
         self.n = n
         self.denominator = 1 << (2 * n)
         self._cumulative = cum
-        self._marginals = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -70,9 +69,7 @@ class BvDistribution:
     def marginal_one(self, i: int) -> Fraction:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
         _check_index(i, self.n)
-        if self._marginals is None:
-            self._marginals = _half_cube_masses(self.weights)[0]
-        return Fraction(self._marginals[i - 1], self.denominator)
+        return Fraction(_half_cube_masses(self.weights)[0][i - 1], self.denominator)
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights)
