@@ -411,6 +411,8 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         table, source = _resolve_function(args)
         params, results, csv_table, code = _HANDLERS[args.command](args, table, source)
+        # The table holds its cached spectrum; free both before rendering.
+        del table
     except (CliError, ValueError) as exc:
         print(f"bvinfluence: error: {exc}", file=err)
         return 2

@@ -11,6 +11,9 @@ import pytest
 
 from bvinfluence import (
     Correlation,
+    TruthTable,
+    WalshSpectrum,
+    algorithm1,
     correlation,
     correlation_fast,
     from_anf,
@@ -18,9 +21,6 @@ from bvinfluence import (
     influence_by_definition,
     influence_by_spectrum,
     influence_counts,
-    TruthTable,
-    WalshSpectrum,
-    algorithm1,
     influence_vector,
     influential_list,
     random_function,
@@ -188,12 +188,13 @@ def test_half_cube_mass_equals_flip_counts():
     # pass per variable
     for t in corpus(36, ns=range(1, 13)):
         s = walsh_spectrum(t)
+        squares = s.squares()
         total = s.square_sum()
-        assert total == int(s.squares().sum())
+        assert total == int(squares.sum())
         for i in range(1, t.n + 1):
             v0, v1 = influence_counts(t, i)
             v1sum = s.ones_square_sum(i)
-            assert v1sum == strided_half_mass(s.squares(), i), f"i={i}, n={t.n}"
+            assert v1sum == strided_half_mass(squares, i), f"i={i}, n={t.n}"
             assert Fraction(v1sum, 1 << (2 * t.n)) == Fraction(v1, 1 << t.n)
             assert Fraction(total - v1sum, 1 << (2 * t.n)) == Fraction(v0, 1 << t.n)
 
