@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * Variables are 1-based: ``x1`` is bit 0 of the encoded integer.
 
 Values are immutable after construction and safe to share across
-threads. The one lazily filled field, a truth table's cached spectrum, is
-a pure function of the table, so fills that race can only store equal
+threads. The caches filled lazily on a table (its spectrum, and through
+it the spectrum's masses and output distribution) are pure functions of
+the table, so fills that race may compute twice but can only store equal
 values.
 """
 
