@@ -11,7 +11,9 @@ materialized.
 
 Sampling is exact: a draw is a uniform integer in [0, 4^n) located in a
 cumulative table of the integer weights W(y)^2, so outcomes with zero
-spectral weight are impossible, not merely improbable.
+spectral weight are impossible, not merely improbable. The lookup runs
+on sorted blocks of keys and writes each outcome over its key, so a
+batch of m draws costs one int64 array of m entries.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ from .spectrum import WalshSpectrum, _half_cube_masses, walsh_spectrum
 STATEVECTOR_MAX_N = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Keys sorted and looked up per block: 2 MiB of int64 keys stay in cache
+# while the sorted search walks the cumulative table front to back.
+_BLOCK = 1 << 18
+
+# _BYTE_BITS[v, k] is bit k of the byte value v.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 class BvDistribution:
@@ -97,8 +106,21 @@ class SampleBatch:
         self.seed = seed
 
     def ones_counts(self) -> tuple[int, ...]:
-        """Per position i, how many outcomes have y_i = 1."""
-        return tuple(int(np.count_nonzero(self.outcomes & (1 << pos))) for pos in range(self.n))
+        """Per position i, how many outcomes have y_i = 1.
+
+        One pass over the outcome bytes: a 256-bin histogram of each of
+        the ceil(n/8) low bytes, block by block, then one product with
+        the per-byte bit table. The cost is O(m * ceil(n/8)), whatever 2^n.
+        """
+        width = (self.n + 7) // 8
+        raw = self.outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        hist = np.zeros((width, 256), dtype=np.int64)
+        for start in range(0, self.m, _BLOCK):
+            block = raw[start:start + _BLOCK]
+            for b in range(width):
+                hist[b] += np.bincount(block[:, b], minlength=256)
+        counts = (hist @ _BYTE_BITS).ravel()
+        return tuple(int(c) for c in counts[: self.n])
 
     def __repr__(self):
         return f"SampleBatch(n={self.n}, m={self.m}, seed={self.seed})"
@@ -118,15 +140,22 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     """m independent draws from d by exact inverse-CDF lookup.
 
     Each draw maps a uniform integer in [0, 4^n) through the cumulative
-    integer weight table, so the sample law matches d exactly.
+    integer weight table, so the sample law matches d exactly. The keys
+    are looked up in sorted blocks of ``_BLOCK`` and each outcome is
+    written back over its own key, so the outcome stream is the same as
+    an unsorted ``searchsorted`` of all keys, and the key array becomes
+    the outcome array: 8 bytes per draw, with no second m-sized array.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     seed = resolve_seed(seed)
     rng = make_generator(seed)
-    u = rng.integers(0, d.denominator, size=m, dtype=np.int64)
-    outcomes = np.searchsorted(d.cumulative(), u, side="right")
-    del u
+    cum = d.cumulative()
+    outcomes = rng.integers(0, d.denominator, size=m, dtype=np.int64)
+    for start in range(0, m, _BLOCK):
+        keys = outcomes[start:start + _BLOCK]
+        order = np.argsort(keys)
+        keys[order] = np.searchsorted(cum, keys[order], side="right")
     outcomes.flags.writeable = False
     return SampleBatch(d.n, outcomes, seed)
 

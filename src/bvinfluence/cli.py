@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -28,9 +29,9 @@ import numpy as np
 
 from . import estimate as est
 from . import learn as ln
-from .boolfn import MAX_VARIABLES, TruthTable, from_anf, random_function, to_truth_table
+from .boolfn import MAX_VARIABLES, TruthTable, _check_index, from_anf, random_function, to_truth_table
 from .bvsim import bv_distribution_of, bv_sample
-from .rng import resolve_seed
+from .rng import resolve_seed, spawn_seeds
 from .spectrum import influence_vector, verify_identities, walsh_spectrum
 
 SCHEMA_VERSION = 1
@@ -287,12 +288,12 @@ def _cmd_learn3(args, table, source):
 
 def _cmd_classical(args, table, source):
     seed = resolve_seed(args.seed)
+    if args.i is not None:
+        _check_index(args.i, table.n)
     indices = [args.i] if args.i is not None else list(range(1, table.n + 1))
-    estimates = []
-    # Derive one sub-seed per variable so the whole run replays from one seed.
-    for offset, i in enumerate(indices):
-        one = est.classical_estimate(table, i, args.m, seed + offset)
-        estimates.append(one)
+    # Variable i draws from child i-1 of the run seed, so --i replays it.
+    seeds = spawn_seeds(seed, table.n)
+    estimates = [est.classical_estimate(table, i, args.m, seeds[i - 1]) for i in indices]
     params = dict(source, m=args.m, seed=seed)
     if args.i is not None:
         params["i"] = args.i
@@ -317,6 +318,25 @@ def _cmd_verify(args, table, source):
     header = ["identity", "passed", "detail"]
     rows = [[c["identity"], c["passed"], c["detail"]] for c in checks]
     return source, results, (header, rows), 0 if all_passed else 1
+
+
+# Bytes held per unit of a subcommand's count flag: one int64 per draw,
+# and for classical the two int64 arrays of inputs and flipped inputs.
+_COUNT_BYTES = {"classical": 16}
+
+
+def _check_count_memory(args) -> None:
+    """Reject a draw count whose arrays alone would exceed physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for flag, name in (("--m", "m"), ("--rho", "rho"), ("--lambda", "lam")):
+        count = getattr(args, name, None)
+        if count is None:
+            continue
+        need = count * _COUNT_BYTES.get(args.command, 8)
+        if need > have:
+            raise CliError(
+                f"{flag} {count} needs {need} bytes of draws, more than the {have} bytes of physical memory"
+            )
 
 
 _HANDLERS = {
@@ -409,6 +429,7 @@ def run(argv=None, out=None, err=None) -> int:
 
     started = time.perf_counter()
     try:
+        _check_count_memory(args)
         table, source = _resolve_function(args)
         params, results, csv_table, code = _HANDLERS[args.command](args, table, source)
         # The table holds its cached spectrum; free both before rendering.

@@ -100,6 +100,29 @@ def _in_window(value: Fraction, window: tuple[Fraction, Fraction]) -> bool:
     return lo < value < hi
 
 
+def _classify(batch: SampleBatch, rules) -> tuple[VariableClass, ...]:
+    """Label every variable from its one-count over the batch's m runs.
+
+    An all-ones column is linear and an all-zeros column absent. Any other
+    frequency takes the label of the first ``(label, window)`` rule whose
+    open window holds it, or ``UNCLASSIFIED`` when none does.
+    """
+    classes = []
+    for index, ones in enumerate(batch.ones_counts(), start=1):
+        observed = Fraction(ones, batch.m)
+        if ones == batch.m:
+            label, window = TermClass.LINEAR, None
+        elif ones == 0:
+            label, window = TermClass.ABSENT, None
+        else:
+            label, window = next(
+                (rule for rule in rules if _in_window(observed, rule[1])),
+                (TermClass.UNCLASSIFIED, None),
+            )
+        classes.append(VariableClass(index, label, observed, window))
+    return tuple(classes)
+
+
 def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None) -> LearnReport:
     """Two-class learner for functions of disjoint linear and quadratic terms.
 
@@ -113,24 +136,14 @@ def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None)
         raise ValueError(f"need at least 2 repetitions, got {rho}")
     oracle = _sampling_oracle(f)
     batch = bv_sample(bv_distribution_of(oracle.table), rho, seed)
-    mixed_window = (Fraction(0), Fraction(1))
-    classes = []
-    for index, ones in enumerate(batch.ones_counts(), start=1):
-        observed = Fraction(ones, rho)
-        if ones == rho:
-            vc = VariableClass(index, TermClass.LINEAR, observed, None)
-        elif ones == 0:
-            vc = VariableClass(index, TermClass.ABSENT, observed, None)
-        else:
-            vc = VariableClass(index, TermClass.QUADRATIC, observed, mixed_window)
-        classes.append(vc)
+    mixed = (Fraction(0), Fraction(1))
     return LearnReport(
         n=oracle.n,
         algorithm="linear-quadratic",
         trials=rho,
         epsilon=None,
         seed=batch.seed,
-        classes=tuple(classes),
+        classes=_classify(batch, ((TermClass.QUADRATIC, mixed),)),
         error_budget={
             "quadratic_read_as_linear": 0.5 ** rho,
             "quadratic_read_as_absent": 0.5 ** rho,
@@ -163,29 +176,14 @@ def algorithm3(
     eps = _check_epsilon(epsilon)
     oracle = _sampling_oracle(f)
     batch = bv_sample(bv_distribution_of(oracle.table), lam, seed)
-    q_window = quadratic_window(eps)
-    c_window = cubic_window(eps)
-    classes = []
-    for index, ones in enumerate(batch.ones_counts(), start=1):
-        observed = Fraction(ones, lam)
-        if ones == lam:
-            vc = VariableClass(index, TermClass.LINEAR, observed, None)
-        elif ones == 0:
-            vc = VariableClass(index, TermClass.ABSENT, observed, None)
-        elif _in_window(observed, q_window):
-            vc = VariableClass(index, TermClass.QUADRATIC, observed, q_window)
-        elif _in_window(observed, c_window):
-            vc = VariableClass(index, TermClass.CUBIC, observed, c_window)
-        else:
-            vc = VariableClass(index, TermClass.UNCLASSIFIED, observed, None)
-        classes.append(vc)
+    rules = ((TermClass.QUADRATIC, quadratic_window(eps)), (TermClass.CUBIC, cubic_window(eps)))
     return LearnReport(
         n=oracle.n,
         algorithm="linear-quadratic-cubic",
         trials=lam,
         epsilon=eps,
         seed=batch.seed,
-        classes=tuple(classes),
+        classes=_classify(batch, rules),
         error_budget={
             "quadratic_window_miss": hoeffding_failure_bound(lam, float(eps)),
             "cubic_window_miss": hoeffding_failure_bound(lam, float(eps)),

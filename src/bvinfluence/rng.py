@@ -25,3 +25,15 @@ def resolve_seed(seed: int | None) -> int:
 def make_generator(seed: int) -> np.random.Generator:
     """One PCG64 stream per call; never reuse a generator across calls."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def spawn_seeds(seed: int, count: int) -> list[int]:
+    """``count`` independent integer seeds derived from one seed.
+
+    Seed k is child k of ``SeedSequence(seed).spawn(count)``, folded to a
+    128-bit integer. A child does not depend on ``count``, and runs with
+    different parent seeds share no child, so adjacent seeds never replay
+    each other's streams.
+    """
+    children = np.random.SeedSequence(seed).spawn(count)
+    return [int.from_bytes(c.generate_state(4).tobytes(), "little") for c in children]

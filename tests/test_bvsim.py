@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from bvinfluence import (
     to_truth_table,
     walsh_spectrum,
 )
+from bvinfluence.bvsim import _BLOCK
+from bvinfluence.rng import make_generator
 from conftest import corpus, lift
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
@@ -111,11 +114,41 @@ def test_sampler_rejects_bad_m():
         bv_sample(bv_distribution_of(AND2), 0)
 
 
-def test_ones_counts_bookkeeping():
-    batch = bv_sample(bv_distribution_of(AND2), 500, seed=3)
-    ones = batch.ones_counts()
-    for i in (1, 2):
-        assert ones[i - 1] == int(((batch.outcomes >> (i - 1)) & 1).sum())
+def _near_the_top(n):
+    """Seeded outcomes past one block, plus 0 and the values next to 2^n - 1."""
+    top = (1 << n) - 1
+    drawn = np.random.default_rng(n).integers(0, top + 1, _BLOCK + 3)
+    return SampleBatch(n, np.concatenate([drawn, [0, top, top - 1, top >> 1]]), seed=n)
+
+
+BYTE_EDGE_NS = (1, 8, 9, 16, 17, 24)
+
+
+@pytest.mark.parametrize(
+    "make_batch",
+    [lambda: bv_sample(bv_distribution_of(AND2), 500, seed=3)]
+    + [partial(_near_the_top, n) for n in BYTE_EDGE_NS],
+    ids=["and2", *(f"n{n}" for n in BYTE_EDGE_NS)],
+)
+def test_ones_counts_bookkeeping(make_batch):
+    batch = make_batch()
+    naive = tuple(int(((batch.outcomes >> pos) & 1).sum()) for pos in range(batch.n))
+    assert batch.ones_counts() == naive
+
+
+@pytest.mark.parametrize(
+    "table",
+    [random_function(12, seed=31), to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 16))],
+    ids=["random12", "planted16"],
+)
+def test_blockwise_lookup_matches_one_unsorted_search(table):
+    # three blocks, the last one partial: a fault at a block boundary
+    # changes draws that no single-block golden report covers
+    m = 2 * _BLOCK + 5
+    d = bv_distribution_of(table)
+    keys = make_generator(19).integers(0, 4**table.n, m)
+    reference = np.searchsorted(d.cumulative(), keys, side="right")
+    assert np.array_equal(bv_sample(d, m, seed=19).outcomes, reference)
 
 
 def test_sampler_matches_exact_law_chisq():

@@ -7,6 +7,7 @@ import pytest
 from bvinfluence import cli
 from bvinfluence.boolfn import random_function
 from bvinfluence.cli import main, read_table, run, write_table
+from bvinfluence.rng import spawn_seeds
 
 
 def invoke(argv):
@@ -163,6 +164,39 @@ def test_classical_single_variable():
     )
     assert [e["variable"] for e in report["results"]["estimates"]] == [2]
     assert report["parameters"]["i"] == 2
+
+
+def test_classical_variables_draw_from_spawned_seeds():
+    base = ["classical", "--random", "6:2", "--m", "2000"]
+    full = invoke_json([*base, "--seed", "10"])["results"]["estimates"]
+    # --i k replays variable k of a full run
+    for entry in full:
+        alone = invoke_json([*base, "--seed", "10", "--i", str(entry["variable"])])
+        assert alone["results"]["estimates"] == [entry]
+    # adjacent run seeds share no draws: with seed + offset, variable 2 of
+    # --seed 10 replayed --seed 11 --i 2 exactly
+    adjacent = invoke_json([*base, "--seed", "11", "--i", "2"])["results"]["estimates"]
+    assert adjacent != [full[1]]
+    assert set(spawn_seeds(10, 6)).isdisjoint(spawn_seeds(11, 6))
+    assert spawn_seeds(10, 2) == spawn_seeds(10, 6)[:2]
+    code, _, err = invoke([*base, "--seed", "10", "--i", "7"])
+    assert code == 2 and "variable index" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("estimate", "--m"), ("bv-sample", "--m"), ("list-influential", "--m"),
+     ("classical", "--m"), ("learn2", "--rho"), ("learn3", "--lambda")],
+)
+def test_huge_draw_count_exits_2_before_allocating(command, flag, monkeypatch):
+    def no_table(args):
+        raise AssertionError("the function was built before the count was checked")
+
+    monkeypatch.setattr(cli, "_resolve_function", no_table)
+    code, out, err = invoke([command, "--random", "4:1", flag, str(10**15)])
+    assert code == 2
+    assert out == ""
+    assert "physical memory" in err
 
 
 def test_csv_output_influence():
