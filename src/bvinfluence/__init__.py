@@ -10,6 +10,8 @@ Hoeffding guarantees and two small procedures that read off the
 algebraic role of each variable in low-degree functions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boolfn import (
     MAX_VARIABLES,
     Anf,
@@ -79,62 +81,8 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above; the submodules themselves are not exported.
 __all__ = [
-    "MAX_VARIABLES",
-    "Anf",
-    "AnfSyntaxError",
-    "TruthTable",
-    "dec_input",
-    "enc_input",
-    "evaluate",
-    "flip_input",
-    "from_anf",
-    "point_mask",
-    "random_function",
-    "to_truth_table",
-    "STATEVECTOR_MAX_N",
-    "BvDistribution",
-    "SampleBatch",
-    "bv_distribution",
-    "bv_distribution_of",
-    "bv_sample",
-    "statevector_bv",
-    "DEFAULT_SAMPLES",
-    "BlackBoxOracle",
-    "ClassicalEstimate",
-    "EstimateReport",
-    "InfluentialList",
-    "TableOracle",
-    "algorithm1",
-    "as_oracle",
-    "classical_estimate",
-    "hoeffding_failure_bound",
-    "hoeffding_radius",
-    "influential_list",
-    "samples_needed",
-    "DEFAULT_EPSILON",
-    "DEFAULT_LAMBDA",
-    "DEFAULT_RHO",
-    "LearnReport",
-    "TermClass",
-    "VariableClass",
-    "algorithm2",
-    "algorithm3",
-    "cubic_window",
-    "lemma1_influence",
-    "quadratic_window",
-    "make_generator",
-    "resolve_seed",
-    "Correlation",
-    "InfluenceVector",
-    "WalshSpectrum",
-    "correlation",
-    "correlation_fast",
-    "fwht",
-    "influence_by_definition",
-    "influence_by_spectrum",
-    "influence_counts",
-    "influence_vector",
-    "verify_identities",
-    "walsh_spectrum",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -36,18 +36,6 @@ from .spectrum import influence_vector, verify_identities, walsh_spectrum
 
 SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "influence",
-    "spectrum",
-    "bv-sample",
-    "estimate",
-    "list-influential",
-    "learn2",
-    "learn3",
-    "classical",
-    "verify",
-)
 
 
 class CliError(ValueError):
@@ -156,16 +144,10 @@ def _resolve_function(args) -> tuple[TruthTable, dict]:
 
 def _bits_string(value: int, n: int) -> str:
     """y rendered as y_1 y_2 ... y_n, left to right."""
-    return "".join(str((value >> pos) & 1) for pos in range(n))
+    return format(value, f"0{n}b")[::-1]
 
 
-def _window_fields(window) -> tuple:
-    if window is None:
-        return None, None
-    return rational(window[0]), rational(window[1])
-
-
-# --- subcommand handlers: each returns (parameters, results, csv table, exit code) ---
+# --- subcommand handlers: each returns (parameters, results, exit code) ---
 
 
 def _cmd_influence(args, table, source):
@@ -176,32 +158,22 @@ def _cmd_influence(args, table, source):
         ],
         "total": rational(vec.total),
     }
-    header = ["variable", "influence_fraction", "influence_decimal"]
-    rows = [[i, *rational(vec[i]).values()] for i in range(1, table.n + 1)]
-    rows.append(["total", *rational(vec.total).values()])
-    return source, results, (header, rows), 0
+    return source, results, 0
 
 
 def _cmd_spectrum(args, table, source):
-    spec = walsh_spectrum(table)
-    results = {"n": table.n, "coefficients": [int(w) for w in spec.w]}
-    header = ["y", "coefficient"]
-    rows = [[y, int(w)] for y, w in enumerate(spec.w)]
-    return source, results, (header, rows), 0
+    return source, {"n": table.n, "coefficients": walsh_spectrum(table).w.tolist()}, 0
 
 
 def _cmd_bv_sample(args, table, source):
     seed = resolve_seed(args.seed)
-    batch = bv_sample(bv_distribution_of(table), args.m, seed)
+    outcomes = bv_sample(bv_distribution_of(table), args.m, seed).outcomes.tolist()
     params = dict(source, m=args.m, seed=seed)
-    outcomes = [int(y) for y in batch.outcomes]
     results = {
         "outcomes": outcomes,
         "bits": [_bits_string(y, table.n) for y in outcomes],
     }
-    header = ["index", "outcome", "bits"]
-    rows = [[j, y, _bits_string(y, table.n)] for j, y in enumerate(outcomes)]
-    return params, results, (header, rows), 0
+    return params, results, 0
 
 
 def _cmd_estimate(args, table, source):
@@ -217,12 +189,7 @@ def _cmd_estimate(args, table, source):
         "oracle_calls": report.oracle_calls,
         "hoeffding": {"confidence": 0.99, "epsilon": report.epsilon_at(0.99)},
     }
-    header = ["variable", "ones", "p_fraction", "p_decimal"]
-    rows = [
-        [i, report.ones[i - 1], *rational(report.p[i - 1]).values()]
-        for i in range(1, report.n + 1)
-    ]
-    return params, results, (header, rows), 0
+    return params, results, 0
 
 
 def _cmd_list_influential(args, table, source):
@@ -235,38 +202,21 @@ def _cmd_list_influential(args, table, source):
         "threshold_influence": listing.threshold_influence,
         "oracle_calls": listing.m,
     }
-    header = ["variable"]
-    rows = [[i] for i in listing.variables]
-    return params, results, (header, rows), 0
-
-
-def _learn_rows(report):
-    header = ["variable", "class", "observed_fraction", "observed_decimal", "window_low", "window_high"]
-    rows = []
-    for vc in report.classes:
-        lo, hi = _window_fields(vc.window)
-        rows.append([
-            vc.index,
-            vc.label.value,
-            *rational(vc.observed).values(),
-            "" if lo is None else lo["decimal"],
-            "" if hi is None else hi["decimal"],
-        ])
-    return header, rows
+    return params, results, 0
 
 
 def _learn_results(report):
-    entries = []
-    for vc in report.classes:
-        lo, hi = _window_fields(vc.window)
-        entries.append({
-            "variable": vc.index,
-            "class": vc.label.value,
-            "observed": rational(vc.observed),
-            "window": None if lo is None else {"low": lo, "high": hi},
-        })
     return {
-        "classes": entries,
+        "classes": [
+            {
+                "variable": vc.index,
+                "class": vc.label.value,
+                "observed": rational(vc.observed),
+                "window": None if vc.window is None
+                else {"low": rational(vc.window[0]), "high": rational(vc.window[1])},
+            }
+            for vc in report.classes
+        ],
         "error_budget": report.error_budget,
         "assumed_model": report.assumed_model,
     }
@@ -276,14 +226,14 @@ def _cmd_learn2(args, table, source):
     seed = resolve_seed(args.seed)
     report = ln.algorithm2(table, args.rho, seed)
     params = dict(source, rho=args.rho, seed=seed)
-    return params, _learn_results(report), _learn_rows(report), 0
+    return params, _learn_results(report), 0
 
 
 def _cmd_learn3(args, table, source):
     seed = resolve_seed(args.seed)
     report = ln.algorithm3(table, args.lam, args.epsilon, seed)
     params = dict(source, **{"lambda": args.lam}, epsilon=rational(args.epsilon), seed=seed)
-    return params, _learn_results(report), _learn_rows(report), 0
+    return params, _learn_results(report), 0
 
 
 def _cmd_classical(args, table, source):
@@ -306,23 +256,57 @@ def _cmd_classical(args, table, source):
         "oracle_calls_total": sum(e.oracle_calls for e in estimates),
         "sampling_path_calls_for_all_variables": args.m,
     }
-    header = ["variable", "q_fraction", "q_decimal", "oracle_calls"]
-    rows = [[e.i, *rational(e.q).values(), e.oracle_calls] for e in estimates]
-    return params, results, (header, rows), 0
+    return params, results, 0
 
 
 def _cmd_verify(args, table, source):
     checks = verify_identities(table)
     all_passed = all(c["passed"] for c in checks)
-    results = {"identities": checks, "all_passed": all_passed}
-    header = ["identity", "passed", "detail"]
-    rows = [[c["identity"], c["passed"], c["detail"]] for c in checks]
-    return source, results, (header, rows), 0 if all_passed else 1
+    return source, {"identities": checks, "all_passed": all_passed}, 0 if all_passed else 1
+
+
+def _influence_rows(results):
+    yield from ([e["variable"], *e["influence"].values()] for e in results["influences"])
+    yield ["total", *results["total"].values()]
+
+
+def _learn_rows(results):
+    for e in results["classes"]:
+        window = e["window"]
+        low, high = ("", "") if window is None else (window["low"]["decimal"], window["high"]["decimal"])
+        yield [e["variable"], e["class"], *e["observed"].values(), low, high]
+
+
+_LEARN_HEADER = "variable,class,observed_fraction,observed_decimal,window_low,window_high"
+
+# CSV v1: per subcommand, the header line and a function reading the data
+# rows off the JSON results.
+_CSV_TABLES = {
+    "influence": ("variable,influence_fraction,influence_decimal", _influence_rows),
+    "spectrum": ("y,coefficient", lambda r: enumerate(r["coefficients"])),
+    "bv-sample": ("index,outcome,bits", lambda r: zip(itertools.count(), r["outcomes"], r["bits"])),
+    "estimate": (
+        "variable,ones,p_fraction,p_decimal",
+        lambda r: ([e["variable"], e["ones"], *e["p"].values()] for e in r["estimates"]),
+    ),
+    "list-influential": ("variable", lambda r: ([v] for v in r["variables"])),
+    "learn2": (_LEARN_HEADER, _learn_rows),
+    "learn3": (_LEARN_HEADER, _learn_rows),
+    "classical": (
+        "variable,q_fraction,q_decimal,oracle_calls",
+        lambda r: ([e["variable"], *e["q"].values(), e["oracle_calls"]] for e in r["estimates"]),
+    ),
+    "verify": ("identity,passed,detail", lambda r: (c.values() for c in r["identities"])),
+}
 
 
 # Bytes held per unit of a subcommand's count flag: one int64 per draw,
 # and for classical the two int64 arrays of inputs and flipped inputs.
-_COUNT_BYTES = {"classical": 16}
+# bv-sample also holds each outcome as a Python int and as a bit string
+# while the report renders: peak RSS grew by 121-137 bytes per draw
+# between m = 10^6, 2*10^6 and 4*10^6 at n=24 (the longest bit strings;
+# n is not known when the check runs), in either format. Rounded up to 160.
+_COUNT_BYTES = {"classical": 16, "bv-sample": 160}
 
 
 def _check_count_memory(args) -> None:
@@ -407,17 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_json(report: dict, out) -> None:
-    out.write(json.dumps(report, indent=2))
+    # dump writes each piece as it is encoded; no whole-report string is built.
+    json.dump(report, out, indent=2)
     out.write("\n")
 
 
-def _emit_csv(command: str, table: tuple, out) -> None:
-    header, rows = table
-    out.write(f"# bvinfluence-csv v{CSV_SCHEMA_VERSION} command={command}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _emit_csv(command: str, results: dict, out) -> None:
+    header, rows = _CSV_TABLES[command]
+    out.write(f"# bvinfluence-csv v{CSV_SCHEMA_VERSION} command={command}\n{header}\n")
+    csv.writer(out, lineterminator="\n").writerows(rows(results))
 
 
 def run(argv=None, out=None, err=None) -> int:
@@ -431,19 +413,16 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         _check_count_memory(args)
         table, source = _resolve_function(args)
-        params, results, csv_table, code = _HANDLERS[args.command](args, table, source)
+        params, results, code = _HANDLERS[args.command](args, table, source)
         # The table holds its cached spectrum; free both before rendering.
         del table
-    except (CliError, ValueError) as exc:
-        print(f"bvinfluence: error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"bvinfluence: error: {exc}", file=err)
         return 2
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
-        _emit_csv(args.command, csv_table, out)
+        _emit_csv(args.command, results, out)
     else:
         report = {
             "schema_version": SCHEMA_VERSION,

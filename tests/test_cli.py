@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -183,17 +184,24 @@ def test_classical_variables_draw_from_spawned_seeds():
     assert code == 2 and "variable index" in err
 
 
+PHYSICAL_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 @pytest.mark.parametrize(
-    "command, flag",
-    [("estimate", "--m"), ("bv-sample", "--m"), ("list-influential", "--m"),
-     ("classical", "--m"), ("learn2", "--rho"), ("learn3", "--lambda")],
+    "command, flag, count",
+    [pytest.param(command, flag, 10**15, id=f"{command}-{flag}") for command, flag in (
+        ("estimate", "--m"), ("bv-sample", "--m"), ("list-influential", "--m"),
+        ("classical", "--m"), ("learn2", "--rho"), ("learn3", "--lambda"),
+    )]
+    # 16 bytes per draw fit in memory, but not the rendered outcomes
+    + [pytest.param("bv-sample", "--m", PHYSICAL_BYTES // 16, id="bv-sample-rendered")],
 )
-def test_huge_draw_count_exits_2_before_allocating(command, flag, monkeypatch):
+def test_huge_draw_count_exits_2_before_allocating(command, flag, count, monkeypatch):
     def no_table(args):
         raise AssertionError("the function was built before the count was checked")
 
     monkeypatch.setattr(cli, "_resolve_function", no_table)
-    code, out, err = invoke([command, "--random", "4:1", flag, str(10**15)])
+    code, out, err = invoke([command, "--random", "4:1", flag, str(count)])
     assert code == 2
     assert out == ""
     assert "physical memory" in err
@@ -215,6 +223,20 @@ def test_csv_output_spectrum():
     lines = out.splitlines()
     assert lines[1] == "y,coefficient"
     assert lines[2:] == ["0,2", "1,2", "2,2", "3,-2"]
+
+
+def test_each_format_builds_only_its_own_output(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built output for the other format")
+
+    monkeypatch.setitem(cli._CSV_TABLES, "spectrum", ("y,coefficient", fail))
+    assert invoke_json(["spectrum", "--random", "5:1"])["results"]["n"] == 5
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.json, "dump", fail)
+    monkeypatch.setattr(cli.json, "dumps", fail)
+    code, out, err = invoke(["spectrum", "--random", "5:1", "--format", "csv"])
+    assert code == 0, err
+    assert out.splitlines()[1] == "y,coefficient"
 
 
 def test_exit_code_2_on_bad_input():

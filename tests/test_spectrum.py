@@ -168,6 +168,9 @@ def test_correlation_transform_link_exact():
         c = correlation(t)
         w = walsh_spectrum(t).w
         assert np.array_equal(fwht(c.c), w * w), f"n={t.n}"
+        # verify's direct evaluation of C at one gamma agrees everywhere
+        direct = [spectrum._correlation_at(t, g) for g in range(1 << t.n)]
+        assert direct == c.c.tolist(), f"n={t.n}"
 
 
 def test_correlation_at_unit_vectors_decomposition():
@@ -271,7 +274,7 @@ def test_correlation_type_validation():
 
 
 def test_verify_identities_all_pass():
-    for t in corpus(6, ns=[2, 5, 9]):
+    for t in corpus(6, ns=[2, 5, 9, 13]):
         checks = verify_identities(t)
         assert {c["identity"] for c in checks} == {
             "influence_definition_equals_spectral",
@@ -279,3 +282,12 @@ def test_verify_identities_all_pass():
             "autocorrelation_transform",
         }
         assert all(c["passed"] for c in checks)
+
+
+def test_verify_transform_route_tests_the_function(monkeypatch):
+    # above n=12, C from another function's spectrum must not pass as f's
+    t, other = corpus(2, ns=[13])
+    real = spectrum.walsh_spectrum
+    monkeypatch.setattr(spectrum, "walsh_spectrum", lambda f: real(other))
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert checks["autocorrelation_transform"]["passed"] is False
