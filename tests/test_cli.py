@@ -193,7 +193,7 @@ PHYSICAL_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         ("estimate", "--m"), ("bv-sample", "--m"), ("list-influential", "--m"),
         ("classical", "--m"), ("learn2", "--rho"), ("learn3", "--lambda"),
     )]
-    # 16 bytes per draw fit in memory, but not the rendered outcomes
+    # passes a bound of 8 bytes per draw, but the rendered outcomes would not fit
     + [pytest.param("bv-sample", "--m", PHYSICAL_BYTES // 16, id="bv-sample-rendered")],
 )
 def test_huge_draw_count_exits_2_before_allocating(command, flag, count, monkeypatch):
