@@ -41,9 +41,7 @@ from .estimate import (
     ClassicalEstimate,
     EstimateReport,
     InfluentialList,
-    TableOracle,
     algorithm1,
-    as_oracle,
     classical_estimate,
     hoeffding_failure_bound,
     hoeffding_radius,

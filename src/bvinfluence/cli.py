@@ -436,7 +436,11 @@ def run(argv=None, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    # Under PYTHONUNBUFFERED=1 every JSON token would be its own system call.
+    sys.stdout.reconfigure(write_through=False)
+    code = run(argv)
+    sys.stdout.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -16,72 +16,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .boolfn import Anf, TruthTable, _check_index, to_truth_table
+from .boolfn import TruthTable, _check_index
 from .bvsim import SampleBatch, bv_distribution_of, bv_sample
 from .rng import make_generator, resolve_seed
 
 
-class TableOracle:
-    """Oracle backed by a full truth table; supports the sampling path.
-
-    The exact output distribution is cached on the table itself (through
-    its spectrum), so repeated estimation runs on one table, with any
-    seeds and through any oracle wrapping it, pay only for sampling.
-    """
-
-    def __init__(self, table: TruthTable):
-        self.table = table
-        self.n = table.n
-
-    def evaluate(self, x: int) -> int:
-        return int(self.table.bits[x])
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.table.bits[xs]
-
-
 class BlackBoxOracle:
-    """Query-only oracle around f: encoded input -> bit.
+    """Query-only access to f: encoded input -> bit.
 
-    Usable by the classical estimator only; the sampling path needs the
-    full spectrum and therefore a TableOracle.
+    Only the classical estimator takes one; the sampling path reads the
+    full spectrum and so needs a TruthTable.
     """
 
     def __init__(self, fn: Callable[[int], int], n: int):
         self.fn = fn
         self.n = n
 
-    def evaluate(self, x: int) -> int:
-        return int(self.fn(int(x)))
-
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.fn(int(x)) for x in xs), dtype=np.uint8, count=len(xs))
-
-
-Oracle = Union[TableOracle, BlackBoxOracle]
-FunctionLike = Union[TruthTable, Anf, TableOracle, BlackBoxOracle]
-
-
-def as_oracle(f: FunctionLike) -> Oracle:
-    """Wrap a truth table or ANF as an oracle; pass oracles through."""
-    if isinstance(f, (TableOracle, BlackBoxOracle)):
-        return f
-    if isinstance(f, Anf):
-        return TableOracle(to_truth_table(f))
-    if isinstance(f, TruthTable):
-        return TableOracle(f)
-    raise TypeError(f"cannot build an oracle from {type(f).__name__}")
-
-
-def _sampling_oracle(f: FunctionLike) -> TableOracle:
-    oracle = as_oracle(f)
-    if not isinstance(oracle, TableOracle):
-        raise TypeError("the sampling path needs a spectrum-backed (truth-table) oracle")
-    return oracle
+        out = np.fromiter((self.fn(int(x)) for x in xs), dtype=object, count=len(xs))
+        if not ((out == 0) | (out == 1)).all():  # before the cast, as TruthTable does
+            raise ValueError("oracle outputs must be 0 or 1")
+        return out.astype(np.uint8)
 
 
 def hoeffding_radius(m: int, delta: float) -> float:
@@ -133,19 +92,18 @@ class EstimateReport:
         return hoeffding_radius(self.m, 1.0 - confidence)
 
 
-def algorithm1(f: FunctionLike, m: int, seed: int | None = None) -> EstimateReport:
+def algorithm1(f: TruthTable, m: int, seed: int | None = None) -> EstimateReport:
     """Estimate all n influences from m sampler runs.
 
     Draws a batch of m outputs, counts the ones in every position, and
     reports p_i = l_i / m per variable plus the total-influence estimate
     (sum_i l_i) / m. Costs m oracle uses for all n variables together.
     """
-    oracle = _sampling_oracle(f)
-    batch = bv_sample(bv_distribution_of(oracle.table), m, seed)
+    batch = bv_sample(bv_distribution_of(f), m, seed)
     ones = batch.ones_counts()
     p = tuple(Fraction(l, m) for l in ones)
     return EstimateReport(
-        n=oracle.n,
+        n=f.n,
         m=m,
         seed=batch.seed,
         ones=ones,
@@ -176,10 +134,10 @@ class InfluentialList:
         return self.c / self.m
 
 
-def influential_list(f: FunctionLike, m: int, seed: int | None = None, c: float = 3.0) -> InfluentialList:
+def influential_list(f: TruthTable, m: int, seed: int | None = None, c: float = 3.0) -> InfluentialList:
     """List every variable whose position showed a 1 at least once."""
-    if c <= 0:
-        raise ValueError(f"sensitivity constant must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"sensitivity constant must be finite and positive, got {c}")
     report = algorithm1(f, m, seed)
     variables = tuple(i for i in range(1, report.n + 1) if report.ones[i - 1] >= 1)
     return InfluentialList(
@@ -202,7 +160,7 @@ class ClassicalEstimate:
     oracle_calls: int
 
 
-def classical_estimate(f: FunctionLike, i: int, m: int, seed: int | None = None) -> ClassicalEstimate:
+def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int | None = None) -> ClassicalEstimate:
     """Estimate I(i) by sampling m inputs and testing f(x) vs f(x xor alpha^i).
 
     Inputs are drawn uniformly with replacement so the same Hoeffding
@@ -211,11 +169,13 @@ def classical_estimate(f: FunctionLike, i: int, m: int, seed: int | None = None)
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    oracle = as_oracle(f)
-    _check_index(i, oracle.n)
+    _check_index(i, f.n)
     seed = resolve_seed(seed)
     rng = make_generator(seed)
-    xs = rng.integers(0, 1 << oracle.n, size=m, dtype=np.int64)
+    xs = rng.integers(0, 1 << f.n, size=m, dtype=np.int64)
     flipped = xs ^ (1 << (i - 1))
-    changed = int(np.count_nonzero(oracle.evaluate_many(xs) != oracle.evaluate_many(flipped)))
+    if isinstance(f, TruthTable):
+        changed = int(np.count_nonzero(f.bits[xs] != f.bits[flipped]))
+    else:
+        changed = int(np.count_nonzero(f.evaluate_many(xs) != f.evaluate_many(flipped)))
     return ClassicalEstimate(i=i, m=m, seed=seed, q=Fraction(changed, m), oracle_calls=2 * m)

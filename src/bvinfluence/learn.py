@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .boolfn import TruthTable
 from .bvsim import SampleBatch, bv_distribution_of, bv_sample
-from .estimate import FunctionLike, _sampling_oracle, hoeffding_failure_bound
+from .estimate import hoeffding_failure_bound
 
 DEFAULT_RHO = 20
 DEFAULT_LAMBDA = 2000
@@ -123,7 +124,7 @@ def _classify(batch: SampleBatch, rules) -> tuple[VariableClass, ...]:
     return tuple(classes)
 
 
-def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None) -> LearnReport:
+def algorithm2(f: TruthTable, rho: int = DEFAULT_RHO, seed: int | None = None) -> LearnReport:
     """Two-class learner for functions of disjoint linear and quadratic terms.
 
     Runs the sampler rho times per the all-or-mixed rule: a position
@@ -134,11 +135,10 @@ def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None)
     """
     if rho < 2:
         raise ValueError(f"need at least 2 repetitions, got {rho}")
-    oracle = _sampling_oracle(f)
-    batch = bv_sample(bv_distribution_of(oracle.table), rho, seed)
+    batch = bv_sample(bv_distribution_of(f), rho, seed)
     mixed = (Fraction(0), Fraction(1))
     return LearnReport(
-        n=oracle.n,
+        n=f.n,
         algorithm="linear-quadratic",
         trials=rho,
         epsilon=None,
@@ -155,7 +155,7 @@ def algorithm2(f: FunctionLike, rho: int = DEFAULT_RHO, seed: int | None = None)
 
 
 def algorithm3(
-    f: FunctionLike,
+    f: TruthTable,
     lam: int = DEFAULT_LAMBDA,
     epsilon=DEFAULT_EPSILON,
     seed: int | None = None,
@@ -174,11 +174,10 @@ def algorithm3(
     if lam < 4:
         raise ValueError(f"need at least 4 repetitions, got {lam}")
     eps = _check_epsilon(epsilon)
-    oracle = _sampling_oracle(f)
-    batch = bv_sample(bv_distribution_of(oracle.table), lam, seed)
+    batch = bv_sample(bv_distribution_of(f), lam, seed)
     rules = ((TermClass.QUADRATIC, quadratic_window(eps)), (TermClass.CUBIC, cubic_window(eps)))
     return LearnReport(
-        n=oracle.n,
+        n=f.n,
         algorithm="linear-quadratic-cubic",
         trials=lam,
         epsilon=eps,

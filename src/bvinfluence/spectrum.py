@@ -146,6 +146,8 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
     Computed once per table and cached on it, so repeated calls on one
     table return the same object.
     """
+    if not isinstance(f, TruthTable):
+        raise TypeError(f"need a TruthTable (tabulate an Anf with to_truth_table), got {type(f).__name__}")
     if f._spectrum is None:
         signs = f.bits.astype(np.int32)
         signs *= -2

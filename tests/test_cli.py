@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +18,14 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
 def invoke_json(argv):
     code, out, err = invoke(argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 def test_influence_command_values():
@@ -250,6 +255,8 @@ def test_exit_code_2_on_bad_input():
         ["influence", "--random", "0:4"],                      # n out of range
         ["influence", "--random", "abc"],                      # malformed
         ["learn3", "--anf", "x1", "--n", "1", "--epsilon", "0.2"],    # eps domain
+        ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "nan"],
+        ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "inf"],
     ]
     for argv in bad:
         code, out, err = invoke(argv)
@@ -331,6 +338,30 @@ def test_main_entry_point(capsys):
     assert main(["influence", "--anf", "x1", "--n", "1"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["command"] == "influence"
+
+
+class _CountingSink(io.RawIOBase):
+    def __init__(self):
+        self.data = bytearray()
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def test_main_buffers_write_through_stdout(monkeypatch):
+    # PYTHONUNBUFFERED=1 makes stdout write-through: one system call per
+    # write unless main buffers the report (about 4000 writes at n=12).
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8", write_through=True))
+    assert main(["spectrum", "--random", "12:1"]) == 0
+    assert sink.writes <= 20
+    assert len(json.loads(sink.data)["results"]["coefficients"]) == 1 << 12
 
 
 def test_results_identical_for_identical_parameters():

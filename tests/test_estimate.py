@@ -7,9 +7,10 @@ import pytest
 from bvinfluence import (
     DEFAULT_SAMPLES,
     BlackBoxOracle,
-    TableOracle,
     algorithm1,
-    as_oracle,
+    algorithm2,
+    algorithm3,
+    bv_distribution_of,
     classical_estimate,
     evaluate,
     from_anf,
@@ -20,6 +21,8 @@ from bvinfluence import (
     random_function,
     samples_needed,
     to_truth_table,
+    verify_identities,
+    walsh_spectrum,
 )
 from conftest import lift
 
@@ -127,8 +130,9 @@ def test_influential_list_guarantee_fields():
 
 
 def test_influential_list_validates_c():
-    with pytest.raises(ValueError):
-        influential_list(AND2, 10, seed=0, c=0.0)
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            influential_list(AND2, 10, seed=0, c=c)
 
 
 def test_classical_constant_zero():
@@ -171,18 +175,29 @@ def test_black_box_oracle_classical_path():
 
 
 def test_black_box_oracle_cannot_sample():
-    black = BlackBoxOracle(lambda x: x & 1, 3)
-    with pytest.raises(TypeError):
-        algorithm1(black, 10, seed=0)
-    with pytest.raises(TypeError):
-        influential_list(black, 10, seed=0)
+    # the sampling path reads the spectrum, so it takes only a TruthTable
+    entries = {
+        "walsh_spectrum": walsh_spectrum,
+        "influence_vector": influence_vector,
+        "verify_identities": verify_identities,
+        "bv_distribution_of": bv_distribution_of,
+        "algorithm1": lambda f: algorithm1(f, 10, seed=0),
+        "influential_list": lambda f: influential_list(f, 10, seed=0),
+        "algorithm2": lambda f: algorithm2(f, seed=0),
+        "algorithm3": lambda f: algorithm3(f, seed=0),
+    }
+    inputs = [BlackBoxOracle(lambda x: x & 1, 3), from_anf("x1*x2", 2), "x1*x2"]
+    for name, entry in entries.items():
+        for f in inputs:
+            with pytest.raises(TypeError):
+                entry(f)
+                pytest.fail(f"{name} accepted {f!r}")
 
 
-def test_as_oracle_accepts_anf_and_tables():
-    anf = from_anf("x1*x2", 2)
-    assert isinstance(as_oracle(anf), TableOracle)
-    assert isinstance(as_oracle(AND2), TableOracle)
-    oracle = as_oracle(AND2)
-    assert as_oracle(oracle) is oracle
-    with pytest.raises(TypeError):
-        as_oracle("x1*x2")
+@pytest.mark.parametrize("output", [0.7, 2, 256, -1])
+def test_black_box_oracle_rejects_non_bits(output):
+    black = BlackBoxOracle(lambda x: output if x == 3 else x & 1, 3)
+    with pytest.raises(ValueError):
+        black.evaluate_many(np.arange(8))
+    with pytest.raises(ValueError):
+        classical_estimate(black, 1, 200, seed=0)
