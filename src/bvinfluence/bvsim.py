@@ -43,20 +43,18 @@ class BvDistribution:
 
     ``weights`` are the squared integer Walsh coefficients, so all
     probabilities are exact rationals over the common denominator 4^n.
-    Only their cumulative table is stored; the weights, probabilities and
-    support are derived from it on demand.
+    Only their int64 cumulative table is stored, and it is what the
+    constructor takes; weights, probabilities and support derive from it.
     """
 
-    def __init__(self, n: int, weights):
-        arr = np.asarray(weights, dtype=np.int64)
-        if arr.size != (1 << n):
-            raise ValueError(f"distribution for n={n} needs {1 << n} weights, got {arr.size}")
-        if arr.min(initial=0) < 0:
-            raise ValueError("weights must be non-negative")
-        cum = np.cumsum(arr)
+    def __init__(self, n: int, cumulative):
+        cum = _frozen(cumulative, np.int64)
+        if cum.size != (1 << n):
+            raise ValueError(f"distribution for n={n} needs {1 << n} cumulative weights, got {cum.size}")
+        if cum[0] < 0 or (cum[1:] < cum[:-1]).any():
+            raise ValueError("cumulative weights must be non-negative and non-decreasing")
         if int(cum[-1]) != 1 << (2 * n):
             raise ValueError(f"weights sum to {int(cum[-1])}, expected 4^n = {1 << (2 * n)}")
-        cum.flags.writeable = False
         self.n = n
         self.denominator = 1 << (2 * n)
         self._cumulative = cum
@@ -129,10 +127,14 @@ class SampleBatch:
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
     """Squared, normalized spectrum; Parseval guarantees the total is 1.
 
-    Built once per spectrum and cached on it.
+    Built once per spectrum and cached on it. The running sums are taken
+    in place in the squares, so the table is the only 2^n int64 array.
     """
     if s._distribution is None:
-        s._distribution = BvDistribution(s.n, s.squares())
+        cum = s.squares()
+        np.cumsum(cum, out=cum)
+        cum.flags.writeable = False
+        s._distribution = BvDistribution(s.n, cum)
     return s._distribution
 
 

@@ -167,6 +167,8 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
     bound as the sampling path applies. Costs 2m oracle calls and covers
     a single variable.
     """
+    if not isinstance(f, (TruthTable, BlackBoxOracle)):
+        raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     _check_index(i, f.n)

@@ -8,9 +8,10 @@ reporting boundary.
 
 Widths: for n <= 24 every coefficient is bounded by 2^n <= 2^24, so the
 spectrum is transformed in an int32 buffer (the in-place butterfly's
-largest intermediate, -2 times a coefficient, stays within 2^25) and
-widened once to the int64 ``WalshSpectrum.w``. Squared coefficients and
-their partial sums are bounded by 4^n <= 2^48 (Parseval) and are int64.
+largest intermediate, -2 times a coefficient, stays within 2^25) that
+is kept as the int32 ``WalshSpectrum.w``. Squares and their partial sums
+are bounded by 4^n <= 2^48 (Parseval) and are int64; ``w * w`` wraps
+for n >= 16, so square with ``WalshSpectrum.squares()``.
 """
 
 from __future__ import annotations
@@ -84,43 +85,50 @@ def _half_cube_masses(weights: np.ndarray) -> tuple[tuple[int, ...], int]:
 
     One halving fold in O(2^n): the top half of the current array is the
     mass with the highest remaining bit set, and adding the halves sums
-    that bit out. ``weights`` is not modified.
+    that bit out. The fold runs in place, so ``weights`` is consumed.
     """
     ones = []
     s = weights
     while s.size > 1:
         h = s.size // 2
         ones.append(int(s[h:].sum()))
-        s = s[:h] + s[h:]
+        s[:h] += s[h:]
+        s = s[:h]
     return tuple(reversed(ones)), int(s[0])
 
 
 class WalshSpectrum:
     """Integer Walsh coefficients W(y) for all 2^n values of y, in enc order.
 
-    ``w`` is a read-only int64 array. The half-cube masses of the squared
+    ``w`` is a read-only int32 array; ``w * w`` wraps for n >= 16, so
+    square it with :meth:`squares`. The half-cube masses of the squared
     spectrum are computed once, on first use; the squares themselves are
     not kept.
     """
 
     def __init__(self, n: int, w):
-        arr = _frozen(w, np.int64)
+        arr = np.asarray(w)
         if arr.size != (1 << n):
             raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
+        # Checked on the input's own dtype, as the int32 cast would wrap 2^33 to 0;
+        # walsh_spectrum's owned read-only buffer is in range and skips the pass.
+        if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
+            if arr.min() < -(1 << n) or arr.max() > 1 << n:
+                raise ValueError(f"Walsh coefficients for n={n} must lie in [-2^{n}, 2^{n}]")
         self.n = n
-        self.w = arr
+        self.w = _frozen(arr, np.int32)
         self._masses = None
         # Filled by bvsim.bv_distribution, which owns the distribution type.
         self._distribution = None
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""
-        return self.w * self.w
+        return np.multiply(self.w, self.w, dtype=np.int64)
 
-    def _half_masses(self, squares: np.ndarray | None = None) -> tuple[tuple[int, ...], int]:
-        """Cached :func:`_half_cube_masses` of the squares; passing ``squares`` spares recomputing them."""
+    def _half_masses(self) -> tuple[tuple[int, ...], int]:
+        """Cached :func:`_half_cube_masses` of the squares."""
         if self._masses is None:
-            self._masses = _half_cube_masses(self.squares() if squares is None else squares)
+            self._masses = _half_cube_masses(self.squares())
         return self._masses
 
     def square_sum(self) -> int:
@@ -152,7 +160,8 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
         signs = f.bits.astype(np.int32)
         signs *= -2
         signs += 1
-        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, _butterfly(signs)))
+        _butterfly(signs).flags.writeable = False
+        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, signs))
     return f._spectrum
 
 
@@ -261,9 +270,13 @@ def correlation(f: TruthTable) -> Correlation:
 
 
 def _correlation_of_squares(n: int, squares: np.ndarray) -> Correlation:
-    """C = FWHT(W^2) / 2^n, transformed and divided in place in ``squares``."""
+    """C = FWHT(W^2) / 2^n, transformed and divided in place in ``squares``.
+
+    Divisibility is checked block by block, with no 2^n-entry temporary.
+    """
     c = _butterfly(squares)
-    if (c & ((1 << n) - 1)).any():
+    mask = (1 << n) - 1
+    if any((c[k:k + _TILE] & mask).any() for k in range(0, c.size, _TILE)):
         raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
     c >>= n
     c.flags.writeable = False
@@ -302,8 +315,6 @@ def verify_identities(f: TruthTable) -> list[dict]:
     Returns one {identity, passed, detail} record per check.
     """
     s = walsh_spectrum(f)
-    squares = s.squares()
-    s._half_masses(squares)
     checks = []
 
     mismatched = [
@@ -325,10 +336,10 @@ def verify_identities(f: TruthTable) -> list[dict]:
     })
 
     if f.n <= 12:
-        ok = bool(np.array_equal(fwht(correlation(f).c), squares))
+        ok = bool(np.array_equal(fwht(correlation(f).c), s.squares()))
         detail = "FWHT(C) == W^2 via naive autocorrelation"
     else:
-        c = _correlation_of_squares(f.n, squares).c
+        c = _correlation_of_squares(f.n, s.squares()).c
         gammas = {1 << b for b in range(f.n)} | {(1 << f.n) - 1}
         gammas |= set(make_generator(0).integers(1, 1 << f.n, size=8).tolist())
         wrong = sorted(g for g in gammas if c[g] != _correlation_at(f, g))

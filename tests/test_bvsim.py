@@ -200,14 +200,16 @@ def test_statevector_cap():
 def test_distribution_rejects_bad_weights():
     with pytest.raises(ValueError):
         BvDistribution(2, [1, 1, 1, 1])  # does not sum to 4^n
+    with pytest.raises(ValueError):
+        BvDistribution(2, [8, 4, 12, 16])  # a negative weight
 
 
 def test_arrays_handed_to_results_are_not_shared():
-    weights = np.array([4, 4, 4, 4])
-    d = BvDistribution(2, weights)
+    cumulative = np.cumsum(np.array([4, 4, 4, 4]))
+    d = BvDistribution(2, cumulative)
     outcomes = np.array([3, 1, 0])
     batch = SampleBatch(2, outcomes, seed=1)
-    weights[0] = 16
+    cumulative[0] = 16
     outcomes[0] = 0
     assert d.weights.tolist() == [4, 4, 4, 4]
     assert d.probs == (Fraction(1, 4),) * 4

@@ -174,6 +174,13 @@ def test_black_box_oracle_classical_path():
     assert a.q == b.q
 
 
+def test_classical_estimate_rejects_non_oracles():
+    # an Anf has no evaluate_many and a str no .n: both are type errors
+    for f in (from_anf("x1*x2", 2), "x1*x2"):
+        with pytest.raises(TypeError):
+            classical_estimate(f, 1, 10, 1)
+
+
 def test_black_box_oracle_cannot_sample():
     # the sampling path reads the spectrum, so it takes only a TruthTable
     entries = {

@@ -4,6 +4,7 @@ Ground truth comes from the naive O(4^n) summation oracles in conftest;
 the package's transform routes must agree with them bit for bit.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from bvinfluence import (
     TruthTable,
     WalshSpectrum,
     algorithm1,
+    bv_distribution_of,
     correlation,
     correlation_fast,
     from_anf,
@@ -213,12 +215,16 @@ def test_int32_transform_at_the_cap(anf):
     # |W| reaches 2^24 here: W(0) = -2^24 for the constant 1, and
     # W(1...1) = 2^24 for the full parity
     t = to_truth_table(from_anf(anf, 24))
-    w = walsh_spectrum(t).w
-    assert w.dtype == np.int64
+    s = walsh_spectrum(t)
+    w = s.w
+    assert w.dtype == np.int32
     assert np.array_equal(w, fwht(t.signs()))
     peak = 0 if anf == "1" else (1 << 24) - 1
     assert w[peak] == (-1 if anf == "1" else 1) << 24
     assert np.count_nonzero(w) == 1
+    # a square taken in int32 would wrap 2^48 to 0
+    assert s.squares().dtype == np.int64
+    assert s.squares()[peak] == 1 << 48
 
 
 def test_transform_runs_once_per_table(monkeypatch):
@@ -261,6 +267,41 @@ def test_arrays_handed_to_results_are_not_shared():
         s.w[0] = 0
     with pytest.raises(ValueError):
         c.c[0] = 0
+
+
+def test_spectrum_validation():
+    # checked before the int32 cast, which would read 2^33 as 0
+    for w in ([2**33, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, -5], [2**70, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            WalshSpectrum(2, w)
+    with pytest.raises(ValueError):
+        WalshSpectrum(2, [4, 0, 0])
+    assert WalshSpectrum(2, np.array([-4, 0, 0, 0])).w.tolist() == [-4, 0, 0, 0]
+
+
+def test_exact_jobs_stay_within_their_memory_budget():
+    # Traced bytes per table entry at n=20. The int32 spectrum (4) plus one
+    # int64 array (8) leaves room only for 1-byte temporaries; a widened
+    # spectrum or a second int64 array alive at once exceeds 14. A warmed
+    # table keeps the spectrum and the cumulative table: 12.
+    size = 1 << 20
+    jobs = {
+        "influence_vector": influence_vector,
+        "verify_identities": verify_identities,
+        "bv_distribution_of": bv_distribution_of,
+        "algorithm1": lambda t: algorithm1(t, 1060, 1),
+    }
+    for name, job in jobs.items():
+        t = random_function(20, 3)
+        tracemalloc.start()
+        try:
+            job(t)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+        if name == "bv_distribution_of":
+            assert retained <= 12.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
 
 def test_fwht_input_validation():
