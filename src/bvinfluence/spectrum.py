@@ -110,11 +110,11 @@ class WalshSpectrum:
         arr = np.asarray(w)
         if arr.size != (1 << n):
             raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
-        # Checked on the input's own dtype, as the int32 cast would wrap 2^33 to 0;
+        # Checked on the input's own dtype: the int32 cast would read 2^33 and 0.5 as 0.
         # walsh_spectrum's owned read-only buffer is in range and skips the pass.
         if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
-            if arr.min() < -(1 << n) or arr.max() > 1 << n:
-                raise ValueError(f"Walsh coefficients for n={n} must lie in [-2^{n}, 2^{n}]")
+            if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
+                raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
         self.n = n
         self.w = _frozen(arr, np.int32)
         self._masses = None

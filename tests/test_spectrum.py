@@ -223,8 +223,9 @@ def test_int32_transform_at_the_cap(anf):
     assert w[peak] == (-1 if anf == "1" else 1) << 24
     assert np.count_nonzero(w) == 1
     # a square taken in int32 would wrap 2^48 to 0
-    assert s.squares().dtype == np.int64
-    assert s.squares()[peak] == 1 << 48
+    squares = s.squares()
+    assert squares.dtype == np.int64
+    assert squares[peak] == 1 << 48
 
 
 def test_transform_runs_once_per_table(monkeypatch):
@@ -270,8 +271,8 @@ def test_arrays_handed_to_results_are_not_shared():
 
 
 def test_spectrum_validation():
-    # checked before the int32 cast, which would read 2^33 as 0
-    for w in ([2**33, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, -5], [2**70, 0, 0, 0]):
+    # checked before the int32 cast, which would read 2^33 as 0 and 0.5 as 0
+    for w in ([2**33, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, -5], [2**70, 0, 0, 0], [0.5, 0, 0, 0]):
         with pytest.raises(ValueError):
             WalshSpectrum(2, w)
     with pytest.raises(ValueError):
