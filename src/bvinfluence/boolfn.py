@@ -80,9 +80,12 @@ def _frozen(values, dtype) -> np.ndarray:
 
     A read-only array of the right dtype that owns its data is kept as is:
     the package hands over the arrays it builds this way. Anything else,
-    in particular an array its caller can still write, is copied.
+    in particular an array its caller can still write, is copied. Values
+    of a non-integer dtype are refused before the cast could truncate them.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind not in "iub":
+        raise ValueError(f"expected integer values, got dtype {arr.dtype}")
     if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
         arr = arr.astype(dtype)
     arr.flags.writeable = False
@@ -110,7 +113,9 @@ class TruthTable:
         if arr.dtype == np.uint8:
             if arr.max() > 1:
                 raise ValueError("truth table entries must be 0 or 1")
-        elif not ((arr == 0) | (arr == 1)).all():
+        elif ((arr == 0) | (arr == 1)).all():
+            arr = arr == 1  # exact 0/1 of any dtype, such as 1.0, as bools
+        else:
             raise ValueError("truth table entries must be 0 or 1")
         super().__setattr__("n", n)
         super().__setattr__("bits", _frozen(arr, np.uint8))

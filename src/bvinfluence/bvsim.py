@@ -11,9 +11,11 @@ materialized.
 
 Sampling is exact: a draw is a uniform integer in [0, 4^n) located in a
 cumulative table of the integer weights W(y)^2, so outcomes with zero
-spectral weight are impossible, not merely improbable. The lookup runs
-on sorted blocks of keys and writes each outcome over its key, so a
-batch of m draws costs one int64 array of m entries.
+spectral weight are impossible, not merely improbable. Draws come from
+one generator in blocks of ``_BLOCK`` and are looked up block by block.
+Only :func:`bv_sample` keeps them, in one int64 array of m entries; the
+estimators and learners read per-position one-counts, which the
+counting path adds up per block in O(``_BLOCK``) memory, whatever m.
 """
 
 from __future__ import annotations
@@ -104,24 +106,39 @@ class SampleBatch:
         self.seed = seed
 
     def ones_counts(self) -> tuple[int, ...]:
-        """Per position i, how many outcomes have y_i = 1.
-
-        One pass over the outcome bytes: a 256-bin histogram of each of
-        the ceil(n/8) low bytes, block by block, then one product with
-        the per-byte bit table. The cost is O(m * ceil(n/8)), whatever 2^n.
-        """
-        width = (self.n + 7) // 8
-        raw = self.outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-        hist = np.zeros((width, 256), dtype=np.int64)
-        for start in range(0, self.m, _BLOCK):
-            block = raw[start:start + _BLOCK]
-            for b in range(width):
-                hist[b] += np.bincount(block[:, b], minlength=256)
-        counts = (hist @ _BYTE_BITS).ravel()
-        return tuple(int(c) for c in counts[: self.n])
+        """Per position i, how many outcomes have y_i = 1."""
+        return _ones_counts(self.n, (self.outcomes[s:s + _BLOCK] for s in range(0, self.m, _BLOCK)))
 
     def __repr__(self):
         return f"SampleBatch(n={self.n}, m={self.m}, seed={self.seed})"
+
+
+def _ones_counts(n: int, blocks) -> tuple[int, ...]:
+    """Per position i, how many of the int64 outcomes in ``blocks`` have y_i = 1.
+
+    A 256-bin histogram of each of the ceil(n/8) low bytes, added up
+    block by block, then one product with the per-byte bit table. The
+    cost is O(m * ceil(n/8)), whatever 2^n.
+    """
+    hist = np.zeros(((n + 7) // 8, 256), dtype=np.int64)
+    for outcomes in blocks:
+        raw = outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        for b, row in enumerate(hist):
+            row += np.bincount(raw[:, b], minlength=256)
+    return tuple(int(c) for c in (hist @ _BYTE_BITS).ravel()[:n])
+
+
+def _blocks(bound: int, m: int, seed: int | None):
+    """The resolved seed, and m uniform int64 draws in [0, bound) from it, in blocks.
+
+    Bounded draws consume the stream in order, so the blocks join into
+    exactly the array that one ``rng.integers(0, bound, m)`` returns.
+    """
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    seed = resolve_seed(seed)
+    rng = make_generator(seed)
+    return seed, (rng.integers(0, bound, size=min(_BLOCK, m - start), dtype=np.int64) for start in range(0, m, _BLOCK))
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
@@ -142,24 +159,39 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     """m independent draws from d by exact inverse-CDF lookup.
 
     Each draw maps a uniform integer in [0, 4^n) through the cumulative
-    integer weight table, so the sample law matches d exactly. The keys
-    are looked up in sorted blocks of ``_BLOCK`` and each outcome is
-    written back over its own key, so the outcome stream is the same as
-    an unsorted ``searchsorted`` of all keys, and the key array becomes
-    the outcome array: 8 bytes per draw, with no second m-sized array.
+    integer weight table, so the sample law matches d exactly. Each block
+    of keys is looked up in sorted order and its outcomes are written
+    back in draw order, so the outcome stream is the same as an unsorted
+    ``searchsorted`` of all keys: 8 bytes per draw, in one m-sized array.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    seed = resolve_seed(seed)
-    rng = make_generator(seed)
+    seed, blocks = _blocks(d.denominator, m, seed)
     cum = d.cumulative()
-    outcomes = rng.integers(0, d.denominator, size=m, dtype=np.int64)
-    for start in range(0, m, _BLOCK):
-        keys = outcomes[start:start + _BLOCK]
+    outcomes = np.empty(m, dtype=np.int64)
+    for start, keys in zip(range(0, m, _BLOCK), blocks):
         order = np.argsort(keys)
-        keys[order] = np.searchsorted(cum, keys[order], side="right")
+        outcomes[start:start + keys.size][order] = np.searchsorted(cum, keys[order], side="right")
     outcomes.flags.writeable = False
     return SampleBatch(d.n, outcomes, seed)
+
+
+def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, ...], int]:
+    """Per-position one-counts of m draws from f's distribution, and the seed used.
+
+    The counts are those of ``bv_sample(bv_distribution_of(f), m,
+    seed).ones_counts()``. They do not depend on draw order, so each
+    block of keys is sorted in place and looked up as is, and no
+    m-sized array is ever held.
+    """
+    d = bv_distribution_of(f)
+    cum = d.cumulative()
+    seed, blocks = _blocks(d.denominator, m, seed)
+
+    def outcomes():
+        for keys in blocks:
+            keys.sort()
+            yield np.searchsorted(cum, keys, side="right")
+
+    return _ones_counts(d.n, outcomes()), seed
 
 
 def _apply_hadamard(psi: np.ndarray, qubit: int) -> None:

@@ -300,27 +300,23 @@ _CSV_TABLES = {
 }
 
 
-# Bytes held per unit of a subcommand's count flag: one int64 per draw,
-# and for classical the two int64 arrays of inputs and flipped inputs.
-# bv-sample also holds each outcome as a Python int and as a bit string
-# while the report renders: peak RSS grew by 121-137 bytes per draw
-# between m = 10^6, 2*10^6 and 4*10^6 at n=24 (the longest bit strings;
-# n is not known when the check runs), in either format. Rounded up to 160.
-_COUNT_BYTES = {"classical": 16, "bv-sample": 160}
+# Bytes bv-sample holds per draw: one int64 outcome, and while the report
+# renders each outcome as a Python int and as a bit string: peak RSS grew by
+# 121-137 bytes per draw between m = 10^6, 2*10^6 and 4*10^6 at n=24 (the
+# longest bit strings; n is not known when the check runs), in either
+# format. Rounded up to 160. Every other subcommand counts its draws block
+# by block and holds none of them, whatever its count.
+_BV_SAMPLE_BYTES_PER_DRAW = 160
 
 
 def _check_count_memory(args) -> None:
-    """Reject a draw count whose arrays alone would exceed physical memory."""
+    """Reject a bv-sample draw count whose outcomes would exceed physical memory."""
+    if args.command != "bv-sample":
+        return
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for flag, name in (("--m", "m"), ("--rho", "rho"), ("--lambda", "lam")):
-        count = getattr(args, name, None)
-        if count is None:
-            continue
-        need = count * _COUNT_BYTES.get(args.command, 8)
-        if need > have:
-            raise CliError(
-                f"{flag} {count} needs {need} bytes of draws, more than the {have} bytes of physical memory"
-            )
+    need = args.m * _BV_SAMPLE_BYTES_PER_DRAW
+    if need > have:
+        raise CliError(f"--m {args.m} needs {need} bytes of draws, more than the {have} bytes of physical memory")
 
 
 _HANDLERS = {

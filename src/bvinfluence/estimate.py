@@ -14,15 +14,14 @@ Hoeffding radii and failure bounds are the only floating-point values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .boolfn import TruthTable, _check_index
-from .bvsim import SampleBatch, bv_distribution_of, bv_sample
-from .rng import make_generator, resolve_seed
+from .bvsim import _blocks, _sampled_ones
 
 
 class BlackBoxOracle:
@@ -85,7 +84,6 @@ class EstimateReport:
     p: tuple[Fraction, ...]
     total: Fraction
     oracle_calls: int
-    batch: SampleBatch = field(repr=False, compare=False)
 
     def epsilon_at(self, confidence: float) -> float:
         """Radius guaranteed at the given confidence level (e.g. 0.99)."""
@@ -95,22 +93,20 @@ class EstimateReport:
 def algorithm1(f: TruthTable, m: int, seed: int | None = None) -> EstimateReport:
     """Estimate all n influences from m sampler runs.
 
-    Draws a batch of m outputs, counts the ones in every position, and
-    reports p_i = l_i / m per variable plus the total-influence estimate
+    Draws m outputs, counts the ones in every position, and reports
+    p_i = l_i / m per variable plus the total-influence estimate
     (sum_i l_i) / m. Costs m oracle uses for all n variables together.
+    The draws are counted block by block and never kept.
     """
-    batch = bv_sample(bv_distribution_of(f), m, seed)
-    ones = batch.ones_counts()
-    p = tuple(Fraction(l, m) for l in ones)
+    ones, seed = _sampled_ones(f, m, seed)
     return EstimateReport(
         n=f.n,
         m=m,
-        seed=batch.seed,
+        seed=seed,
         ones=ones,
-        p=p,
+        p=tuple(Fraction(l, m) for l in ones),
         total=Fraction(sum(ones), m),
         oracle_calls=m,
-        batch=batch,
     )
 
 
@@ -165,19 +161,16 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
 
     Inputs are drawn uniformly with replacement so the same Hoeffding
     bound as the sampling path applies. Costs 2m oracle calls and covers
-    a single variable.
+    a single variable. Inputs are drawn and compared block by block.
     """
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
+    seed, blocks = _blocks(1 << f.n, m, seed)
     _check_index(i, f.n)
-    seed = resolve_seed(seed)
-    rng = make_generator(seed)
-    xs = rng.integers(0, 1 << f.n, size=m, dtype=np.int64)
-    flipped = xs ^ (1 << (i - 1))
-    if isinstance(f, TruthTable):
-        changed = int(np.count_nonzero(f.bits[xs] != f.bits[flipped]))
-    else:
-        changed = int(np.count_nonzero(f.evaluate_many(xs) != f.evaluate_many(flipped)))
+    evaluate = f.bits.take if isinstance(f, TruthTable) else f.evaluate_many
+    changed = 0
+    for xs in blocks:
+        before = evaluate(xs)
+        xs ^= 1 << (i - 1)  # in place: a fresh block per flip is mapped and faulted in again
+        changed += int(np.count_nonzero(before != evaluate(xs)))
     return ClassicalEstimate(i=i, m=m, seed=seed, q=Fraction(changed, m), oracle_calls=2 * m)

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .boolfn import TruthTable
-from .bvsim import SampleBatch, bv_distribution_of, bv_sample
+from .bvsim import _sampled_ones
 from .estimate import hoeffding_failure_bound
 
 DEFAULT_RHO = 20
@@ -59,7 +59,6 @@ class LearnReport:
     classes: tuple[VariableClass, ...]
     error_budget: dict[str, float] = field(compare=False)
     assumed_model: str = field(compare=False)
-    batch: SampleBatch = field(repr=False, compare=False)
 
     def label_of(self, i: int) -> TermClass:
         return self.classes[i - 1].label
@@ -101,17 +100,17 @@ def _in_window(value: Fraction, window: tuple[Fraction, Fraction]) -> bool:
     return lo < value < hi
 
 
-def _classify(batch: SampleBatch, rules) -> tuple[VariableClass, ...]:
-    """Label every variable from its one-count over the batch's m runs.
+def _classify(ones_counts: tuple[int, ...], m: int, rules) -> tuple[VariableClass, ...]:
+    """Label every variable from its one-count over m runs.
 
     An all-ones column is linear and an all-zeros column absent. Any other
     frequency takes the label of the first ``(label, window)`` rule whose
     open window holds it, or ``UNCLASSIFIED`` when none does.
     """
     classes = []
-    for index, ones in enumerate(batch.ones_counts(), start=1):
-        observed = Fraction(ones, batch.m)
-        if ones == batch.m:
+    for index, ones in enumerate(ones_counts, start=1):
+        observed = Fraction(ones, m)
+        if ones == m:
             label, window = TermClass.LINEAR, None
         elif ones == 0:
             label, window = TermClass.ABSENT, None
@@ -135,22 +134,21 @@ def algorithm2(f: TruthTable, rho: int = DEFAULT_RHO, seed: int | None = None) -
     """
     if rho < 2:
         raise ValueError(f"need at least 2 repetitions, got {rho}")
-    batch = bv_sample(bv_distribution_of(f), rho, seed)
+    ones, seed = _sampled_ones(f, rho, seed)
     mixed = (Fraction(0), Fraction(1))
     return LearnReport(
         n=f.n,
         algorithm="linear-quadratic",
         trials=rho,
         epsilon=None,
-        seed=batch.seed,
-        classes=_classify(batch, ((TermClass.QUADRATIC, mixed),)),
+        seed=seed,
+        classes=_classify(ones, rho, ((TermClass.QUADRATIC, mixed),)),
         error_budget={
             "quadratic_read_as_linear": 0.5 ** rho,
             "quadratic_read_as_absent": 0.5 ** rho,
             "quadratic_misread_total": 2.0 * 0.5 ** rho,
         },
         assumed_model=f"linear and quadratic terms only; {_DISJOINT_TERMS_NOTE}",
-        batch=batch,
     )
 
 
@@ -174,15 +172,15 @@ def algorithm3(
     if lam < 4:
         raise ValueError(f"need at least 4 repetitions, got {lam}")
     eps = _check_epsilon(epsilon)
-    batch = bv_sample(bv_distribution_of(f), lam, seed)
+    ones, seed = _sampled_ones(f, lam, seed)
     rules = ((TermClass.QUADRATIC, quadratic_window(eps)), (TermClass.CUBIC, cubic_window(eps)))
     return LearnReport(
         n=f.n,
         algorithm="linear-quadratic-cubic",
         trials=lam,
         epsilon=eps,
-        seed=batch.seed,
-        classes=_classify(batch, rules),
+        seed=seed,
+        classes=_classify(ones, lam, rules),
         error_budget={
             "quadratic_window_miss": hoeffding_failure_bound(lam, float(eps)),
             "cubic_window_miss": hoeffding_failure_bound(lam, float(eps)),
@@ -191,5 +189,4 @@ def algorithm3(
             "linear_false_positive_inherited": 0.5 ** lam,
         },
         assumed_model=f"linear, quadratic and cubic terms; {_DISJOINT_TERMS_NOTE}",
-        batch=batch,
     )

@@ -9,6 +9,7 @@ from bvinfluence import (
     STATEVECTOR_MAX_N,
     BvDistribution,
     SampleBatch,
+    algorithm1,
     bv_distribution,
     bv_distribution_of,
     bv_sample,
@@ -136,19 +137,32 @@ def test_ones_counts_bookkeeping(make_batch):
     assert batch.ones_counts() == naive
 
 
-@pytest.mark.parametrize(
+# three blocks, the last one partial: a fault at a block boundary changes
+# draws that no single-block golden report covers
+PAST_TWO_BLOCKS = 2 * _BLOCK + 5
+BLOCK_TABLES = pytest.mark.parametrize(
     "table",
     [random_function(12, seed=31), to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 16))],
     ids=["random12", "planted16"],
 )
+
+
+@BLOCK_TABLES
 def test_blockwise_lookup_matches_one_unsorted_search(table):
-    # three blocks, the last one partial: a fault at a block boundary
-    # changes draws that no single-block golden report covers
-    m = 2 * _BLOCK + 5
+    m = PAST_TWO_BLOCKS
     d = bv_distribution_of(table)
     keys = make_generator(19).integers(0, 4**table.n, m)
     reference = np.searchsorted(d.cumulative(), keys, side="right")
     assert np.array_equal(bv_sample(d, m, seed=19).outcomes, reference)
+
+
+@BLOCK_TABLES
+def test_counting_path_matches_the_kept_sample(table):
+    # the estimator sorts each block in place and never keeps the draws;
+    # its counts must be those of the order-preserving sample
+    m = PAST_TWO_BLOCKS
+    expected = bv_sample(bv_distribution_of(table), m, seed=23).ones_counts()
+    assert algorithm1(table, m, seed=23).ones == expected
 
 
 def test_sampler_matches_exact_law_chisq():
@@ -202,6 +216,11 @@ def test_distribution_rejects_bad_weights():
         BvDistribution(2, [1, 1, 1, 1])  # does not sum to 4^n
     with pytest.raises(ValueError):
         BvDistribution(2, [8, 4, 12, 16])  # a negative weight
+    # refused on the input's own dtype: an int64 cast would read [4, 4, 4, 4] and [1, 3]
+    with pytest.raises(ValueError):
+        BvDistribution(2, [4.5, 8.9, 12, 16])
+    with pytest.raises(ValueError):
+        SampleBatch(2, [1.7, 3.2], seed=0)
 
 
 def test_arrays_handed_to_results_are_not_shared():

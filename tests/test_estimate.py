@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from bvinfluence import (
     algorithm2,
     algorithm3,
     bv_distribution_of,
+    bv_sample,
     classical_estimate,
     evaluate,
     from_anf,
@@ -24,6 +26,8 @@ from bvinfluence import (
     verify_identities,
     walsh_spectrum,
 )
+from bvinfluence.bvsim import _BLOCK
+from bvinfluence.rng import make_generator
 from conftest import lift
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
@@ -54,7 +58,7 @@ def test_algorithm1_and2_concentration():
 def test_algorithm1_bookkeeping():
     f = random_function(6, seed=12)
     report = algorithm1(f, 500, seed=13)
-    cols = report.batch.ones_counts()
+    cols = bv_sample(bv_distribution_of(f), 500, seed=13).ones_counts()
     assert report.ones == cols
     assert report.p == tuple(Fraction(l, 500) for l in cols)
     assert report.total == Fraction(sum(cols), 500)
@@ -163,6 +167,39 @@ def test_classical_and_sampling_paths_converge():
         q = classical_estimate(f, i, m, seed=400 + i).q
         assert abs(float(q) - float(report.p[i - 1])) < 0.02
         assert abs(float(q) - float(exact[i])) < 0.01
+
+
+def test_classical_blocks_match_one_draw_call():
+    # three blocks, the last one partial, against one draw of all m inputs
+    f, m, i = random_function(12, seed=61), 2 * _BLOCK + 5, 5
+    xs = make_generator(62).integers(0, 2**f.n, m)
+    changed = int(np.count_nonzero(f.bits[xs] != f.bits[xs ^ (1 << (i - 1))]))
+    assert classical_estimate(f, i, m, seed=62).q == Fraction(changed, m)
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        lambda t, m: algorithm1(t, m, seed=1),
+        lambda t, m: influential_list(t, m, seed=1),
+        lambda t, m: algorithm3(t, m, seed=1),
+        lambda t, m: classical_estimate(t, 3, m, seed=1),
+    ],
+    ids=["algorithm1", "influential_list", "algorithm3", "classical_estimate"],
+)
+def test_sampling_memory_does_not_grow_with_m(job):
+    # draws are counted block by block: four times the draws may not
+    # cost another MiB of traced memory (an m-sized int64 array is 24 MiB more)
+    peaks = []
+    for m in (1 << 20, 1 << 22):
+        t = random_function(12, seed=5)
+        tracemalloc.start()
+        try:
+            job(t, m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, f"peak grew by {(peaks[1] - peaks[0]) / 2**20:.1f} MiB"
 
 
 def test_black_box_oracle_classical_path():

@@ -313,6 +313,8 @@ def test_fwht_input_validation():
 def test_correlation_type_validation():
     with pytest.raises(ValueError):
         Correlation(2, [4, 0, 0])
+    with pytest.raises(ValueError):
+        Correlation(2, [4.5, 0.2, 0, 0])  # an int64 cast would read [4, 0, 0, 0]
 
 
 def test_verify_identities_all_pass():
