@@ -31,7 +31,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import spectrum
-from conftest import corpus, naive_correlation, naive_walsh, strided_half_mass
+from conftest import corpus, naive_correlation, naive_walsh, parity_signs, strided_half_mass
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
 # majority of three bits, as ANF
@@ -228,15 +228,55 @@ def test_int32_transform_at_the_cap(anf):
     assert squares[peak] == 1 << 48
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hadamard_kernel_matches_naive_summation(dtype):
+    # Every n from 1 to 20 crosses the 4-bit modes, the n mod 4 remainder
+    # and the 2^16-entry tile. The kernel is linear, and rank-one inputs
+    # a (x) b span every input, so random ones test all of it: the
+    # transform of a (x) b is (H a) (x) (H b), each factor summed naively.
+    rng = np.random.default_rng(8)
+    for n in range(1, 21):
+        high, low = (n + 1) // 2, n // 2
+        a = rng.integers(-3, 4, 1 << high)
+        b = rng.integers(-3, 4, 1 << low)
+        values = np.outer(a, b).ravel().astype(dtype)
+        expected = np.outer(parity_signs(high) @ a, parity_signs(low) @ b).ravel()
+        assert spectrum._hadamard(values) is values
+        assert np.array_equal(values, expected), f"n={n}"
+
+
+BENT24 = " + ".join(f"x{2 * k - 1}*x{2 * k}" for k in range(1, 13))
+
+
+@pytest.mark.parametrize("anf", ["1", " + ".join(f"x{k}" for k in range(1, 25)), BENT24],
+                         ids=["constant1", "parity24", "bent24"])
+def test_correlation_transform_at_the_cap(anf):
+    # Closed forms at n=24, where the squares reach 2^48 and their
+    # transform 2^48 too: C = 2^24 everywhere for a constant,
+    # 2^24 (-1)^|gamma| for the full parity, and 2^24 at gamma = 0 only
+    # for the inner-product bent function.
+    t = to_truth_table(from_anf(anf, 24))
+    c = correlation_fast(t).c
+    assert c.dtype == np.int64
+    if anf == "1":
+        assert np.all(c == 1 << 24)
+    elif anf == BENT24:
+        assert c[0] == 1 << 24
+        assert np.count_nonzero(c) == 1
+    else:
+        odd = np.bitwise_count(np.arange(1 << 24, dtype=np.int32)) & 1
+        assert np.array_equal(c, np.where(odd, -(1 << 24), 1 << 24))
+
+
 def test_transform_runs_once_per_table(monkeypatch):
     calls = []
-    kernel = spectrum._butterfly
+    kernel = spectrum._hadamard
 
     def counted(values):
         calls.append(values.dtype)
         return kernel(values)
 
-    monkeypatch.setattr(spectrum, "_butterfly", counted)
+    monkeypatch.setattr(spectrum, "_hadamard", counted)
     t = random_function(9, seed=5)
     s = walsh_spectrum(t)
     assert walsh_spectrum(t) is s
@@ -245,11 +285,11 @@ def test_transform_runs_once_per_table(monkeypatch):
         algorithm1(t, 50, seed)
         influential_list(t, 50, seed)
     assert influence_vector(t) == first
-    assert calls == [np.int32]
+    assert calls == [np.float32]
     # verify reuses the cached spectrum; its one transform is the
     # autocorrelation check's
     verify_identities(t)
-    assert calls == [np.int32, np.int64]
+    assert calls == [np.float32, np.float64]
 
 
 def test_arrays_handed_to_results_are_not_shared():
@@ -308,6 +348,17 @@ def test_exact_jobs_stay_within_their_memory_budget():
 def test_fwht_input_validation():
     with pytest.raises(ValueError):
         fwht([1, -1, 1])  # not a power-of-two length
+    # An int64 cast would read [0.5, 0] as [0, 0]; 2^62 + 2^62 wraps int64;
+    # 2^64 fits no integer dtype.
+    for values in ([0.5, 0], [2**62, 2**62], [2**64, 0], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError):
+            fwht(values)
+    # max|v| * length = 2^53 is the exact float64 range's edge
+    assert fwht([2**52, 2**52]).tolist() == [2**53, 0]
+    assert fwht([-(2**52), 2**52]).tolist() == [0, -(2**53)]
+    with pytest.raises(ValueError):
+        fwht([2**52 + 1, 0])
+    assert fwht(np.array([True, False])).tolist() == [1, 1]
 
 
 def test_correlation_type_validation():
@@ -335,3 +386,21 @@ def test_verify_transform_route_tests_the_function(monkeypatch):
     monkeypatch.setattr(spectrum, "walsh_spectrum", lambda f: real(other))
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
+
+
+def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch):
+    # C(e_i) is read off the flip counts; one transform-route entry off
+    # by 2 at a unit vector fails the check there
+    t = corpus(1, ns=[13])[0]
+    real = spectrum._correlation_of_squares
+
+    def corrupted(s):
+        c = real(s).c.copy()
+        c[1 << 4] += 2
+        return Correlation(s.n, c)
+
+    monkeypatch.setattr(spectrum, "_correlation_of_squares", corrupted)
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert checks["autocorrelation_transform"]["passed"] is False
+    assert checks["autocorrelation_transform"]["detail"] == "FWHT(W^2) / 2^n != C at gammas [16]"
+    assert checks["parseval"]["passed"] and checks["influence_definition_equals_spectral"]["passed"]
