@@ -66,7 +66,6 @@ from .spectrum import (
     Correlation,
     InfluenceVector,
     WalshSpectrum,
-    correlation,
     correlation_fast,
     fwht,
     influence_by_definition,

@@ -70,11 +70,6 @@ class BvDistribution:
         below = int(self._cumulative[y - 1]) if y else 0
         return Fraction(int(self._cumulative[y]) - below, self.denominator)
 
-    @property
-    def probs(self) -> tuple[Fraction, ...]:
-        """All 2^n probabilities as exact rationals. Sums to 1 by Parseval."""
-        return tuple(Fraction(int(w), self.denominator) for w in self.weights)
-
     def marginal_one(self, i: int) -> Fraction:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
         _check_index(i, self.n)

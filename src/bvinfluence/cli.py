@@ -102,10 +102,18 @@ def write_table(table: TruthTable, path: str) -> None:
             fh.write(bytes([table.n]))
             fh.write(packed.tobytes())
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"n={table.n}\n")
-            fh.write("".join("1" if b else "0" for b in table.bits))
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(f"n={table.n}\n".encode("ascii"))
+            fh.write((table.bits + ord("0")).tobytes())
+            fh.write(b"\n")
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational; '1/0' is reported like 'nan', not raised."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
 def _parse_random_source(text: str) -> tuple[int, int | None]:
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("learn3")
     _add_function_flags(p)
     p.add_argument("--lambda", dest="lam", type=int, default=ln.DEFAULT_LAMBDA)
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 10), help="window half-width, in (0, 1/8)")
+    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10), help="window half-width, in (0, 1/8)")
     p.add_argument("--seed", type=int)
 
     p = subs.add_parser("classical")

@@ -1,5 +1,8 @@
 """Exact Walsh spectra, influences via two independent routes, autocorrelation.
 
+The autocorrelation has one route, C = FWHT(W^2) / 2^n (``correlation_fast``);
+``verify_identities`` checks it against C(gamma) evaluated directly from f.
+
 Walsh coefficients are kept in their integer form
 ``W(y) = sum_x (-1)^(f(x) + y.x)``; the normalized transform is
 ``W(y) / 2^n``. Influences come out as ``Fraction`` values with
@@ -27,9 +30,6 @@ import numpy as np
 
 from .boolfn import TruthTable, _check_index, _frozen
 from .rng import make_generator
-
-NAIVE_CORRELATION_MAX_N = 16
-
 
 # Entries per cache tile: 256 KiB of float32 or 512 KiB of float64, which
 # stays in a 2 MiB per-core L2 while every mode inside the tile passes
@@ -240,9 +240,6 @@ class InfluenceVector:
     def __repr__(self):
         return f"InfluenceVector({[str(v) for v in self.values]}, total={self.total})"
 
-    def as_floats(self) -> list[float]:
-        return [float(v) for v in self.values]
-
 
 def influence_vector(f: TruthTable) -> InfluenceVector:
     """Every variable's influence from one spectrum pass."""
@@ -270,40 +267,6 @@ class Correlation:
         return f"Correlation(n={self.n})"
 
 
-def correlation(f: TruthTable) -> Correlation:
-    """Autocorrelation by direct O(4^n) summation; the verification oracle.
-
-    Capped at n <= 16; use correlation_fast for larger functions.
-    """
-    if f.n > NAIVE_CORRELATION_MAX_N:
-        raise ValueError(f"naive autocorrelation capped at n={NAIVE_CORRELATION_MAX_N}, got n={f.n}")
-    size = 1 << f.n
-    index = np.arange(size, dtype=np.intp)
-    bits = f.bits
-    out = np.empty(size, dtype=np.int64)
-    for gamma in range(size):
-        mismatches = int(np.count_nonzero(bits != bits[index ^ gamma]))
-        out[gamma] = size - 2 * mismatches
-    return Correlation(f.n, out)
-
-
-def _correlation_of_squares(s: WalshSpectrum) -> Correlation:
-    """C = FWHT(W^2) / 2^n, in one int64 array: squared into its float64 view,
-    transformed there, cast back in place and divided.
-
-    Divisibility is checked block by block, with no 2^n-entry temporary.
-    """
-    n = s.n
-    c = np.empty(s.w.size, np.int64)
-    c[...] = _hadamard(np.multiply(s.w, s.w, out=c.view(np.float64), dtype=np.float64))
-    mask = (1 << n) - 1
-    if any((c[k:k + _TILE] & mask).any() for k in range(0, c.size, _TILE)):
-        raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
-    c >>= n
-    c.flags.writeable = False
-    return Correlation(n, c)
-
-
 def _correlation_at(f: TruthTable, gamma: int) -> int:
     """C(gamma) straight from f in O(2^n): 2^n minus twice the inputs where f(x) != f(x xor gamma).
 
@@ -316,8 +279,20 @@ def _correlation_at(f: TruthTable, gamma: int) -> int:
 
 
 def correlation_fast(f: TruthTable) -> Correlation:
-    """Autocorrelation via the transform route: C = FWHT(W^2) / 2^n, O(n 2^n)."""
-    return _correlation_of_squares(walsh_spectrum(f))
+    """Autocorrelation via the transform route: C = FWHT(W^2) / 2^n, O(n 2^n).
+
+    W^2 goes into the float64 view of one int64 array, is transformed there
+    and cast back in place; divisibility by 2^n is checked block by block.
+    """
+    w = walsh_spectrum(f).w
+    c = np.empty(w.size, np.int64)
+    c[...] = _hadamard(np.multiply(w, w, out=c.view(np.float64), dtype=np.float64))
+    mask = (1 << f.n) - 1
+    if any((c[k:k + _TILE] & mask).any() for k in range(0, c.size, _TILE)):
+        raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
+    c >>= f.n
+    c.flags.writeable = False
+    return Correlation(f.n, c)
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
@@ -326,13 +301,12 @@ def verify_identities(f: TruthTable) -> list[dict]:
     Checks, all in exact integer arithmetic:
       * per-variable equality of the definitional and spectral influences,
       * Parseval: sum of squared coefficients equals 4^n,
-      * the autocorrelation transform identity C = FWHT(W^2) / 2^n. Up to
-        n = 12 the naive O(4^n) autocorrelation is the ground truth and
-        FWHT(C) == W^2 is checked at every y. Above, the transform-route C
-        is compared with C(gamma) evaluated directly from f at every unit
-        vector, the all-ones vector and 8 gammas drawn from seed 0, so
-        the report stays deterministic. At a unit vector that is
-        C(e_i) = 2^n - 2|V_1(i)|, read off the first check's flip counts.
+      * the autocorrelation transform identity C = FWHT(W^2) / 2^n: the
+        transform-route C is compared with C(gamma) evaluated directly from
+        f at every gamma up to n = 12, and above that at the unit vectors,
+        all-ones and 8 gammas drawn from seed 0, so the report stays
+        deterministic. C(e_i) = 2^n - 2|V_1(i)| comes off the first check's
+        flip counts; any other gamma is one O(2^n) pass over f.
 
     Returns one {identity, passed, detail} record per check.
     """
@@ -359,18 +333,17 @@ def verify_identities(f: TruthTable) -> list[dict]:
         "detail": f"sum W^2 = {total}, 4^n = {1 << (2 * f.n)}",
     })
 
+    c = correlation_fast(f).c
+    direct = {1 << b: size - 2 * v1 for b, v1 in enumerate(changed)}
     if f.n <= 12:
-        ok = bool(np.array_equal(fwht(correlation(f).c), s.squares()))
-        detail = "FWHT(C) == W^2 via naive autocorrelation"
+        gammas = range(size)
     else:
-        c = _correlation_of_squares(s).c
-        direct = {1 << b: size - 2 * v1 for b, v1 in enumerate(changed)}
         gammas = set(direct) | {size - 1}
         gammas |= set(make_generator(0).integers(1, size, size=8).tolist())
-        wrong = sorted(g for g in gammas if c[g] != (direct[g] if g in direct else _correlation_at(f, g)))
-        ok = not wrong
-        detail = (f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f" if ok
-                  else f"FWHT(W^2) / 2^n != C at gammas {wrong}")
+    wrong = sorted(g for g in gammas if c[g] != (direct[g] if g in direct else _correlation_at(f, g)))
+    ok = not wrong
+    detail = (f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f" if ok
+              else f"FWHT(W^2) / 2^n != C at gammas {wrong}")
     checks.append({"identity": "autocorrelation_transform", "passed": ok, "detail": detail})
 
     return checks

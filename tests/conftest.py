@@ -4,6 +4,8 @@ The naive routines here recompute spectra and correlations by direct
 summation over all input pairs, O(4^n). They are deliberately dumb and
 independent of the package's transform code paths, so the fast routes
 are always tested against something that cannot share their bugs.
+``naive_correlation`` is the only O(4^n) autocorrelation in the project;
+the package computes C by the transform route alone.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from bvinfluence import (
     bv_distribution_of,
     bv_sample,
     classical_estimate,
-    correlation,
+    correlation_fast,
     from_anf,
     fwht,
     influence_by_definition,
@@ -35,7 +35,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence.cli import run as cli_run
-from conftest import corpus, lift
+from conftest import corpus, lift, naive_correlation
 
 
 def _pass(name, detail):
@@ -70,14 +70,15 @@ def test_criterion_03_correlation_transform_chain():
     tables = corpus(100, ns=range(1, 9), master_seed=0xA003)
     for t in tables:
         w = walsh_spectrum(t)
-        c = correlation(t)
+        c = naive_correlation(t)
+        assert np.array_equal(correlation_fast(t).c, c), f"n={t.n}"
         # transform of the autocorrelation = squared spectrum, exactly
-        assert np.array_equal(fwht(c.c), w.w * w.w), f"n={t.n}"
+        assert np.array_equal(fwht(c), w.w * w.w), f"n={t.n}"
         # autocorrelation at the unit vectors = the two half-cube masses
         total = w.square_sum()
         for i in range(1, t.n + 1):
             v1sum = w.ones_square_sum(i)
-            assert c.c[1 << (i - 1)] * (1 << t.n) == total - 2 * v1sum, f"i={i}, n={t.n}"
+            assert c[1 << (i - 1)] * (1 << t.n) == total - 2 * v1sum, f"i={i}, n={t.n}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _pass("criterion 3", f"both identities exact on 100 functions in {elapsed:.2f}s")

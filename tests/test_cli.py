@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bvinfluence import cli
-from bvinfluence.boolfn import random_function
+from bvinfluence.boolfn import from_anf, random_function, to_truth_table
 from bvinfluence.cli import main, read_table, run, write_table
 from bvinfluence.rng import spawn_seeds
 
@@ -267,6 +267,24 @@ def test_exit_code_2_on_bad_input():
         assert code == 2, argv
         assert err.strip(), argv  # a diagnostic was printed
         assert not out.strip()
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "nan"])
+def test_bad_epsilon_is_a_parse_error(capsys, epsilon):
+    # argparse reports a bad --epsilon and exits 2 itself, before run returns
+    with pytest.raises(SystemExit) as exc:
+        run(["learn3", "--random", "4:1", "--epsilon", epsilon])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --epsilon: invalid fraction value: '{epsilon}'" in err
+    assert "Traceback" not in err
+
+
+def test_text_table_file_matches_the_documented_example(tmp_path):
+    # majority of three, as in README's text-format example
+    path = tmp_path / "maj3.tt"
+    write_table(to_truth_table(from_anf("x1*x2 + x1*x3 + x2*x3", 3)), str(path))
+    assert path.read_bytes() == b"n=3\n00010111\n"
 
 
 def test_table_file_round_trip(tmp_path):

@@ -43,7 +43,8 @@ CASES = {
     for label, source in FUNCTIONS.items()
     for command, options in COMMANDS.items()
 }
-# Above n=12 verify takes the transform route to the autocorrelation.
+# Above n=12 verify checks the autocorrelation at n + 9 seeded gammas
+# rather than at every gamma.
 CASES["verify-random13"] = ["verify", "--random", "13:4"]
 
 

@@ -16,7 +16,6 @@ from bvinfluence import (
     WalshSpectrum,
     algorithm1,
     bv_distribution_of,
-    correlation,
     correlation_fast,
     from_anf,
     fwht,
@@ -128,7 +127,6 @@ def test_influence_vector_examples():
 def test_influence_vector_access():
     vec = influence_vector(AND2)
     assert vec[1] == Fraction(1, 2)  # 1-based, like the variables
-    assert vec.as_floats() == [0.5, 0.5]
     with pytest.raises(ValueError):
         vec[0]
     with pytest.raises(ValueError):
@@ -136,55 +134,52 @@ def test_influence_vector_access():
 
 
 def test_correlation_examples():
-    c = correlation(AND2)
+    c = correlation_fast(AND2)
     assert c.c[0] == 4  # gamma = 0 compares f with itself
     assert c.c[1] == 0  # |V_0| - |V_1| = 2 - 2 at the first unit vector
+    assert np.array_equal(c.c, naive_correlation(AND2))
     const = to_truth_table(from_anf("1", 3))
-    assert correlation(const).c.tolist() == [8] * 8
+    assert correlation_fast(const).c.tolist() == [8] * 8
 
 
 def test_correlation_matches_naive_and_fast():
     for t in corpus(30, ns=range(1, 9)):
-        ours = correlation(t)
-        assert np.array_equal(ours.c, naive_correlation(t)), f"n={t.n}"
-        assert np.array_equal(correlation_fast(t).c, ours.c), f"n={t.n}"
+        assert np.array_equal(correlation_fast(t).c, naive_correlation(t)), f"n={t.n}"
 
 
 def test_correlation_invariants():
     for t in corpus(12, ns=[3, 5, 7]):
-        c = correlation(t).c
+        c = correlation_fast(t).c
+        assert np.array_equal(c, naive_correlation(t)), f"n={t.n}"
         assert c[0] == 1 << t.n
         assert int(np.abs(c).max()) <= 1 << t.n
         assert not np.any(c & 1)
-
-
-def test_correlation_cap():
-    with pytest.raises(ValueError):
-        correlation(corpus(1, ns=[17])[0])
 
 
 def test_correlation_transform_link_exact():
     # the Walsh transform of the autocorrelation equals the squared
     # spectrum, integer for integer
     for t in corpus(40, ns=range(1, 9)):
-        c = correlation(t)
+        c = naive_correlation(t)
         w = walsh_spectrum(t).w
-        assert np.array_equal(fwht(c.c), w * w), f"n={t.n}"
+        assert np.array_equal(fwht(c), w * w), f"n={t.n}"
+        assert np.array_equal(correlation_fast(t).c, c), f"n={t.n}"
         # verify's direct evaluation of C at one gamma agrees everywhere
         direct = [spectrum._correlation_at(t, g) for g in range(1 << t.n)]
-        assert direct == c.c.tolist(), f"n={t.n}"
+        assert direct == c.tolist(), f"n={t.n}"
 
 
 def test_correlation_at_unit_vectors_decomposition():
     # C(alpha^i) * 2^n = (sum over y_i=0 of W^2) - (sum over y_i=1 of W^2)
     for t in corpus(24, ns=range(1, 9)):
         s = walsh_spectrum(t)
-        c = correlation(t)
+        c = correlation_fast(t).c
+        assert np.array_equal(c, naive_correlation(t)), f"n={t.n}"
         total = s.square_sum()
         for i in range(1, t.n + 1):
             v1sum = s.ones_square_sum(i)
             v0sum = total - v1sum
-            assert c.c[1 << (i - 1)] * (1 << t.n) == v0sum - v1sum, f"i={i}, n={t.n}"
+            assert c[1 << (i - 1)] * (1 << t.n) == v0sum - v1sum, f"i={i}, n={t.n}"
 
 
 def test_half_cube_mass_equals_flip_counts():
@@ -394,27 +389,30 @@ def test_verify_identities_all_pass():
         assert all(c["passed"] for c in checks)
 
 
-def test_verify_transform_route_tests_the_function(monkeypatch):
-    # above n=12, C from another function's spectrum must not pass as f's
-    t, other = corpus(2, ns=[13])
+@pytest.mark.parametrize("n", [10, 13])
+def test_verify_transform_route_tests_the_function(monkeypatch, n):
+    # C from another function's spectrum must not pass as f's, whether
+    # verify checks every gamma (n <= 12) or the seeded set above
+    t, other = corpus(2, ns=[n])
     real = spectrum.walsh_spectrum
     monkeypatch.setattr(spectrum, "walsh_spectrum", lambda f: real(other))
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
 
 
-def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch):
+@pytest.mark.parametrize("n", [10, 13])
+def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch, n):
     # C(e_i) is read off the flip counts; one transform-route entry off
     # by 2 at a unit vector fails the check there
-    t = corpus(1, ns=[13])[0]
-    real = spectrum._correlation_of_squares
+    t = corpus(1, ns=[n])[0]
+    real = spectrum.correlation_fast
 
-    def corrupted(s):
-        c = real(s).c.copy()
+    def corrupted(f):
+        c = real(f).c.copy()
         c[1 << 4] += 2
-        return Correlation(s.n, c)
+        return Correlation(f.n, c)
 
-    monkeypatch.setattr(spectrum, "_correlation_of_squares", corrupted)
+    monkeypatch.setattr(spectrum, "correlation_fast", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
     assert checks["autocorrelation_transform"]["detail"] == "FWHT(W^2) / 2^n != C at gammas [16]"
