@@ -164,9 +164,10 @@ def test_correlation_transform_link_exact():
         w = walsh_spectrum(t).w
         assert np.array_equal(fwht(c), w * w), f"n={t.n}"
         assert np.array_equal(correlation_fast(t).c, c), f"n={t.n}"
-        # verify's direct evaluation of C at one gamma agrees everywhere
-        direct = [spectrum._correlation_at(t, g) for g in range(1 << t.n)]
-        assert direct == c.tolist(), f"n={t.n}"
+        # verify's direct evaluation of C on packed words agrees everywhere
+        size = 1 << t.n
+        direct = spectrum._flip_counts_at(*spectrum._packed(t), range(size))
+        assert [size - 2 * d for d in direct] == c.tolist(), f"n={t.n}"
 
 
 def test_correlation_at_unit_vectors_decomposition():
@@ -197,6 +198,41 @@ def test_half_cube_mass_equals_flip_counts():
             assert v1sum == strided_half_mass(squares, i), f"i={i}, n={t.n}"
             assert Fraction(v1sum, 1 << (2 * t.n)) == Fraction(v1, 1 << t.n)
             assert Fraction(total - v1sum, 1 << (2 * t.n)) == Fraction(v0, 1 << t.n)
+
+
+def test_packed_flip_counts_match_a_byte_pair_comparison():
+    # n = 1..5 repeat the table to fill one word; i = 6 is the last
+    # in-word shift and i = 7 the first word-pair XOR
+    for t in corpus(24, ns=range(1, 9)):
+        words, repeat = spectrum._packed(t)
+        assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << t.n) // 64)
+        for i in range(1, t.n + 1):
+            changed = sum(t.bits[x] != t.bits[x ^ (1 << (i - 1))] for x in range(1 << t.n))
+            assert spectrum._flip_count(words, repeat, i) == changed, f"i={i}, n={t.n}"
+            assert influence_counts(t, i) == ((1 << t.n) - changed, changed)
+
+
+def test_batched_direct_correlation_matches_naive_summation():
+    # every gamma at n = 1..13; at n=13 the 8192 gammas of 128 words each
+    # go through in 16 chunks of _TILE words
+    assert (1 << 13) * (1 << 13) // 64 == 16 * spectrum._TILE
+    for n in range(1, 14):
+        t = corpus(1, ns=[n], master_seed=n)[0]
+        size = 1 << n
+        direct = spectrum._flip_counts_at(*spectrum._packed(t), range(size))
+        assert [size - 2 * d for d in direct] == naive_correlation(t).tolist(), f"n={n}"
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_tiled_masses_match_strided_sums(n):
+    # below, at and above one _TILE of the spectrum
+    t = random_function(n, n)
+    s = walsh_spectrum(t)
+    squares = s.squares()
+    assert s.square_sum() == int(squares.sum()) == 1 << (2 * n)
+    assert [s.ones_square_sum(i) for i in range(1, n + 1)] == [
+        strided_half_mass(squares, i) for i in range(1, n + 1)
+    ]
 
 
 def test_fwht_self_inversion():
@@ -336,6 +372,9 @@ def test_exact_jobs_stay_within_their_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 14 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+        if name == "influence_vector":
+            # the spectrum (4) and one tile of squares: no 2^n int64 array
+            assert peak <= 5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "bv_distribution_of":
             assert retained <= 12.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
@@ -389,7 +428,7 @@ def test_verify_identities_all_pass():
         assert all(c["passed"] for c in checks)
 
 
-@pytest.mark.parametrize("n", [10, 13])
+@pytest.mark.parametrize("n", [10, 12, 13])
 def test_verify_transform_route_tests_the_function(monkeypatch, n):
     # C from another function's spectrum must not pass as f's, whether
     # verify checks every gamma (n <= 12) or the seeded set above
@@ -398,6 +437,8 @@ def test_verify_transform_route_tests_the_function(monkeypatch, n):
     monkeypatch.setattr(spectrum, "walsh_spectrum", lambda f: real(other))
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
+    # a count and the first 8 failing gammas, however many fail
+    assert len(checks["autocorrelation_transform"]["detail"]) <= 100
 
 
 @pytest.mark.parametrize("n", [10, 13])
@@ -415,5 +456,7 @@ def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch, n):
     monkeypatch.setattr(spectrum, "correlation_fast", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
-    assert checks["autocorrelation_transform"]["detail"] == "FWHT(W^2) / 2^n != C at gammas [16]"
+    assert checks["autocorrelation_transform"]["detail"] == (
+        f"FWHT(W^2) / 2^n != C at 1 of {1024 if n == 10 else n + 9} gammas: [16]"
+    )
     assert checks["parseval"]["passed"] and checks["influence_definition_equals_spectral"]["passed"]
