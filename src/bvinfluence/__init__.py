@@ -63,7 +63,6 @@ from .learn import (
 )
 from .rng import make_generator, resolve_seed
 from .spectrum import (
-    Correlation,
     InfluenceVector,
     WalshSpectrum,
     correlation_fast,

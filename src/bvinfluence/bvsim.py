@@ -9,24 +9,27 @@ gate-level cross-check. The oracle's ancilla qubit is absorbed
 analytically through phase kickback, so only the n-bit register is ever
 materialized.
 
-Sampling is exact: a draw is a uniform integer in [0, 4^n) located in a
-cumulative table of the integer weights W(y)^2, so outcomes with zero
-spectral weight are impossible, not merely improbable. Draws come from
-one generator in blocks of ``_BLOCK`` and are looked up block by block.
-Only :func:`bv_sample` keeps them, in one int64 array of m entries; the
-estimators and learners read per-position one-counts, which the
-counting path adds up per block in O(``_BLOCK``) memory, whatever m.
+:class:`BvDistribution` reads its law off the spectrum. Sampling is
+exact: a draw is a uniform integer in [0, 4^n) located in a cumulative
+table of the integer weights W(y)^2, the one array the distribution
+holds, so outcomes with zero spectral weight are impossible, not merely
+improbable. Draws come from one generator in blocks of ``_BLOCK`` and
+are looked up block by block. Only :func:`bv_sample` keeps them, in one
+int64 array of m entries; the estimators and learners read per-position
+one-counts, which the counting path adds up per block in O(``_BLOCK``)
+memory, whatever m.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index, _frozen
+from .boolfn import TruthTable, _frozen
 from .rng import make_generator, resolve_seed
-from .spectrum import WalshSpectrum, _half_cube_masses, walsh_spectrum
+from .spectrum import WalshSpectrum, influence_by_spectrum, walsh_spectrum
 
 STATEVECTOR_MAX_N = 12
 
@@ -41,42 +44,39 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 class BvDistribution:
-    """Exact measurement distribution: Pr(y) = weights[y] / 4^n.
+    """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
-    ``weights`` are the squared integer Walsh coefficients, so all
-    probabilities are exact rationals over the common denominator 4^n.
-    Only their int64 cumulative table is stored, and it is what the
-    constructor takes; weights, probabilities and support derive from it.
+    A view of ``spectrum``: weights, probabilities, marginals and support
+    are read off it. Its one array is the sampler's read-only int64
+    cumulative table, built once in place in the squares; Parseval makes
+    it non-decreasing, ending at 4^n <= 2^48.
     """
 
-    def __init__(self, n: int, cumulative):
-        cum = _frozen(cumulative, np.int64)
-        if cum.size != (1 << n):
-            raise ValueError(f"distribution for n={n} needs {1 << n} cumulative weights, got {cum.size}")
-        if cum[0] < 0 or (cum[1:] < cum[:-1]).any():
-            raise ValueError("cumulative weights must be non-negative and non-decreasing")
-        if int(cum[-1]) != 1 << (2 * n):
-            raise ValueError(f"weights sum to {int(cum[-1])}, expected 4^n = {1 << (2 * n)}")
-        self.n = n
-        self.denominator = 1 << (2 * n)
+    def __init__(self, spectrum: WalshSpectrum):
+        self.spectrum = spectrum
+        self.n = spectrum.n
+        self.denominator = 1 << (2 * spectrum.n)
+        cum = spectrum.squares()
+        np.cumsum(cum, out=cum)
+        cum.flags.writeable = False
         self._cumulative = cum
 
     @property
     def weights(self) -> np.ndarray:
         """The integer weights W(y)^2, as a new array."""
-        return np.diff(self._cumulative, prepend=0)
+        return self.spectrum.squares()
 
     def prob(self, y: int) -> Fraction:
-        below = int(self._cumulative[y - 1]) if y else 0
-        return Fraction(int(self._cumulative[y]) - below, self.denominator)
+        if not 0 <= y < 1 << self.n:
+            raise ValueError(f"outcome {y} outside [0, 2^{self.n})")
+        return Fraction(int(self.spectrum.w[y]) ** 2, self.denominator)
 
     def marginal_one(self, i: int) -> Fraction:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
-        _check_index(i, self.n)
-        return Fraction(_half_cube_masses(self.weights)[0][i - 1], self.denominator)
+        return influence_by_spectrum(self.spectrum, i)
 
     def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights)
+        return np.flatnonzero(self.spectrum.w)
 
     def cumulative(self) -> np.ndarray:
         """Read-only running sums of the weights; the sampler's lookup table."""
@@ -137,17 +137,12 @@ def _blocks(bound: int, m: int, seed: int | None):
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
-    """Squared, normalized spectrum; Parseval guarantees the total is 1.
-
-    Built once per spectrum and cached on it. The running sums are taken
-    in place in the squares, so the table is the only 2^n int64 array.
-    """
-    if s._distribution is None:
-        cum = s.squares()
-        np.cumsum(cum, out=cum)
-        cum.flags.writeable = False
-        s._distribution = BvDistribution(s.n, cum)
-    return s._distribution
+    """The distribution of s, shared while held; s refers to it weakly, or the two would form a cycle."""
+    d = s._distribution and s._distribution()
+    if d is None:
+        d = BvDistribution(s)
+        s._distribution = weakref.ref(d)
+    return d
 
 
 def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch:
@@ -220,5 +215,7 @@ def statevector_bv(f: TruthTable) -> np.ndarray:
 
 
 def bv_distribution_of(f: TruthTable) -> BvDistribution:
-    """Convenience: spectrum + distribution in one call."""
-    return bv_distribution(walsh_spectrum(f))
+    """Spectrum + distribution in one call; the table holds both, so they are freed with it."""
+    d = bv_distribution(walsh_spectrum(f))
+    object.__setattr__(f, "_distribution", d)
+    return d

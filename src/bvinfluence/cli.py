@@ -418,7 +418,7 @@ def run(argv=None, out=None, err=None) -> int:
         _check_count_memory(args)
         table, source = _resolve_function(args)
         params, results, code = _HANDLERS[args.command](args, table, source)
-        # The table holds its cached spectrum; free both before rendering.
+        # The table holds its cached spectrum and distribution; free them before rendering.
         del table
     except (ValueError, OSError) as exc:
         print(f"bvinfluence: error: {exc}", file=err)

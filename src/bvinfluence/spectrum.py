@@ -19,9 +19,9 @@ float64 every integer up to 2^53. The spectrum transforms the +-1 signs
 in float32 (the sum is 2^n <= 2^24) and is cast in place to the int32
 ``WalshSpectrum.w``. The autocorrelation transforms the squares in
 float64 (the sum is 4^n <= 2^48, Parseval) and is cast in place to the
-int64 ``Correlation.c``. ``fwht`` runs in float64 and refuses inputs
-with max|v| * length > 2^53. Squares are int64; ``w * w`` wraps for
-n >= 16, so square with ``WalshSpectrum.squares()``.
+int64 array ``correlation_fast`` returns. ``fwht`` runs in float64 and
+refuses inputs with max|v| * length > 2^53. Squares are int64; ``w * w``
+wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class WalshSpectrum:
     ``w`` is a read-only int32 array; ``w * w`` wraps for n >= 16, so
     square it with :meth:`squares`. The half-cube masses of the squared
     spectrum are computed once, on first use; the squares themselves are
-    not kept.
+    not kept. A hand-built spectrum must satisfy Parseval: sum W^2 = 4^n.
     """
 
     def __init__(self, n: int, w):
@@ -134,10 +134,15 @@ class WalshSpectrum:
         if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
             if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
                 raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
+            # Summed in float64, where an int64 sum could wrap onto 4^n. Squares are <= 2^48
+            # and partial sums only grow, so a sum of 4^n is exact and no other rounds onto it.
+            floats = arr.astype(np.float64).ravel()
+            if np.dot(floats, floats) != 1 << (2 * n):
+                raise ValueError(f"Walsh coefficients for n={n} must satisfy Parseval: sum W^2 = 4^{n}")
         self.n = n
         self.w = _frozen(arr, np.int32)
         self._masses = None
-        # Filled by bvsim.bv_distribution, which owns the distribution type.
+        # A weak reference, filled by bvsim.bv_distribution: the distribution refers to the spectrum.
         self._distribution = None
 
     def squares(self) -> np.ndarray:
@@ -322,34 +327,15 @@ class InfluenceVector:
 def influence_vector(f: TruthTable) -> InfluenceVector:
     """Every variable's influence from one spectrum pass."""
     s = walsh_spectrum(f)
-    denom = 1 << (2 * f.n)
-    return InfluenceVector(f.n, [Fraction(s.ones_square_sum(i), denom) for i in range(1, f.n + 1)])
+    return InfluenceVector(f.n, [influence_by_spectrum(s, i) for i in range(1, f.n + 1)])
 
 
-class Correlation:
-    """Autocorrelation C(gamma) = sum_x (-1)^(f(x) + f(x xor gamma)), all gamma."""
+def correlation_fast(f: TruthTable) -> np.ndarray:
+    """Autocorrelation C(gamma) = sum_x (-1)^(f(x) + f(x xor gamma)), all gamma, read-only int64.
 
-    def __init__(self, n: int, c):
-        arr = _frozen(c, np.int64)
-        if arr.size != (1 << n):
-            raise ValueError(f"correlation for n={n} needs {1 << n} entries, got {arr.size}")
-        self.n = n
-        self.c = arr
-
-    def __eq__(self, other):
-        if not isinstance(other, Correlation):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.c, other.c)
-
-    def __repr__(self):
-        return f"Correlation(n={self.n})"
-
-
-def correlation_fast(f: TruthTable) -> Correlation:
-    """Autocorrelation via the transform route: C = FWHT(W^2) / 2^n, O(n 2^n).
-
-    W^2 goes into the float64 view of one int64 array, is transformed there
-    and cast back in place; divisibility by 2^n is checked block by block.
+    Transform route, C = FWHT(W^2) / 2^n, O(n 2^n): W^2 goes into the float64 view of the
+    result, is transformed there and cast back in place; divisibility by 2^n is checked
+    block by block.
     """
     w = walsh_spectrum(f).w
     c = np.empty(w.size, np.int64)
@@ -359,7 +345,7 @@ def correlation_fast(f: TruthTable) -> Correlation:
         raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
     c >>= f.n
     c.flags.writeable = False
-    return Correlation(f.n, c)
+    return c
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
@@ -411,7 +397,7 @@ def verify_identities(f: TruthTable) -> list[dict]:
     rest = sorted(set(gammas) - set(direct))
     direct.update((g, size - 2 * d) for g, d in zip(rest, _flip_counts_at(words, repeat, rest)))
     del words
-    c = correlation_fast(f).c
+    c = correlation_fast(f)
     wrong = [g for g in sorted(gammas) if c[g] != direct[g]]
     ok = not wrong
     detail = (f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f" if ok

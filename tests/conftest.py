@@ -16,6 +16,12 @@ from bvinfluence import TruthTable, random_function
 
 MASTER_SEED = 0x5EED
 
+# Closed-form functions at the n=24 cap: the full parity, whose spectrum is
+# one coefficient of 2^24 at y = 1...1, and the inner-product bent function,
+# whose every coefficient is +-2^12.
+PARITY24 = " + ".join(f"x{k}" for k in range(1, 25))
+BENT24 = " + ".join(f"x{2 * k - 1}*x{2 * k}" for k in range(1, 13))
+
 
 def corpus(count: int, ns, master_seed: int = MASTER_SEED):
     """Deterministic list of random tables cycling over the given n values."""

@@ -71,7 +71,7 @@ def test_criterion_03_correlation_transform_chain():
     for t in tables:
         w = walsh_spectrum(t)
         c = naive_correlation(t)
-        assert np.array_equal(correlation_fast(t).c, c), f"n={t.n}"
+        assert np.array_equal(correlation_fast(t), c), f"n={t.n}"
         # transform of the autocorrelation = squared spectrum, exactly
         assert np.array_equal(fwht(c), w.w * w.w), f"n={t.n}"
         # autocorrelation at the unit vectors = the two half-cube masses

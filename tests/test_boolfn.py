@@ -8,6 +8,7 @@ from bvinfluence import (
     Anf,
     AnfSyntaxError,
     TruthTable,
+    bv_distribution_of,
     dec_input,
     enc_input,
     evaluate,
@@ -16,7 +17,6 @@ from bvinfluence import (
     point_mask,
     random_function,
     to_truth_table,
-    walsh_spectrum,
 )
 
 
@@ -149,14 +149,15 @@ def test_truth_table_immutable():
 
 
 def test_truth_table_spectrum_cache_is_invisible():
-    # equality, immutability and repr ignore the lazily filled spectrum slot
+    # equality, immutability and repr ignore the lazily filled spectrum and
+    # distribution slots
     warm = to_truth_table(from_anf("x1 + x2*x3", 3))
     cold = to_truth_table(from_anf("x1 + x2*x3", 3))
     before = repr(warm)
-    walsh_spectrum(warm)
+    bv_distribution_of(warm)
     assert warm == cold and cold == warm
     assert repr(warm) == repr(cold) == before
-    for name in ("n", "bits", "_spectrum", "other"):
+    for name in ("n", "bits", "_spectrum", "_distribution", "other"):
         with pytest.raises(AttributeError):
             setattr(warm, name, None)
     with pytest.raises(ValueError):

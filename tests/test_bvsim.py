@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -9,6 +11,7 @@ from bvinfluence import (
     STATEVECTOR_MAX_N,
     BvDistribution,
     SampleBatch,
+    WalshSpectrum,
     algorithm1,
     bv_distribution,
     bv_distribution_of,
@@ -22,7 +25,7 @@ from bvinfluence import (
 )
 from bvinfluence.bvsim import _BLOCK
 from bvinfluence.rng import make_generator
-from conftest import corpus, lift
+from conftest import BENT24, PARITY24, corpus, lift
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
 
@@ -51,6 +54,41 @@ def test_distribution_normalization_exact():
         probs = [d.prob(y) for y in range(1 << t.n)]
         assert sum(probs, Fraction(0)) == 1
         assert all(p >= 0 for p in probs)
+
+
+def test_prob_rejects_outcomes_outside_the_cube():
+    # an index wrap in the table would read prob(-15) at n=4 as Pr(1)
+    d = bv_distribution_of(random_function(4, seed=2))
+    for y in (-1, -16, 16):
+        with pytest.raises(ValueError):
+            d.prob(y)
+
+
+@pytest.mark.parametrize("anf", ["1", PARITY24, BENT24], ids=["constant1", "parity24", "bent24"])
+def test_distribution_closed_forms_at_the_cap(anf):
+    # n=24, where the table's top entry is 4^24 = 2^48: all mass at y = 0
+    # for a constant, all of it at y = 1...1 for the full parity, and 2^24
+    # at every y for the inner-product bent function.
+    n, size = 24, 1 << 24
+    d = bv_distribution_of(to_truth_table(from_anf(anf, n)))
+    cum = d.cumulative()
+    assert cum[-1] == 1 << 48
+    marginals = {d.marginal_one(i) for i in range(1, n + 1)}
+    if anf == "1":
+        assert cum[0] == 1 << 48
+        assert d.support().tolist() == [0]
+        assert np.all(bv_sample(d, 1000, seed=24).outcomes == 0)
+        assert marginals == {0}
+    elif anf == BENT24:
+        chunk = 1 << 20
+        for start in range(0, size, chunk):
+            expected = np.arange(start + 1, start + chunk + 1, dtype=np.int64) << 24
+            assert np.array_equal(cum[start:start + chunk], expected), f"from y={start}"
+        assert marginals == {Fraction(1, 2)}
+    else:
+        assert not cum[:-1].any()
+        assert np.all(bv_sample(d, 1000, seed=24).outcomes == size - 1)
+        assert marginals == {1}
 
 
 def test_marginal_law_exact():
@@ -213,24 +251,22 @@ def test_statevector_cap():
 
 
 def test_distribution_rejects_bad_weights():
+    # the weights are the squares of a spectrum, which must satisfy Parseval
     with pytest.raises(ValueError):
-        BvDistribution(2, [1, 1, 1, 1])  # does not sum to 4^n
-    with pytest.raises(ValueError):
-        BvDistribution(2, [8, 4, 12, 16])  # a negative weight
-    # refused on the input's own dtype: an int64 cast would read [4, 4, 4, 4] and [1, 3]
-    with pytest.raises(ValueError):
-        BvDistribution(2, [4.5, 8.9, 12, 16])
+        BvDistribution(WalshSpectrum(2, [1, 1, 1, 1]))  # squares sum to 4, not 4^n
+    # refused on the input's own dtype: an int64 cast would read [1, 3]
     with pytest.raises(ValueError):
         SampleBatch(2, [1.7, 3.2], seed=0)
 
 
 def test_arrays_handed_to_results_are_not_shared():
-    cumulative = np.cumsum(np.array([4, 4, 4, 4]))
-    d = BvDistribution(2, cumulative)
+    w = np.array([2, 2, 2, -2])
+    d = BvDistribution(WalshSpectrum(2, w))
     outcomes = np.array([3, 1, 0])
     batch = SampleBatch(2, outcomes, seed=1)
-    cumulative[0] = 16
+    w[0] = 0
     outcomes[0] = 0
+    d.weights[0] = 0
     assert d.weights.tolist() == [4, 4, 4, 4]
     assert [d.prob(y) for y in range(4)] == [Fraction(1, 4)] * 4
     assert batch.outcomes.tolist() == [3, 1, 0]
@@ -248,3 +284,19 @@ def test_distribution_cached_on_the_table():
     assert bv_distribution(walsh_spectrum(t)) is d
     assert np.array_equal(d.weights, walsh_spectrum(t).squares())
     assert np.array_equal(d.support(), np.flatnonzero(walsh_spectrum(t).w))
+    assert d.spectrum is walsh_spectrum(t)
+
+
+def test_dropped_table_frees_its_distribution():
+    # The distribution refers to its spectrum, so the spectrum must not refer
+    # back strongly: a cycle would hold the 12 bytes per entry past the table
+    # until the garbage collector next ran.
+    t = random_function(6, seed=8)
+    d = weakref.ref(bv_distribution_of(t))
+    s = weakref.ref(walsh_spectrum(t))
+    gc.disable()
+    try:
+        del t
+        assert d() is None and s() is None
+    finally:
+        gc.enable()

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bvinfluence import (
-    Correlation,
     TruthTable,
     WalshSpectrum,
     algorithm1,
@@ -30,7 +29,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import spectrum
-from conftest import corpus, naive_correlation, naive_walsh, parity_signs, strided_half_mass
+from conftest import BENT24, PARITY24, corpus, naive_correlation, naive_walsh, parity_signs, strided_half_mass
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
 # majority of three bits, as ANF
@@ -135,21 +134,21 @@ def test_influence_vector_access():
 
 def test_correlation_examples():
     c = correlation_fast(AND2)
-    assert c.c[0] == 4  # gamma = 0 compares f with itself
-    assert c.c[1] == 0  # |V_0| - |V_1| = 2 - 2 at the first unit vector
-    assert np.array_equal(c.c, naive_correlation(AND2))
+    assert c[0] == 4  # gamma = 0 compares f with itself
+    assert c[1] == 0  # |V_0| - |V_1| = 2 - 2 at the first unit vector
+    assert np.array_equal(c, naive_correlation(AND2))
     const = to_truth_table(from_anf("1", 3))
-    assert correlation_fast(const).c.tolist() == [8] * 8
+    assert correlation_fast(const).tolist() == [8] * 8
 
 
 def test_correlation_matches_naive_and_fast():
     for t in corpus(30, ns=range(1, 9)):
-        assert np.array_equal(correlation_fast(t).c, naive_correlation(t)), f"n={t.n}"
+        assert np.array_equal(correlation_fast(t), naive_correlation(t)), f"n={t.n}"
 
 
 def test_correlation_invariants():
     for t in corpus(12, ns=[3, 5, 7]):
-        c = correlation_fast(t).c
+        c = correlation_fast(t)
         assert np.array_equal(c, naive_correlation(t)), f"n={t.n}"
         assert c[0] == 1 << t.n
         assert int(np.abs(c).max()) <= 1 << t.n
@@ -163,7 +162,7 @@ def test_correlation_transform_link_exact():
         c = naive_correlation(t)
         w = walsh_spectrum(t).w
         assert np.array_equal(fwht(c), w * w), f"n={t.n}"
-        assert np.array_equal(correlation_fast(t).c, c), f"n={t.n}"
+        assert np.array_equal(correlation_fast(t), c), f"n={t.n}"
         # verify's direct evaluation of C on packed words agrees everywhere
         size = 1 << t.n
         direct = spectrum._flip_counts_at(*spectrum._packed(t), range(size))
@@ -174,7 +173,7 @@ def test_correlation_at_unit_vectors_decomposition():
     # C(alpha^i) * 2^n = (sum over y_i=0 of W^2) - (sum over y_i=1 of W^2)
     for t in corpus(24, ns=range(1, 9)):
         s = walsh_spectrum(t)
-        c = correlation_fast(t).c
+        c = correlation_fast(t)
         assert np.array_equal(c, naive_correlation(t)), f"n={t.n}"
         total = s.square_sum()
         for i in range(1, t.n + 1):
@@ -241,7 +240,7 @@ def test_fwht_self_inversion():
         assert np.array_equal(fwht(fwht(signs)), signs * (1 << t.n))
 
 
-@pytest.mark.parametrize("anf", ["1", " + ".join(f"x{k}" for k in range(1, 25))], ids=["constant1", "parity24"])
+@pytest.mark.parametrize("anf", ["1", PARITY24], ids=["constant1", "parity24"])
 def test_int32_transform_at_the_cap(anf):
     # |W| reaches 2^24 here: W(0) = -2^24 for the constant 1, and
     # W(1...1) = 2^24 for the full parity
@@ -276,18 +275,14 @@ def test_hadamard_kernel_matches_naive_summation(dtype):
         assert np.array_equal(values, expected), f"n={n}"
 
 
-BENT24 = " + ".join(f"x{2 * k - 1}*x{2 * k}" for k in range(1, 13))
-
-
-@pytest.mark.parametrize("anf", ["1", " + ".join(f"x{k}" for k in range(1, 25)), BENT24],
-                         ids=["constant1", "parity24", "bent24"])
+@pytest.mark.parametrize("anf", ["1", PARITY24, BENT24], ids=["constant1", "parity24", "bent24"])
 def test_correlation_transform_at_the_cap(anf):
     # Closed forms at n=24, where the squares reach 2^48 and their
     # transform 2^48 too: C = 2^24 everywhere for a constant,
     # 2^24 (-1)^|gamma| for the full parity, and 2^24 at gamma = 0 only
     # for the inner-product bent function.
     t = to_truth_table(from_anf(anf, 24))
-    c = correlation_fast(t).c
+    c = correlation_fast(t)
     assert c.dtype == np.int64
     if anf == "1":
         assert np.all(c == 1 << 24)
@@ -324,21 +319,14 @@ def test_transform_runs_once_per_table(monkeypatch):
 
 
 def test_arrays_handed_to_results_are_not_shared():
-    n = 2
     w = np.array([2, 2, 2, -2])
-    view = np.array([4, 0, 0, 0])
-    read_only_view = view[:]
-    read_only_view.flags.writeable = False
-    s = WalshSpectrum(n, w)
-    c = Correlation(n, read_only_view)
+    s = WalshSpectrum(2, w)
     w[0] = 0
-    view[0] = 0
     assert s.w.tolist() == [2, 2, 2, -2]
-    assert c.c.tolist() == [4, 0, 0, 0]
     with pytest.raises(ValueError):
         s.w[0] = 0
     with pytest.raises(ValueError):
-        c.c[0] = 0
+        correlation_fast(AND2)[0] = 0
 
 
 def test_spectrum_validation():
@@ -349,6 +337,17 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         WalshSpectrum(2, [4, 0, 0])
     assert WalshSpectrum(2, np.array([-4, 0, 0, 0])).w.tolist() == [-4, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n, count, value", [(2, 3, 2), (22, (1 << 20) + 1, 1 << 22)], ids=["n2", "n22"])
+def test_hand_built_spectrum_must_satisfy_parseval(n, count, value):
+    # Every coefficient is in range. At n=22, 2^20 + 1 squares of 2^44 sum to
+    # 2^64 + 2^44, which wraps in int64 to exactly 4^22: the masses and the
+    # sampler's table would then wrap, and an influence read negative.
+    w = np.zeros(1 << n, np.int32)
+    w[:count] = value
+    with pytest.raises(ValueError, match="Parseval"):
+        WalshSpectrum(n, w)
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
@@ -375,6 +374,10 @@ def test_exact_jobs_stay_within_their_memory_budget():
         if name == "influence_vector":
             # the spectrum (4) and one tile of squares: no 2^n int64 array
             assert peak <= 5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+        if name in ("bv_distribution_of", "algorithm1"):
+            # the spectrum (4) and the cumulative table (8), built in place in
+            # the squares: no second 2^n array beside them, not even of bytes
+            assert peak <= 12.5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "bv_distribution_of":
             assert retained <= 12.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
@@ -410,13 +413,6 @@ def test_fwht_input_validation():
     assert fwht(np.array([True, False])).tolist() == [1, 1]
 
 
-def test_correlation_type_validation():
-    with pytest.raises(ValueError):
-        Correlation(2, [4, 0, 0])
-    with pytest.raises(ValueError):
-        Correlation(2, [4.5, 0.2, 0, 0])  # an int64 cast would read [4, 0, 0, 0]
-
-
 def test_verify_identities_all_pass():
     for t in corpus(6, ns=[2, 5, 9, 13]):
         checks = verify_identities(t)
@@ -449,9 +445,9 @@ def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch, n):
     real = spectrum.correlation_fast
 
     def corrupted(f):
-        c = real(f).c.copy()
+        c = real(f).copy()
         c[1 << 4] += 2
-        return Correlation(f.n, c)
+        return c
 
     monkeypatch.setattr(spectrum, "correlation_fast", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
