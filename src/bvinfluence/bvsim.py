@@ -83,7 +83,7 @@ class BvDistribution:
         return self._cumulative
 
     def __repr__(self):
-        return f"BvDistribution(n={self.n}, support={self.support().size})"
+        return f"BvDistribution(n={self.n}, support={np.count_nonzero(self.spectrum.w)})"
 
 
 class SampleBatch:

@@ -85,6 +85,7 @@ def test_distribution_closed_forms_at_the_cap(anf):
             expected = np.arange(start + 1, start + chunk + 1, dtype=np.int64) << 24
             assert np.array_equal(cum[start:start + chunk], expected), f"from y={start}"
         assert marginals == {Fraction(1, 2)}
+        assert repr(d) == f"BvDistribution(n=24, support={size})"
     else:
         assert not cum[:-1].any()
         assert np.all(bv_sample(d, 1000, seed=24).outcomes == size - 1)
