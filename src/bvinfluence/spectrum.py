@@ -134,8 +134,8 @@ class WalshSpectrum:
         if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
             if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
                 raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
-            # Summed in float64, where an int64 sum could wrap onto 4^n. Squares are <= 2^48
-            # and partial sums only grow, so a sum of 4^n is exact and no other rounds onto it.
+            # Summed in float64, as an int64 sum can wrap onto 4^n. Squares are <= 2^48 and
+            # partial sums only grow, so a sum of 4^n is exact and no other sum rounds onto it.
             floats = arr.astype(np.float64).ravel()
             if np.dot(floats, floats) != 1 << (2 * n):
                 raise ValueError(f"Walsh coefficients for n={n} must satisfy Parseval: sum W^2 = 4^{n}")

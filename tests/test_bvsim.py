@@ -280,7 +280,10 @@ def test_arrays_handed_to_results_are_not_shared():
 
 def test_distribution_cached_on_the_table():
     t = random_function(6, seed=8)
+    # the table holds it, so callers that drop it, as the estimators do, reuse it
+    held = weakref.ref(bv_distribution_of(t))
     d = bv_distribution_of(t)
+    assert held() is d
     assert bv_distribution_of(t) is d
     assert bv_distribution(walsh_spectrum(t)) is d
     assert np.array_equal(d.weights, walsh_spectrum(t).squares())
