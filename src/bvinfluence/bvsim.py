@@ -10,14 +10,17 @@ analytically through phase kickback, so only the n-bit register is ever
 materialized.
 
 :class:`BvDistribution` reads its law off the spectrum. Sampling is
-exact: a draw is a uniform integer in [0, 4^n) located in a cumulative
-table of the integer weights W(y)^2, the one array the distribution
-holds, so outcomes with zero spectral weight are impossible, not merely
-improbable. Draws come from one generator in blocks of ``_BLOCK`` and
-are looked up block by block. Only :func:`bv_sample` keeps them, in one
-int64 array of m entries; the estimators and learners read per-position
-one-counts, which the counting path adds up per block in O(``_BLOCK``)
-memory, whatever m.
+exact: a draw is a uniform integer in [0, 4^n) located among the running
+sums of the integer weights W(y)^2, so outcomes with zero spectral weight
+are impossible, not merely improbable. The running sums are never held
+whole: a coarse table of per-tile sums finds each key's 2^16-entry tile,
+and each tile touched is squared and summed into one reused buffer (a
+two-level inverse CDF, after the guide tables of Chen and Asau, 1974).
+Draws come from one generator in blocks of ``_KEY_BLOCK``, and each block
+is sorted and looked up in one pass over the spectrum. Only
+:func:`bv_sample` keeps them, in one int64 array of m entries; the
+estimators and learners read per-position one-counts, which the counting
+path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
 """
 
 from __future__ import annotations
@@ -35,9 +38,14 @@ STATEVECTOR_MAX_N = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Keys sorted and looked up per block: 2 MiB of int64 keys stay in cache
-# while the sorted search walks the cumulative table front to back.
+# Draws per block for the classical baseline and for counting a kept sample.
 _BLOCK = 1 << 18
+
+# Keys per sampler block. Each block costs one pass over the spectrum, so
+# larger blocks are faster; but the next block is drawn while the last is
+# still referenced. Measured at n=20, m=4*10^6 as CLI subprocesses: 2^18
+# ran about 10% slower, and 2^20 peaked 8 MiB (15%) above 2^19.
+_KEY_BLOCK = 1 << 19
 
 # _BYTE_BITS[v, k] is bit k of the byte value v.
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
@@ -47,19 +55,16 @@ class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
     A view of ``spectrum``: weights, probabilities, marginals and support
-    are read off it. Its one array is the sampler's read-only int64
-    cumulative table, built once in place in the squares; Parseval makes
-    it non-decreasing, ending at 4^n <= 2^48.
+    are read off it. The sampler's coarse table is the running sums of
+    the spectrum's per-tile squares, one entry per 2^16 outcomes, which
+    the mass fold computes; no 2^n array is held beside the spectrum.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
         self.spectrum = spectrum
         self.n = spectrum.n
         self.denominator = 1 << (2 * spectrum.n)
-        cum = spectrum.squares()
-        np.cumsum(cum, out=cum)
-        cum.flags.writeable = False
-        self._cumulative = cum
+        self._tile_ends = spectrum._half_masses()[2]
 
     @property
     def weights(self) -> np.ndarray:
@@ -79,8 +84,15 @@ class BvDistribution:
         return np.flatnonzero(self.spectrum.w)
 
     def cumulative(self) -> np.ndarray:
-        """Read-only running sums of the weights; the sampler's lookup table."""
-        return self._cumulative
+        """Read-only running sums of the weights, ending at 4^n, built anew on each call.
+
+        The sampler never builds this 2^n int64 table; it gives the same
+        outcomes as ``np.searchsorted(cumulative(), keys, side="right")``.
+        """
+        cum = self.spectrum.squares()
+        np.cumsum(cum, out=cum)
+        cum.flags.writeable = False
+        return cum
 
     def __repr__(self):
         return f"BvDistribution(n={self.n}, support={np.count_nonzero(self.spectrum.w)})"
@@ -123,17 +135,42 @@ def _ones_counts(n: int, blocks) -> tuple[int, ...]:
     return tuple(int(c) for c in (hist @ _BYTE_BITS).ravel()[:n])
 
 
-def _blocks(bound: int, m: int, seed: int | None):
+def _blocks(bound: int, m: int, seed: int | None, block: int = _BLOCK):
     """The resolved seed, and m uniform int64 draws in [0, bound) from it, in blocks.
 
     Bounded draws consume the stream in order, so the blocks join into
-    exactly the array that one ``rng.integers(0, bound, m)`` returns.
+    exactly the array that one ``rng.integers(0, bound, m)`` returns,
+    whatever the block size.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     seed = resolve_seed(seed)
     rng = make_generator(seed)
-    return seed, (rng.integers(0, bound, size=min(_BLOCK, m - start), dtype=np.int64) for start in range(0, m, _BLOCK))
+    return seed, (rng.integers(0, bound, size=min(block, m - start), dtype=np.int64) for start in range(0, m, block))
+
+
+def _locate(d: BvDistribution, keys: np.ndarray) -> None:
+    """Replace each of the sorted keys in [0, 4^n) by its outcome, in place.
+
+    The outcome of a key is ``np.searchsorted(d.cumulative(), key,
+    side="right")``. The spectrum's per-tile sums give each tile's slice of
+    the keys; each tile holding a key is squared and summed into one reused
+    int64 buffer, and its keys are looked up there, less the sums before it.
+    A tile of zero weight holds no key.
+    """
+    w = d.spectrum.w
+    tile = w.size // d._tile_ends.size
+    sums = np.empty(tile, np.int64)
+    start, before = 0, 0
+    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, d._tile_ends).tolist(), d._tile_ends.tolist())):
+        if stop > start:
+            sums[...] = w[t * tile:(t + 1) * tile]
+            np.cumsum(np.multiply(sums, sums, out=sums), out=sums)
+            part = keys[start:stop]
+            part -= before
+            part[...] = np.searchsorted(sums, part, side="right")
+            part += t * tile
+        start, before = stop, end
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
@@ -148,18 +185,20 @@ def bv_distribution(s: WalshSpectrum) -> BvDistribution:
 def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch:
     """m independent draws from d by exact inverse-CDF lookup.
 
-    Each draw maps a uniform integer in [0, 4^n) through the cumulative
-    integer weight table, so the sample law matches d exactly. Each block
-    of keys is looked up in sorted order and its outcomes are written
-    back in draw order, so the outcome stream is the same as an unsorted
-    ``searchsorted`` of all keys: 8 bytes per draw, in one m-sized array.
+    Each draw maps a uniform integer in [0, 4^n) through the running sums
+    of the integer weights, so the sample law matches d exactly. Each
+    block of keys is looked up in sorted order and its outcomes are
+    written back in draw order, so the outcome stream is the same as an
+    unsorted ``searchsorted`` of all keys: 8 bytes per draw, in one
+    m-sized array.
     """
-    seed, blocks = _blocks(d.denominator, m, seed)
-    cum = d.cumulative()
+    seed, blocks = _blocks(d.denominator, m, seed, _KEY_BLOCK)
     outcomes = np.empty(m, dtype=np.int64)
-    for start, keys in zip(range(0, m, _BLOCK), blocks):
+    for start, keys in zip(range(0, m, _KEY_BLOCK), blocks):
         order = np.argsort(keys)
-        outcomes[start:start + keys.size][order] = np.searchsorted(cum, keys[order], side="right")
+        ordered = keys[order]
+        _locate(d, ordered)
+        outcomes[start:start + keys.size][order] = ordered
     outcomes.flags.writeable = False
     return SampleBatch(d.n, outcomes, seed)
 
@@ -169,17 +208,17 @@ def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, .
 
     The counts are those of ``bv_sample(bv_distribution_of(f), m,
     seed).ones_counts()``. They do not depend on draw order, so each
-    block of keys is sorted in place and looked up as is, and no
-    m-sized array is ever held.
+    block of keys is sorted and located in place, and no m-sized array is
+    ever held.
     """
     d = bv_distribution_of(f)
-    cum = d.cumulative()
-    seed, blocks = _blocks(d.denominator, m, seed)
+    seed, blocks = _blocks(d.denominator, m, seed, _KEY_BLOCK)
 
     def outcomes():
         for keys in blocks:
             keys.sort()
-            yield np.searchsorted(cum, keys, side="right")
+            _locate(d, keys)
+            yield keys
 
     return _ones_counts(d.n, outcomes()), seed
 

@@ -65,11 +65,12 @@ def read_table(path: str) -> TruthTable:
         need = (size + 7) // 8
         if len(raw) - 1 != need:
             raise CliError(f"{path}: expected {need} payload bytes for n={n}, found {len(raw) - 1}")
-        packed = np.frombuffer(raw[1:], dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")
-        if bits[size:].any():
+        if raw[-1] >> (size % 8 or 8):
             raise CliError(f"{path}: nonzero padding bits after the {size} table bits")
-        return TruthTable(n, bits[:size])
+        # Fresh arrays handed over read-only, which TruthTable keeps instead of copying.
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8, offset=1), count=size, bitorder="little")
+        bits.flags.writeable = False
+        return TruthTable(n, bits)
 
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -91,6 +92,7 @@ def read_table(path: str) -> TruthTable:
     if trailing:
         raise CliError(f"{path}: unexpected content after the table line")
     bits = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - ord("0")
+    bits.flags.writeable = False
     return TruthTable(n, bits)
 
 

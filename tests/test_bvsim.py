@@ -23,7 +23,8 @@ from bvinfluence import (
     to_truth_table,
     walsh_spectrum,
 )
-from bvinfluence.bvsim import _BLOCK
+from bvinfluence import bvsim
+from bvinfluence.bvsim import _BLOCK, _KEY_BLOCK, _sampled_ones
 from bvinfluence.rng import make_generator
 from conftest import BENT24, PARITY24, corpus, lift
 
@@ -177,9 +178,9 @@ def test_ones_counts_bookkeeping(make_batch):
     assert batch.ones_counts() == naive
 
 
-# three blocks, the last one partial: a fault at a block boundary changes
-# draws that no single-block golden report covers
-PAST_TWO_BLOCKS = 2 * _BLOCK + 5
+# three sampler blocks, the last one partial: a fault at a block boundary
+# changes draws that no single-block golden report covers
+PAST_TWO_BLOCKS = 2 * _KEY_BLOCK + 5
 BLOCK_TABLES = pytest.mark.parametrize(
     "table",
     [random_function(12, seed=31), to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 16))],
@@ -203,6 +204,36 @@ def test_counting_path_matches_the_kept_sample(table):
     m = PAST_TWO_BLOCKS
     expected = bv_sample(bv_distribution_of(table), m, seed=23).ones_counts()
     assert algorithm1(table, m, seed=23).ones == expected
+
+
+WALK_TABLES = {
+    "random12": lambda: random_function(12, seed=31),
+    "random20": lambda: random_function(20, seed=32),
+    # all the weight in one 2^16 tile, at y = e1 + e20; every other tile is empty
+    "x1+x20": lambda: to_truth_table(from_anf("x1 + x20", 20)),
+    "constant20": lambda: to_truth_table(from_anf("1", 20)),
+    "bent24": lambda: to_truth_table(from_anf(BENT24, 24)),
+    "parity24": lambda: to_truth_table(from_anf(PARITY24, 24)),
+}
+
+
+@pytest.mark.parametrize("name", WALK_TABLES)
+def test_tiled_walk_matches_the_full_table(monkeypatch, name):
+    # The sampler locates keys tile by tile; keys on either side of every
+    # tile boundary, 0 and 4^n - 1 must land where a search of the whole
+    # table puts them, in bv_sample's draw order and in the counting path.
+    table = WALK_TABLES[name]()
+    d = bv_distribution_of(table)
+    cum = d.cumulative()
+    ends = d._tile_ends
+    keys = np.concatenate([[0, d.denominator - 1], ends - 1, ends, make_generator(7).integers(0, d.denominator, 1000)])
+    keys = make_generator(8).permutation(keys[(keys >= 0) & (keys < d.denominator)])
+    reference = np.searchsorted(cum, keys, side="right")
+    del cum
+    monkeypatch.setattr(bvsim, "_blocks", lambda bound, m, seed, block: (seed, iter([keys.copy()])))
+    assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)
+    naive = tuple(int(((reference >> pos) & 1).sum()) for pos in range(table.n))
+    assert _sampled_ones(table, keys.size, seed=1) == (naive, 1)
 
 
 def test_sampler_matches_exact_law_chisq():
@@ -289,6 +320,8 @@ def test_distribution_cached_on_the_table():
     assert np.array_equal(d.weights, walsh_spectrum(t).squares())
     assert np.array_equal(d.support(), np.flatnonzero(walsh_spectrum(t).w))
     assert d.spectrum is walsh_spectrum(t)
+    # the 2^n table is built on demand and never held
+    assert d.cumulative() is not d.cumulative()
 
 
 def test_dropped_table_frees_its_distribution():

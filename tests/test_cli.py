@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,21 @@ def test_table_file_round_trip(tmp_path):
     via_text = invoke_json(["influence", "--table", str(text_path)])
     via_bin = invoke_json(["influence", "--table", str(bin_path)])
     assert via_text["results"] == via_bin["results"]
+
+
+def test_binary_table_is_read_without_a_second_copy(tmp_path):
+    # 1/8 byte per entry of file, and the unpacked bits handed to the table
+    # as they are: a copy of the bits, or of the payload, would exceed 1.25
+    size = 1 << 20
+    path = tmp_path / "f.ttb"
+    write_table(random_function(20, seed=9), str(path))
+    tracemalloc.start()
+    try:
+        read_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size, f"peak {peak / size:.2f} bytes per entry"
 
 
 def test_table_file_error_reporting(tmp_path):

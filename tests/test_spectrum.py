@@ -351,10 +351,10 @@ def test_hand_built_spectrum_must_satisfy_parseval(n, count, value):
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
-    # Traced bytes per table entry at n=20. The int32 spectrum (4) plus one
-    # int64 array (8) leaves room only for 1-byte temporaries; a widened
-    # spectrum or a second int64 array alive at once exceeds 14. A warmed
-    # table keeps the spectrum and the cumulative table: 12.
+    # Traced bytes per table entry at n=20. The int32 spectrum is 4; beside
+    # it every exact job holds only tile-sized buffers, so one 2^n int64
+    # array (8), or a widened spectrum, exceeds 6. A warmed table keeps the
+    # spectrum and the distribution's per-tile sums: about 4.
     size = 1 << 20
     jobs = {
         "influence_vector": influence_vector,
@@ -370,16 +370,12 @@ def test_exact_jobs_stay_within_their_memory_budget():
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 14 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+        assert peak <= 6 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "influence_vector":
-            # the spectrum (4) and one tile of squares: no 2^n int64 array
+            # the spectrum (4) and one tile of squares
             assert peak <= 5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
-        if name in ("bv_distribution_of", "algorithm1"):
-            # the spectrum (4) and the cumulative table (8), built in place in
-            # the squares: no second 2^n array beside them, not even of bytes
-            assert peak <= 12.5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "bv_distribution_of":
-            assert retained <= 12.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
+            assert retained <= 4.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
 
 def test_transforms_cast_in_place():
@@ -424,6 +420,19 @@ def test_verify_identities_all_pass():
         assert all(c["passed"] for c in checks)
 
 
+@pytest.mark.parametrize("n", [5, 12, 13, 16, 20])
+def test_correlation_at_checked_gammas_matches_all_gammas(n):
+    # verify's kernel splits y at bit 12 above n = 12; gammas with only low,
+    # only high or all bits set, and seeded ones, must read the all-gamma C
+    t = random_function(n, seed=40 + n)
+    size = 1 << n
+    gammas = [0, size - 1, *(1 << b for b in range(n)), *(g << 12 for g in (1, 3, 5) if g << 12 < size)]
+    gammas += np.random.default_rng(n).integers(0, size, 16).tolist()
+    c = spectrum._correlation_at(walsh_spectrum(t), gammas)
+    assert c.tolist() == correlation_fast(t)[gammas].tolist()
+    assert c[0] == size
+
+
 @pytest.mark.parametrize("n", [10, 12, 13])
 def test_verify_transform_route_tests_the_function(monkeypatch, n):
     # C from another function's spectrum must not pass as f's, whether
@@ -442,14 +451,14 @@ def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch, n):
     # C(e_i) is read off the flip counts; one transform-route entry off
     # by 2 at a unit vector fails the check there
     t = corpus(1, ns=[n])[0]
-    real = spectrum.correlation_fast
+    real = spectrum._correlation_at
 
-    def corrupted(f):
-        c = real(f).copy()
-        c[1 << 4] += 2
+    def corrupted(s, gammas):
+        c = real(s, gammas).copy()
+        c[np.asarray(gammas) == 1 << 4] += 2
         return c
 
-    monkeypatch.setattr(spectrum, "correlation_fast", corrupted)
+    monkeypatch.setattr(spectrum, "_correlation_at", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
     assert checks["autocorrelation_transform"]["detail"] == (
