@@ -20,9 +20,9 @@ float64 every integer up to 2^53. The spectrum transforms the +-1 signs
 in float32 (the sum is 2^n <= 2^24) and is cast in place to the int32
 ``WalshSpectrum.w``. The autocorrelation transforms the squares in
 float64 (the sum is 4^n <= 2^48, Parseval) and is cast in place to the
-int64 array ``correlation_fast`` returns; the checked gammas' sums of
-signed squares are float64 products, bounded the same way. ``fwht`` runs in float64 and
-refuses inputs with max|v| * length > 2^53. Squares are int64; ``w * w``
+int64 array ``correlation_fast`` returns; ``verify_identities`` sums the
+same signed squares at its gammas in float64 products. ``fwht`` runs in
+float64 and refuses inputs with max|v| * length > 2^53. Squares are int64; ``w * w``
 wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
 """
 
@@ -47,10 +47,7 @@ _LOW_BITS = 12
 
 
 def _signs(count: int, cols: np.ndarray) -> np.ndarray:
-    """The float64 matrix (-1)^(a . cols[b]) for a < count; every value below 2^16.
-
-    The bits are anded in uint16, so the only 8-byte array is the result.
-    """
+    """The float64 matrix (-1)^(a . cols[b]) for a < count; values below 2^16 are anded in uint16."""
     parity = np.bitwise_count(np.arange(count, dtype=np.uint16)[:, None] & cols.astype(np.uint16)) & 1
     return np.where(parity, -1.0, 1.0)
 
@@ -183,7 +180,6 @@ class WalshSpectrum:
                 ones, totals[t] = _half_cube_masses(np.multiply(chunk, chunk, out=squares, dtype=np.int64))
                 low = [a + b for a, b in zip(low, ones)]
             tile_ends = np.cumsum(totals)
-            tile_ends.flags.writeable = False
             high, total = _half_cube_masses(totals)
             self._masses = tuple(low) + high, total, tile_ends
         return self._masses
@@ -361,23 +357,28 @@ def correlation_fast(f: TruthTable) -> np.ndarray:
     w = walsh_spectrum(f).w
     c = np.empty(w.size, np.int64)
     c[...] = _hadamard(np.multiply(w, w, out=c.view(np.float64), dtype=np.float64))
-    mask = (1 << f.n) - 1
-    if any((c[k:k + _TILE] & mask).any() for k in range(0, c.size, _TILE)):
-        raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
-    c >>= f.n
+    _divide_exactly(c, f.n)
     c.flags.writeable = False
     return c
 
 
+def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
+    """c / 2^n in place, checked tile by tile to be exact; returns c."""
+    if any((c[k:k + _TILE] & ((1 << n) - 1)).any() for k in range(0, c.size, _TILE)):
+        raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
+    c >>= n
+    return c
+
+
 def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
-    """C(gamma) for each of ``gammas``, by the transform route, as int64: 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y).
+    """C(gamma) at each of ``gammas`` by the transform route, 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y); int64.
 
     Up to n = 12 this is FWHT(W^2) of 32 KiB of squares. Above it, y splits
-    into its low 12 bits and the rest, and so does the sign. Each tile of
+    into its low 12 bits and the rest, and so does the sign: each tile of
     ``w`` rows is squared into one reused float64 buffer and multiplied by
-    the 2^12 x G low-bit sign matrix; the per-row sums are then folded with
+    the 2^12 x G low-bit sign matrix, and the per-row sums are folded with
     the high-bit signs. Every partial sum is a signed subset sum of squares,
-    so it is exact (module docstring). No 2^n array beyond ``w`` is made.
+    so it is exact (module docstring).
     """
     gammas = np.asarray(gammas, np.int64)
     if s.n <= _LOW_BITS:
@@ -385,19 +386,16 @@ def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
     else:
         low = 1 << _LOW_BITS
         rows = s.w.reshape(-1, low)
-        squares = np.empty((min(_TILE // low, rows.shape[0]), low))
+        k = min(_TILE // low, rows.shape[0])
+        squares = np.empty((k, low))
         low_signs = _signs(low, gammas & (low - 1))
         per_row = np.empty((rows.shape[0], gammas.size))
-        for r in range(0, rows.shape[0], squares.shape[0]):
-            chunk = rows[r:r + squares.shape[0]]
-            np.matmul(np.multiply(chunk, chunk, out=squares, dtype=np.float64), low_signs,
-                      out=per_row[r:r + squares.shape[0]])
+        for r in range(0, rows.shape[0], k):
+            np.matmul(np.multiply(rows[r:r + k], rows[r:r + k], out=squares, dtype=np.float64), low_signs,
+                      out=per_row[r:r + k])
         per_row *= _signs(rows.shape[0], gammas >> _LOW_BITS)
         sums = per_row.sum(axis=0)
-    c = sums.astype(np.int64)
-    if (c & ((1 << s.n) - 1)).any():
-        raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
-    return c >> s.n
+    return _divide_exactly(sums.astype(np.int64), s.n)
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
