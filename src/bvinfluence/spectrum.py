@@ -22,8 +22,8 @@ in float32 (the sum is 2^n <= 2^24) and is cast in place to the int32
 float64 (the sum is 4^n <= 2^48, Parseval) and is cast in place to the
 int64 array ``correlation_fast`` returns; ``verify_identities`` sums the
 same signed squares at its gammas in float64 products. ``fwht`` runs in
-float64 and refuses inputs with max|v| * length > 2^53. Squares are int64; ``w * w``
-wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
+float64 and refuses inputs with max|v| * length > 2^53. Squares are
+int64; ``w * w`` wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
 """
 
 from __future__ import annotations
