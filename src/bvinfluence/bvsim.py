@@ -41,10 +41,10 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Draws per block for the classical baseline and for counting a kept sample.
 _BLOCK = 1 << 18
 
-# Keys per sampler block. Each block costs one pass over the spectrum, and
-# the next block is drawn while the last is still referenced. Measured at
-# n=20, m=4*10^6 as CLI subprocesses on a 2-vCPU host: 2^18 ran 4-9%
-# slower than 2^19, and 2^20 was no faster and peaked 9 MiB (17%) higher.
+# Keys per sampler block; each block costs one pass over the spectrum.
+# Measured at n=20, m=4*10^6 as CLI subprocesses on a 2-vCPU host: 2^18
+# ran 4-9% slower than 2^19, and 2^20 was no faster and peaked 9 MiB
+# (17%) higher.
 _KEY_BLOCK = 1 << 19
 
 # _BYTE_BITS[v, k] is bit k of the byte value v.
