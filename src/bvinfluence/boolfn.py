@@ -328,7 +328,9 @@ def to_truth_table(f: Anf) -> TruthTable:
 def random_function(n: int, seed: int | None = None) -> TruthTable:
     """Uniformly random truth table; deterministic for a given seed."""
     _check_n(n)
-    rng = make_generator(resolve_seed(seed))
-    bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+    size = 1 << n
+    # a uint8 draw in [0, 2) is the top bit of the next raw byte (see rng)
+    raw = make_generator(resolve_seed(seed)).bit_generator.random_raw(-(-size // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
     bits.flags.writeable = False
     return TruthTable(n, bits)

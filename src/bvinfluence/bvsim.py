@@ -17,7 +17,11 @@ whole: a coarse table of per-tile sums finds each key's 2^16-entry tile,
 and each tile touched is squared and summed into one reused buffer (a
 two-level inverse CDF, after the guide tables of Chen and Asau, 1974).
 Draws come from one generator in blocks of ``_KEY_BLOCK``, and each block
-is sorted and looked up in one pass over the spectrum. Only
+is sorted and looked up in one pass over the spectrum. :func:`_blocks`
+reads the draws off the generator's raw words; for the power-of-two
+bounds used here that is identical to ``Generator.integers``
+(``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
+mapping). Only
 :func:`bv_sample` keeps them, in one int64 array of m entries; the
 estimators and learners read per-position one-counts, which the counting
 path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
@@ -135,18 +139,37 @@ def _ones_counts(n: int, blocks) -> tuple[int, ...]:
     return tuple(int(c) for c in (hist @ _BYTE_BITS).ravel()[:n])
 
 
-def _blocks(bound: int, m: int, seed: int | None, block: int = _BLOCK):
-    """The resolved seed, and m uniform int64 draws in [0, bound) from it, in blocks.
+def _blocks(bits: int, m: int, seed: int | None, block: int):
+    """The resolved seed, and m uniform int64 draws in [0, 2^bits) from it, in blocks.
 
-    Bounded draws consume the stream in order, so the blocks join into
-    exactly the array that one ``rng.integers(0, bound, m)`` returns,
-    whatever the block size.
+    Each draw is read off the generator's raw words, as :mod:`.rng`
+    describes, so the blocks join into exactly the array that one
+    ``rng.integers(0, 2**bits, m, dtype=np.int64)`` returns, whatever the
+    block size. The block size is even, so no block ends inside a raw
+    word. A block is valid only until the next one is drawn: at
+    ``bits <= 32`` every block is the same reused buffer.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
+    if block < 2 or block % 2 or not 0 < bits < 64:
+        raise ValueError(f"need an even block and 0 < bits < 64, got block={block}, bits={bits}")
     seed = resolve_seed(seed)
-    rng = make_generator(seed)
-    return seed, (rng.integers(0, bound, size=min(block, m - start), dtype=np.int64) for start in range(0, m, block))
+    return seed, _draws(make_generator(seed).bit_generator.random_raw, bits, m, block)
+
+
+def _draws(raw, bits: int, m: int, block: int):
+    """The blocks of :func:`_blocks`, from the raw-word source ``raw``."""
+    if bits > 32:  # the top bits of whole words, shifted in place
+        for start in range(0, m, block):
+            keys = raw(min(block, m - start))
+            keys >>= 64 - bits
+            yield keys.view(np.int64)
+        return
+    buf = np.empty(min(block, m), np.int64)  # the top bits of half-words, low half first
+    for start in range(0, m, block):
+        k = min(block, m - start)
+        halves = raw((k + 1) // 2).astype("<u8", copy=False).view("<u4")
+        yield np.right_shift(halves[:k], 32 - bits, out=buf[:k])
 
 
 def _locate(d: BvDistribution, keys: np.ndarray) -> None:
@@ -192,7 +215,7 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     unsorted ``searchsorted`` of all keys: 8 bytes per draw, in one
     m-sized array.
     """
-    seed, blocks = _blocks(d.denominator, m, seed, _KEY_BLOCK)
+    seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
     outcomes = np.empty(m, dtype=np.int64)
     for start, keys in zip(range(0, m, _KEY_BLOCK), blocks):
         order = np.argsort(keys)
@@ -212,7 +235,7 @@ def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, .
     ever held.
     """
     d = bv_distribution_of(f)
-    seed, blocks = _blocks(d.denominator, m, seed, _KEY_BLOCK)
+    seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
 
     def outcomes():
         for keys in blocks:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .boolfn import TruthTable, _check_index
-from .bvsim import _blocks, _sampled_ones
+from .bvsim import _BLOCK, _blocks, _sampled_ones
 
 
 class BlackBoxOracle:
@@ -165,12 +165,12 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
     """
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
-    seed, blocks = _blocks(1 << f.n, m, seed)
+    seed, blocks = _blocks(f.n, m, seed, _BLOCK)
     _check_index(i, f.n)
     evaluate = f.bits.take if isinstance(f, TruthTable) else f.evaluate_many
     changed = 0
     for xs in blocks:
         before = evaluate(xs)
-        xs ^= 1 << (i - 1)  # in place: a fresh block per flip is mapped and faulted in again
+        xs ^= 1 << (i - 1)  # in place, in the reused draw buffer
         changed += int(np.count_nonzero(before != evaluate(xs)))
     return ClassicalEstimate(i=i, m=m, seed=seed, q=Fraction(changed, m), oracle_calls=2 * m)

@@ -6,6 +6,21 @@ so a (function, parameters, seed) triple always reproduces the same
 output bit for bit, and independent calls never share stream state.
 When a caller passes ``seed=None`` we draw a fresh 128-bit entropy seed
 and hand it back, so the run is still reproducible after the fact.
+
+Every bound the samplers and random tables draw from is a power of two,
+2^b. For such a bound, Lemire's method, which ``Generator.integers`` uses, never
+rejects, so each draw is the top b bits of the next piece of the raw
+64-bit word stream (``bit_generator.random_raw``), read little-endian:
+
+* a whole word for int64 draws with b > 32;
+* a 32-bit half-word, low half first, for int64 draws with b <= 32;
+* a byte, low byte first, for uint8 draws.
+
+``bvsim._blocks`` and ``boolfn.random_function`` read their draws off
+the raw words this way, which is faster than ``integers`` and gives
+identical streams. ``test_raw_word_draws_match_integers`` and
+``test_random_function_matches_integers`` pin the equivalence; they fail
+first if numpy changes its bounded-integer algorithm.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from bvinfluence import (
     random_function,
     to_truth_table,
 )
+from bvinfluence.rng import make_generator
 
 
 def test_enc_is_lsb_first():
@@ -175,6 +176,17 @@ def test_random_function_deterministic():
 
 def test_random_function_shape():
     assert random_function(10, seed=0).bits.size == 1024
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+def test_random_function_matches_integers(n):
+    # the bits are read off raw bytes; they must be numpy's bounded uint8
+    # draws, or every seeded random table (and golden) would move
+    for seed in (0, 5):
+        expected = make_generator(seed).integers(0, 2, 1 << n, dtype=np.uint8)
+        bits = random_function(n, seed=seed).bits
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, expected)
 
 
 def test_random_function_mean_ones_fraction():

@@ -156,6 +156,25 @@ def test_sampler_rejects_bad_m():
         bv_sample(bv_distribution_of(AND2), 0)
 
 
+@pytest.mark.parametrize("bits", range(1, 49))
+def test_raw_word_draws_match_integers(bits):
+    # Draws are read off raw words; they must join into numpy's bounded
+    # draws. bits=32 is numpy's unbounded 32-bit branch (keys at n=16).
+    # Odd m and small even blocks end blocks on both halves of a word.
+    for m, block in ((1, 2), (7, 2), (1001, 6), (1000, 1 << 10)):
+        expected = make_generator(bits).integers(0, 2**bits, m, dtype=np.int64)
+        seed, blocks = bvsim._blocks(bits, m, bits, block)
+        assert seed == bits
+        assert np.array_equal(np.concatenate([b.copy() for b in blocks]), expected)
+
+
+@pytest.mark.parametrize("block, bits", [(3, 10), (1, 40), (0, 10), (4, 0), (4, 64)])
+def test_blocks_reject_odd_blocks_and_bad_widths(block, bits):
+    # an odd block would drop the high half of its last word mid-stream
+    with pytest.raises(ValueError):
+        bvsim._blocks(bits, 10, 1, block)
+
+
 def _near_the_top(n):
     """Seeded outcomes past one block, plus 0 and the values next to 2^n - 1."""
     top = (1 << n) - 1
@@ -230,7 +249,7 @@ def test_tiled_walk_matches_the_full_table(monkeypatch, name):
     keys = make_generator(8).permutation(keys[(keys >= 0) & (keys < d.denominator)])
     reference = np.searchsorted(cum, keys, side="right")
     del cum
-    monkeypatch.setattr(bvsim, "_blocks", lambda bound, m, seed, block: (seed, iter([keys.copy()])))
+    monkeypatch.setattr(bvsim, "_blocks", lambda bits, m, seed, block: (seed, iter([keys.copy()])))
     assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)
     naive = tuple(int(((reference >> pos) & 1).sum()) for pos in range(table.n))
     assert _sampled_ones(table, keys.size, seed=1) == (naive, 1)
