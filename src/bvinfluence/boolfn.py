@@ -9,10 +9,9 @@ Conventions used throughout the package:
 * Variables are 1-based: ``x1`` is bit 0 of the encoded integer.
 
 Values are immutable after construction and safe to share across
-threads. The caches filled lazily on a table (its spectrum and output
-distribution, and the spectrum's masses) are pure functions of the
-table, so fills that race may compute twice but can only store equal
-values.
+threads. The caches filled lazily on a table (its spectrum, and the
+spectrum's masses) are pure functions of the table, so fills that race
+may compute twice but can only store equal values.
 """
 
 from __future__ import annotations
@@ -96,12 +95,12 @@ class TruthTable:
     """Evaluation table of a Boolean function over all 2^n inputs.
 
     ``bits[k]`` holds f(x) for the assignment with ``enc(x) == k``.
-    The table's Walsh spectrum and output distribution are cached on it
-    on first use (``walsh_spectrum``, ``bv_distribution_of``) and live as
-    long as the table does.
+    The table's Walsh spectrum is cached on it on first use
+    (``walsh_spectrum``) and lives as long as the table does; the output
+    distribution is a view of it, built anew by ``bv_distribution_of``.
     """
 
-    __slots__ = ("n", "bits", "_spectrum", "_distribution")
+    __slots__ = ("n", "bits", "_spectrum")
 
     def __init__(self, n: int, bits):
         _check_n(n)
@@ -120,7 +119,6 @@ class TruthTable:
         super().__setattr__("n", n)
         super().__setattr__("bits", _frozen(arr, np.uint8))
         super().__setattr__("_spectrum", None)
-        super().__setattr__("_distribution", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruthTable is immutable")

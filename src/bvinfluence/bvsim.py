@@ -29,12 +29,11 @@ path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _frozen
+from .boolfn import TruthTable, _check_n, _frozen
 from .rng import make_generator, resolve_seed
 from .spectrum import WalshSpectrum, influence_by_spectrum, walsh_spectrum
 
@@ -58,10 +57,10 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
-    A view of ``spectrum``: weights, probabilities, marginals and support
-    are read off it. The sampler's coarse table is the running sums of
-    the spectrum's per-tile squares, one entry per 2^16 outcomes, which
-    the mass fold computes; no 2^n array is held beside the spectrum.
+    A view of ``spectrum``: probabilities and marginals are read off it.
+    The sampler's coarse table is the running sums of the spectrum's
+    per-tile squares, one entry per 2^16 outcomes, which the mass fold
+    computes and the spectrum caches; no 2^n array is held beside it.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
@@ -69,11 +68,6 @@ class BvDistribution:
         self.n = spectrum.n
         self.denominator = 1 << (2 * spectrum.n)
         self._tile_ends = spectrum._half_masses()[2]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The integer weights W(y)^2, as a new array."""
-        return self.spectrum.squares()
 
     def prob(self, y: int) -> Fraction:
         if not 0 <= y < 1 << self.n:
@@ -84,11 +78,8 @@ class BvDistribution:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
         return influence_by_spectrum(self.spectrum, i)
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.spectrum.w)
-
     def cumulative(self) -> np.ndarray:
-        """Read-only running sums of the weights, ending at 4^n, built anew on each call.
+        """Read-only running sums of the squares W(y)^2, ending at 4^n, built anew on each call.
 
         The sampler never builds this 2^n int64 table; it gives the same
         outcomes as ``np.searchsorted(cumulative(), keys, side="right")``.
@@ -110,7 +101,10 @@ class SampleBatch:
     """
 
     def __init__(self, n: int, outcomes, seed: int):
+        _check_n(n)
         arr = _frozen(outcomes, np.int64)
+        if arr.size and not (0 <= arr.min() and arr.max() < 1 << n):
+            raise ValueError(f"outcomes must lie in [0, 2^{n})")
         self.n = n
         self.m = int(arr.size)
         self.outcomes = arr
@@ -197,12 +191,8 @@ def _locate(d: BvDistribution, keys: np.ndarray) -> None:
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
-    """The distribution of s, shared while held; s refers to it weakly, or the two would form a cycle."""
-    d = s._distribution and s._distribution()
-    if d is None:
-        d = BvDistribution(s)
-        s._distribution = weakref.ref(d)
-    return d
+    """The distribution of s; O(1) once s has its masses, which it caches."""
+    return BvDistribution(s)
 
 
 def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch:
@@ -277,7 +267,5 @@ def statevector_bv(f: TruthTable) -> np.ndarray:
 
 
 def bv_distribution_of(f: TruthTable) -> BvDistribution:
-    """Spectrum + distribution in one call; the table holds both, so they are freed with it."""
-    d = bv_distribution(walsh_spectrum(f))
-    object.__setattr__(f, "_distribution", d)
-    return d
+    """The distribution of f's spectrum, which the table caches."""
+    return bv_distribution(walsh_spectrum(f))

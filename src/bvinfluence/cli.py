@@ -176,9 +176,8 @@ def _cmd_spectrum(args, table, source):
 
 
 def _cmd_bv_sample(args, table, source):
-    seed = resolve_seed(args.seed)
-    outcomes = bv_sample(bv_distribution_of(table), args.m, seed).outcomes.tolist()
-    params = dict(source, m=args.m, seed=seed)
+    outcomes = bv_sample(bv_distribution_of(table), args.m, args.seed).outcomes.tolist()
+    params = dict(source, m=args.m, seed=args.seed)
     results = {
         "outcomes": outcomes,
         "bits": [_bits_string(y, table.n) for y in outcomes],
@@ -187,9 +186,8 @@ def _cmd_bv_sample(args, table, source):
 
 
 def _cmd_estimate(args, table, source):
-    seed = resolve_seed(args.seed)
-    report = est.algorithm1(table, args.m, seed)
-    params = dict(source, m=args.m, seed=seed)
+    report = est.algorithm1(table, args.m, args.seed)
+    params = dict(source, m=args.m, seed=args.seed)
     results = {
         "estimates": [
             {"variable": i, "ones": report.ones[i - 1], "p": rational(report.p[i - 1])}
@@ -203,9 +201,8 @@ def _cmd_estimate(args, table, source):
 
 
 def _cmd_list_influential(args, table, source):
-    seed = resolve_seed(args.seed)
-    listing = est.influential_list(table, args.m, seed, c=args.c)
-    params = dict(source, m=args.m, seed=seed, c=args.c)
+    listing = est.influential_list(table, args.m, args.seed, c=args.c)
+    params = dict(source, m=args.m, seed=args.seed, c=args.c)
     results = {
         "variables": list(listing.variables),
         "guarantee": listing.guarantee,
@@ -233,28 +230,25 @@ def _learn_results(report):
 
 
 def _cmd_learn2(args, table, source):
-    seed = resolve_seed(args.seed)
-    report = ln.algorithm2(table, args.rho, seed)
-    params = dict(source, rho=args.rho, seed=seed)
+    report = ln.algorithm2(table, args.rho, args.seed)
+    params = dict(source, rho=args.rho, seed=args.seed)
     return params, _learn_results(report), 0
 
 
 def _cmd_learn3(args, table, source):
-    seed = resolve_seed(args.seed)
-    report = ln.algorithm3(table, args.lam, args.epsilon, seed)
-    params = dict(source, **{"lambda": args.lam}, epsilon=rational(args.epsilon), seed=seed)
+    report = ln.algorithm3(table, args.lam, args.epsilon, args.seed)
+    params = dict(source, **{"lambda": args.lam}, epsilon=rational(args.epsilon), seed=args.seed)
     return params, _learn_results(report), 0
 
 
 def _cmd_classical(args, table, source):
-    seed = resolve_seed(args.seed)
     if args.i is not None:
         _check_index(args.i, table.n)
     indices = [args.i] if args.i is not None else list(range(1, table.n + 1))
     # Variable i draws from child i-1 of the run seed, so --i replays it.
-    seeds = spawn_seeds(seed, table.n)
+    seeds = spawn_seeds(args.seed, table.n)
     estimates = [est.classical_estimate(table, i, args.m, seeds[i - 1]) for i in indices]
-    params = dict(source, m=args.m, seed=seed)
+    params = dict(source, m=args.m, seed=args.seed)
     if args.i is not None:
         params["i"] = args.i
     results = {
@@ -419,8 +413,10 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         _check_count_memory(args)
         table, source = _resolve_function(args)
+        if "seed" in args:
+            args.seed = resolve_seed(args.seed)
         params, results, code = _HANDLERS[args.command](args, table, source)
-        # The table holds its cached spectrum and distribution; free them before rendering.
+        # The table holds its cached spectrum; free it before rendering.
         del table
     except (ValueError, OSError) as exc:
         print(f"bvinfluence: error: {exc}", file=err)

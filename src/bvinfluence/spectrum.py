@@ -154,8 +154,6 @@ class WalshSpectrum:
         self.n = n
         self.w = _frozen(arr, np.int32)
         self._masses = None
-        # A weak reference, filled by bvsim.bv_distribution: the distribution refers to the spectrum.
-        self._distribution = None
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""

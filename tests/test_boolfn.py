@@ -150,15 +150,14 @@ def test_truth_table_immutable():
 
 
 def test_truth_table_spectrum_cache_is_invisible():
-    # equality, immutability and repr ignore the lazily filled spectrum and
-    # distribution slots
+    # equality, immutability and repr ignore the lazily filled spectrum slot
     warm = to_truth_table(from_anf("x1 + x2*x3", 3))
     cold = to_truth_table(from_anf("x1 + x2*x3", 3))
     before = repr(warm)
     bv_distribution_of(warm)
     assert warm == cold and cold == warm
     assert repr(warm) == repr(cold) == before
-    for name in ("n", "bits", "_spectrum", "_distribution", "other"):
+    for name in ("n", "bits", "_spectrum", "other"):
         with pytest.raises(AttributeError):
             setattr(warm, name, None)
     with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ def test_distribution_closed_forms_at_the_cap(anf):
     marginals = {d.marginal_one(i) for i in range(1, n + 1)}
     if anf == "1":
         assert cum[0] == 1 << 48
-        assert d.support().tolist() == [0]
+        assert np.flatnonzero(d.spectrum.w).tolist() == [0]
         assert np.all(bv_sample(d, 1000, seed=24).outcomes == 0)
         assert marginals == {0}
     elif anf == BENT24:
@@ -262,7 +262,7 @@ def test_sampler_matches_exact_law_chisq():
     for t in corpus(6, ns=range(1, 7), master_seed=0xC1D):
         d = bv_distribution_of(t)
         batch = bv_sample(d, m, seed=t.n)
-        support = d.support()
+        support = np.flatnonzero(d.spectrum.w)
         observed = np.bincount(batch.outcomes, minlength=1 << t.n)[support]
         assert observed.sum() == m
         if support.size < 2:  # point mass: chi-squared is degenerate
@@ -310,6 +310,13 @@ def test_distribution_rejects_bad_weights():
         SampleBatch(2, [1.7, 3.2], seed=0)
 
 
+@pytest.mark.parametrize("n, outcomes", [(2, [5]), (2, [-1]), (2, [4]), (2, [0, 3, 4]), (0, [0])])
+def test_sample_batch_rejects_outcomes_outside_the_cube(n, outcomes):
+    # ones_counts reads only the low n bits: [5, 4] at n=2 would count (1, 0)
+    with pytest.raises(ValueError):
+        SampleBatch(n, outcomes, seed=0)
+
+
 def test_arrays_handed_to_results_are_not_shared():
     w = np.array([2, 2, 2, -2])
     d = BvDistribution(WalshSpectrum(2, w))
@@ -317,8 +324,8 @@ def test_arrays_handed_to_results_are_not_shared():
     batch = SampleBatch(2, outcomes, seed=1)
     w[0] = 0
     outcomes[0] = 0
-    d.weights[0] = 0
-    assert d.weights.tolist() == [4, 4, 4, 4]
+    d.spectrum.squares()[0] = 0
+    assert d.spectrum.squares().tolist() == [4, 4, 4, 4]
     assert [d.prob(y) for y in range(4)] == [Fraction(1, 4)] * 4
     assert batch.outcomes.tolist() == [3, 1, 0]
     assert batch.ones_counts() == (2, 1)
@@ -329,16 +336,13 @@ def test_arrays_handed_to_results_are_not_shared():
 
 
 def test_distribution_cached_on_the_table():
+    # a distribution is a view: each call builds a new one over the same
+    # cached spectrum and per-tile sums, so nothing is computed twice
     t = random_function(6, seed=8)
-    # the table holds it, so callers that drop it, as the estimators do, reuse it
-    held = weakref.ref(bv_distribution_of(t))
     d = bv_distribution_of(t)
-    assert held() is d
-    assert bv_distribution_of(t) is d
-    assert bv_distribution(walsh_spectrum(t)) is d
-    assert np.array_equal(d.weights, walsh_spectrum(t).squares())
-    assert np.array_equal(d.support(), np.flatnonzero(walsh_spectrum(t).w))
-    assert d.spectrum is walsh_spectrum(t)
+    for other in (bv_distribution_of(t), bv_distribution(walsh_spectrum(t))):
+        assert other.spectrum is d.spectrum is walsh_spectrum(t)
+        assert other._tile_ends is d._tile_ends
     # the 2^n table is built on demand and never held
     assert d.cumulative() is not d.cumulative()
 

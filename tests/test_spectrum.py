@@ -14,6 +14,8 @@ from bvinfluence import (
     TruthTable,
     WalshSpectrum,
     algorithm1,
+    algorithm2,
+    algorithm3,
     bv_distribution_of,
     correlation_fast,
     from_anf,
@@ -308,8 +310,11 @@ def test_transform_runs_once_per_table(monkeypatch):
     assert walsh_spectrum(t) is s
     first = influence_vector(t)
     for seed in range(3):
+        bv_distribution_of(t)
         algorithm1(t, 50, seed)
         influential_list(t, 50, seed)
+        algorithm2(t, 5, seed)
+        algorithm3(t, 50, Fraction(1, 10), seed)
     assert influence_vector(t) == first
     assert calls == [np.float32]
     # verify reuses the cached spectrum; its one transform is the
