@@ -59,15 +59,15 @@ class BvDistribution:
 
     A view of ``spectrum``: probabilities and marginals are read off it.
     The sampler's coarse table is the running sums of the spectrum's
-    per-tile squares, one entry per 2^16 outcomes, which the mass fold
-    computes and the spectrum caches; no 2^n array is held beside it.
+    per-tile squares, one entry per 2^16 outcomes, which the spectrum
+    takes with its masses and keeps; no 2^n array is held beside it.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
         self.spectrum = spectrum
         self.n = spectrum.n
         self.denominator = 1 << (2 * spectrum.n)
-        self._tile_ends = spectrum._half_masses()[2]
+        self._tile_ends = spectrum._tile_ends
 
     def prob(self, y: int) -> Fraction:
         if not 0 <= y < 1 << self.n:

@@ -12,22 +12,24 @@ Walsh coefficients are kept in their integer form
 power-of-two denominators and are only converted to floats at the
 reporting boundary.
 
-The transform runs as float matrix products, and it is exact. Every
-intermediate value, and every partial sum inside a product, is a signed
-sum of a subset of the inputs, so its magnitude is at most the sum of
-the inputs' magnitudes. float32 holds every integer up to 2^24 and
-float64 every integer up to 2^53. The spectrum transforms the +-1 signs
-in float32 (the sum is 2^n <= 2^24) and is cast in place to the int32
-``WalshSpectrum.w``. The autocorrelation transforms the squares in
-float64 (the sum is 4^n <= 2^48, Parseval) and is cast in place to the
-int64 array ``correlation_fast`` returns; ``verify_identities`` sums the
-same signed squares at its gammas in float64 products. ``fwht`` runs in
+The transform runs as float matrix products in two sweeps over the
+array, and it is exact. Every intermediate value, and every partial sum
+inside a product, is a signed sum of a subset of the inputs, so its
+magnitude is at most the sum of the inputs' magnitudes. float32 holds
+every integer up to 2^24 and float64 every integer up to 2^53. The
+spectrum transforms the +-1 signs in float32 (the sum is 2^n <= 2^24),
+casts each chunk back to the int32 ``WalshSpectrum.w`` and sums its
+squares in float64 for the masses (the sum is 4^n <= 2^48, Parseval).
+The autocorrelation transforms the squares in float64 into the int64
+array ``correlation_fast`` returns; ``verify_identities`` sums the same
+signed squares at its gammas in float64 products. ``fwht`` runs in
 float64 and refuses inputs with max|v| * length > 2^53. Squares are
 int64; ``w * w`` wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -35,12 +37,13 @@ import numpy as np
 from .boolfn import TruthTable, _check_index, _frozen
 from .rng import make_generator
 
-# Entries per cache tile: 256 KiB of float32 or 512 KiB of float64, which
-# stays in a 2 MiB per-core L2 while every mode inside the tile passes
-# over it. Measured at n=24 on a 2-core Xeon (2 MiB L2 per core, 105 MiB
-# L3), one BLAS thread, against a tiled in-place integer butterfly:
-# walsh_spectrum 0.6 s -> 0.19 s, correlation_fast 1.1 s -> 0.4 s.
+# Entries per tile (L2 is 2 MiB per core) and per column chunk, at least
+# _BLOCK wide; products go in pieces of _BLOCK rows or columns, in L1. At
+# n=24, one BLAS thread, 2-core Xeon: a 4096 x 16 product took 53 us, 16
+# of 256 x 16 30 us; chunks 128 wide made the transform 20 ms slower.
 _TILE = 1 << 16
+_CHUNK = 1 << 15
+_BLOCK = 256
 
 # Index bits of y below the split in _correlation_at.
 _LOW_BITS = 12
@@ -56,36 +59,82 @@ def _signs(count: int, cols: np.ndarray) -> np.ndarray:
 _H16 = _signs(16, np.arange(16))
 
 
-def _hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a float32 or float64 buffer, in place; returns it.
+def _grid(size: int) -> tuple[int, int, int]:
+    """(rows, tile, width) of a 2^n array's grid and its column chunks."""
+    tile = min(_TILE, size)
+    rows = size // tile
+    return rows, tile, min(tile, max(_BLOCK, _CHUNK // rows))
 
-    H_{2^n} is a Kronecker power of H_16, so the transform multiplies by
-    H_16 along each 4-bit mode of the index (by H_r for a last mode of
-    fewer bits). The modes inside a tile run tile by tile, in cache; the
-    higher ones run on column chunks of one tile each. The caller checks
-    the length and that the dtype holds the result (module docstring).
+
+def _modes(h16: np.ndarray, src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
+    """src times H_16 (H_r for a shorter last digit) along each index digit of place value below..stop.
+
+    Each product goes into the next of ``bufs`` in turn: rows times H_r at
+    the lowest digit, H_r times slabs above it. Returns the array holding
+    the result, ``src`` itself if no digit is in range.
     """
-    h16 = _H16.astype(values.dtype)
-    tile = min(_TILE, values.size)
-    for start in range(0, values.size, tile):
-        _modes(values[start:start + tile], 1, h16)
-    _modes(values, tile, h16)
-    return values
-
-
-def _modes(values: np.ndarray, below: int, h16: np.ndarray) -> None:
-    """Multiply by H_r along each mode of up to 4 index bits, from bit log2(below) up."""
-    while below < values.size:
-        r = min(16, values.size // below)
+    for dst in itertools.cycle(bufs):
+        if below >= stop:
+            return src
+        r = min(16, stop // below)
         if below == 1:
-            rows = values.reshape(-1, r)
-            rows[...] = rows @ h16[:r, :r]
+            k = min(_BLOCK, src.size // r)
+            np.matmul(src.reshape(-1, k, r), h16[:r, :r], out=dst.reshape(-1, k, r))
         else:
-            view = values.reshape(-1, r, below)
-            width = max(1, below * _TILE // values.size)
-            for c in range(0, below, width):
-                view[:, :, c:c + width] = np.matmul(h16[:r, :r], view[:, :, c:c + width])
-        below *= r
+            k = min(_BLOCK, below)
+            np.matmul(h16[:r, :r], src.reshape(-1, r, below // k, k).swapaxes(1, 2),
+                      out=dst.reshape(-1, r, below // k, k).swapaxes(1, 2))
+        src, below = dst, below * r
+
+
+def _hadamard(out: np.ndarray, load):
+    """Walsh-Hadamard transform into the int32 or int64 ``out``, run in its float view (module docstring).
+
+    H_{2^n} is a Kronecker power of H_16. Sweep 1, per 2^16-entry tile:
+    ``load(tile, start)`` writes the input from ``start`` on into the tile,
+    and the index digits inside it run in cache. Sweep 2, per column chunk
+    of the (rows x tile) grid: the higher digits run in two chunk buffers,
+    and the result is cast back into ``out``. This generator yields each
+    finished chunk of ``out``; the transform is done when it is exhausted.
+    """
+    values = out.view(f"f{out.itemsize}")
+    h16 = _H16.astype(values.dtype)
+    rows, tile, width = _grid(out.size)
+    buf = np.empty(max(tile, 2 * rows * width), values.dtype)
+    for start in range(0, out.size, tile):
+        x = values[start:start + tile]
+        load(x, start)
+        if (done := _modes(h16, x, (buf[:tile], x), 1, tile)) is not x:
+            x[...] = done
+    pair = buf[:2 * rows * width].reshape(2, rows, width)
+    shape = (rows, tile) if rows > 1 else (tile,)  # one row casts back in place in 1-D, with no temporary
+    grid, float_grid = out.reshape(shape), values.reshape(shape)
+    for c in range(0, tile, width):
+        grid[..., c:c + width] = _modes(h16, float_grid[..., c:c + width], pair, width, rows * width)
+        yield grid[..., c:c + width]
+
+
+def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """Half-cube masses, total and per-tile running sums of the squares of a 2^n array's column chunks.
+
+    Each chunk is squared into one float64 buffer; products with ones sum
+    it down and along its _BLOCK-entry segments, for the masses on the bits
+    inside a segment and above it. Every sum is of non-negative integers no
+    larger than the total: exact up to 2^53, and 2^53 or more above it.
+    """
+    rows, tile, width = _grid(size)
+    q = min(_BLOCK, width)
+    squares = np.empty((rows, width))
+    segments = squares.reshape(-1, q)
+    per_offset, per_segment = np.zeros(q), np.empty((rows, tile // q))
+    ones_down, ones_along = np.ones(segments.shape[0]), np.ones(q)
+    for k, chunk in enumerate(chunks):
+        squares[...] = chunk
+        squares *= squares
+        per_offset += ones_down @ segments
+        per_segment[:, k * width // q:(k + 1) * width // q] = (segments @ ones_along).reshape(rows, -1)
+    high, total = _half_cube_masses(per_segment.ravel())
+    return _half_cube_masses(per_offset)[0] + high, total, np.cumsum(per_segment.sum(axis=1).astype(np.int64))
 
 
 def fwht(values) -> np.ndarray:
@@ -105,36 +154,25 @@ def fwht(values) -> np.ndarray:
     if max(-int(arr.min()), int(arr.max())) * size > 1 << 53:
         raise ValueError("fwht needs max|v| * length <= 2^53 for an exact float64 transform")
     out = np.empty(size, np.int64)
-    floats = out.view(np.float64)
-    floats[...] = arr.reshape(-1)
-    out[...] = _hadamard(floats)
+    for _ in _hadamard(out, lambda tile, start: np.copyto(tile, arr.reshape(-1)[start:start + tile.size])):
+        pass
     return out.reshape(arr.shape)
 
 
 def _half_cube_masses(weights: np.ndarray) -> tuple[tuple[int, ...], int]:
-    """Every half-cube mass sum_{y_i = 1} weights[y], i = 1..n, and the total.
-
-    One halving fold in O(2^n): the top half of the current array is the
-    mass with the highest remaining bit set, and adding the halves sums
-    that bit out. The fold runs in place, so ``weights`` is consumed.
-    """
-    ones = []
-    s = weights
-    while s.size > 1:
-        h = s.size // 2
-        ones.append(int(s[h:].sum()))
-        s[:h] += s[h:]
-        s = s[:h]
-    return tuple(reversed(ones)), int(s[0])
+    """Every half-cube mass sum_{y_i = 1} weights[y], i = 1..n, and the total."""
+    halves = (weights.reshape(-1, 2, 1 << b)[:, 1] for b in range(weights.size.bit_length() - 1))
+    return tuple(int(h.sum()) for h in halves), int(weights.sum())
 
 
 class WalshSpectrum:
     """Integer Walsh coefficients W(y) for all 2^n values of y, in enc order.
 
     ``w`` is a read-only int32 array; ``w * w`` wraps for n >= 16, so
-    square it with :meth:`squares`. The half-cube masses of the squared
-    spectrum are computed once, on first use; the squares themselves are
-    not kept. A hand-built spectrum must satisfy Parseval: sum W^2 = 4^n.
+    square it with :meth:`squares`. The masses of the squares are taken as
+    the spectrum is made, by :func:`_square_sums`: in the transform's second
+    sweep, or over the ``w`` of a hand-built spectrum, which must hold
+    integers in [-2^n, 2^n] and satisfy Parseval: sum W^2 = 4^n.
     """
 
     def __init__(self, n: int, w):
@@ -142,53 +180,27 @@ class WalshSpectrum:
         if arr.size != (1 << n):
             raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
         # Checked on the input's own dtype: the int32 cast would read 2^33 and 0.5 as 0.
-        # walsh_spectrum's owned read-only buffer is in range and skips the pass.
-        if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
-            if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
-                raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
-            # Summed in float64, as an int64 sum can wrap onto 4^n. Squares are <= 2^48 and
-            # partial sums only grow, so a sum of 4^n is exact and no other sum rounds onto it.
-            floats = arr.astype(np.float64).ravel()
-            if np.dot(floats, floats) != 1 << (2 * n):
-                raise ValueError(f"Walsh coefficients for n={n} must satisfy Parseval: sum W^2 = 4^{n}")
-        self.n = n
-        self.w = _frozen(arr, np.int32)
-        self._masses = None
+        if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
+            raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
+        w = _frozen(arr, np.int32)
+        rows, tile, width = _grid(w.size)
+        masses = _square_sums((w.reshape(rows, tile)[:, c:c + width] for c in range(0, tile, width)), w.size)
+        # Squares are <= 2^48 here, so a sum of 4^n is exact and no other sum comes out as 4^n.
+        if masses[1] != 1 << (2 * n):
+            raise ValueError(f"Walsh coefficients for n={n} must satisfy Parseval: sum W^2 = 4^{n}")
+        self.n, self.w, (self._ones, self._total, self._tile_ends) = n, w, masses
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""
         return np.multiply(self.w, self.w, dtype=np.int64)
 
-    def _half_masses(self) -> tuple[tuple[int, ...], int, np.ndarray]:
-        """Cached :func:`_half_cube_masses` of the squares, folded one tile at a time.
-
-        Each tile of ``w`` is squared into one reused int64 buffer whose fold
-        gives the masses on the tile's low bits; the per-tile totals are then
-        folded for the bits above. Their running sums come third: entry t is
-        the sum of the squares up to the end of tile t, the sampler's coarse
-        table.
-        """
-        if self._masses is None:
-            tile = min(_TILE, self.w.size)
-            squares = np.empty(tile, np.int64)
-            totals = np.empty(self.w.size // tile, np.int64)
-            low = [0] * (tile.bit_length() - 1)
-            for t in range(totals.size):
-                chunk = self.w[t * tile:(t + 1) * tile]
-                ones, totals[t] = _half_cube_masses(np.multiply(chunk, chunk, out=squares, dtype=np.int64))
-                low = [a + b for a, b in zip(low, ones)]
-            tile_ends = np.cumsum(totals)
-            high, total = _half_cube_masses(totals)
-            self._masses = tuple(low) + high, total, tile_ends
-        return self._masses
-
     def square_sum(self) -> int:
-        return self._half_masses()[1]
+        return self._total
 
     def ones_square_sum(self, i: int) -> int:
         """Sum of W(y)^2 over y with y_i = 1."""
         _check_index(i, self.n)
-        return self._half_masses()[0][i - 1]
+        return self._ones[i - 1]
 
     def __eq__(self, other):
         if not isinstance(other, WalshSpectrum):
@@ -209,11 +221,13 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
         raise TypeError(f"need a TruthTable (tabulate an Anf with to_truth_table), got {type(f).__name__}")
     if f._spectrum is None:
         w = np.empty(f.bits.size, np.int32)
-        signs = np.multiply(f.bits, np.float32(-2), out=w.view(np.float32))
-        signs += 1
-        w[...] = _hadamard(signs)
+        # the transform of the signs 1 - 2 f(x), built tile by tile
+        chunks = _hadamard(w, lambda tile, i: np.subtract(np.float32(1), 2 * f.bits[i:i + tile.size], out=tile))
+        masses = _square_sums(chunks, w.size)
         w.flags.writeable = False
-        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, w))
+        s = WalshSpectrum.__new__(WalshSpectrum)  # unchecked: w is this transform's own, read-only
+        s.n, s.w, (s._ones, s._total, s._tile_ends) = f.n, w, masses
+        object.__setattr__(f, "_spectrum", s)
     return f._spectrum
 
 
@@ -348,14 +362,15 @@ def influence_vector(f: TruthTable) -> InfluenceVector:
 def correlation_fast(f: TruthTable) -> np.ndarray:
     """Autocorrelation C(gamma) = sum_x (-1)^(f(x) + f(x xor gamma)), all gamma, read-only int64.
 
-    Transform route, C = FWHT(W^2) / 2^n, O(n 2^n): W^2 goes into the float64 view of the
-    result, is transformed there and cast back in place; divisibility by 2^n is checked
+    Transform route, C = FWHT(W^2) / 2^n, O(n 2^n): the squares go tile by
+    tile into the float64 view of the result; divisibility by 2^n is checked
     block by block.
     """
     w = walsh_spectrum(f).w
     c = np.empty(w.size, np.int64)
-    c[...] = _hadamard(np.multiply(w, w, out=c.view(np.float64), dtype=np.float64))
-    _divide_exactly(c, f.n)
+    for _ in _hadamard(c, lambda tile, start: np.square(w[start:start + tile.size], out=tile, dtype=np.float64)):
+        pass
+    c = _divide_exactly(c, f.n)
     c.flags.writeable = False
     return c
 
@@ -380,7 +395,7 @@ def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
     """
     gammas = np.asarray(gammas, np.int64)
     if s.n <= _LOW_BITS:
-        sums = _hadamard(np.multiply(s.w, s.w, dtype=np.float64))[gammas]
+        sums = fwht(s.squares())[gammas]
     else:
         low = 1 << _LOW_BITS
         rows = s.w.reshape(-1, low)

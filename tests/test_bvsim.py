@@ -347,16 +347,24 @@ def test_distribution_cached_on_the_table():
     assert d.cumulative() is not d.cumulative()
 
 
-def test_dropped_table_frees_its_distribution():
-    # The distribution refers to its spectrum, so the spectrum must not refer
-    # back strongly: a cycle would hold the 12 bytes per entry past the table
-    # until the garbage collector next ran.
-    t = random_function(6, seed=8)
-    d = weakref.ref(bv_distribution_of(t))
-    s = weakref.ref(walsh_spectrum(t))
+def test_dropped_table_or_distribution_frees_the_spectrum():
+    # The table is the spectrum's only owner, so with the garbage collector
+    # off a dropped table frees it at once: nothing may hold it in a cycle.
+    # A distribution is a view that holds the spectrum: while one is held
+    # the spectrum lives on past its table, and dropping it frees the
+    # spectrum too.
     gc.disable()
     try:
+        t = random_function(6, seed=8)
+        s = weakref.ref(walsh_spectrum(t))
         del t
-        assert d() is None and s() is None
+        assert s() is None
+        t = random_function(6, seed=8)
+        d = bv_distribution_of(t)
+        s = weakref.ref(walsh_spectrum(t))
+        del t
+        assert s() is d.spectrum
+        del d
+        assert s() is None
     finally:
         gc.enable()

@@ -6,6 +6,7 @@ the package's transform routes must agree with them bit for bit.
 
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -262,19 +263,25 @@ def test_int32_transform_at_the_cap(anf):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_hadamard_kernel_matches_naive_summation(dtype):
-    # Every n from 1 to 20 crosses the 4-bit modes, the n mod 4 remainder
-    # and the 2^16-entry tile. The kernel is linear, and rank-one inputs
-    # a (x) b span every input, so random ones test all of it: the
-    # transform of a (x) b is (H a) (x) (H b), each factor summed naively.
+    # Every n from 1 to 20 crosses the 4-bit modes, the n mod 4 remainder,
+    # the 2^16-entry tile and the column chunks of the second sweep. The
+    # kernel is linear, and rank-one inputs a (x) b span every input, so
+    # random ones test all of it: the transform of a (x) b is
+    # (H a) (x) (H b), each factor summed naively. It runs in the float
+    # view of an integer result of the same width, and yields each column
+    # chunk of that result once it is cast back.
     rng = np.random.default_rng(8)
     for n in range(1, 21):
         high, low = (n + 1) // 2, n // 2
         a = rng.integers(-3, 4, 1 << high)
         b = rng.integers(-3, 4, 1 << low)
-        values = np.outer(a, b).ravel().astype(dtype)
+        values = np.outer(a, b).ravel()
         expected = np.outer(parity_signs(high) @ a, parity_signs(low) @ b).ravel()
-        assert spectrum._hadamard(values) is values
-        assert np.array_equal(values, expected), f"n={n}"
+        out = np.empty(values.size, f"i{np.dtype(dtype).itemsize}")
+        chunks = [c.copy() for c in spectrum._hadamard(out, lambda tile, s: np.copyto(tile, values[s:s + tile.size]))]
+        assert np.array_equal(out, expected), f"n={n}"
+        rows, tile, width = spectrum._grid(out.size)
+        assert np.array_equal(np.hstack(chunks).reshape(rows, tile), out.reshape(rows, tile)), f"n={n}"
 
 
 @pytest.mark.parametrize("anf", ["1", PARITY24, BENT24], ids=["constant1", "parity24", "bent24"])
@@ -300,9 +307,9 @@ def test_transform_runs_once_per_table(monkeypatch):
     calls = []
     kernel = spectrum._hadamard
 
-    def counted(values):
-        calls.append(values.dtype)
-        return kernel(values)
+    def counted(out, load):
+        calls.append(out.dtype)
+        return kernel(out, load)
 
     monkeypatch.setattr(spectrum, "_hadamard", counted)
     t = random_function(9, seed=5)
@@ -316,11 +323,11 @@ def test_transform_runs_once_per_table(monkeypatch):
         algorithm2(t, 5, seed)
         algorithm3(t, 50, Fraction(1, 10), seed)
     assert influence_vector(t) == first
-    assert calls == [np.float32]
+    assert calls == [np.int32]
     # verify reuses the cached spectrum; its one transform is the
     # autocorrelation check's
     verify_identities(t)
-    assert calls == [np.float32, np.float64]
+    assert calls == [np.int32, np.int64]
 
 
 def test_arrays_handed_to_results_are_not_shared():
@@ -353,6 +360,53 @@ def test_hand_built_spectrum_must_satisfy_parseval(n, count, value):
     w[:count] = value
     with pytest.raises(ValueError, match="Parseval"):
         WalshSpectrum(n, w)
+
+
+def test_read_only_int32_spectrum_is_checked_too():
+    # A read-only int32 array that owns its data used to skip both checks,
+    # as walsh_spectrum's own buffer did: [5, 3, 0, 0] was taken, with
+    # square_sum() == 34 and an influence of 9/16. walsh_spectrum now makes
+    # its spectrum by a private path, and the constructor always checks.
+    for values, match in (([5, 3, 0, 0], r"\[-2\^2, 2\^2\]"), ([2, 2, 2, 0], "Parseval")):
+        w = np.array(values, np.int32)
+        w.flags.writeable = False
+        assert w.flags.owndata
+        with pytest.raises(ValueError, match=match):
+            WalshSpectrum(2, w)
+    w = np.array([2, 2, 2, -2], np.int32)
+    w.flags.writeable = False
+    s = WalshSpectrum(2, w)
+    assert s.w is w
+    assert s.square_sum() == 16 and influence_by_spectrum(s, 1) == Fraction(1, 2)
+
+
+FUSED_TABLES = {
+    **{f"random{n}": partial(random_function, n, n) for n in (1, 3, 5, 12, 16, 17, 18, 21)},
+    "parity24": lambda: to_truth_table(from_anf(PARITY24, 24)),
+    "bent24": lambda: to_truth_table(from_anf(BENT24, 24)),
+    "constant24": lambda: to_truth_table(from_anf("1", 24)),
+}
+
+
+@pytest.mark.parametrize("name", FUSED_TABLES)
+def test_fused_masses_match_the_squares(name):
+    # The transform's second sweep squares and sums each chunk on its way
+    # out: its masses, total and per-tile running sums must equal those of
+    # the squares, and so must the same square-sum code run over a
+    # hand-built copy. The sizes cover one row (n <= 16), a last mode of
+    # fewer than 4 bits, and at n=24 a single square of 2^48.
+    t = FUSED_TABLES[name]()
+    s = walsh_spectrum(t)
+    squares = s.squares()
+    ones, total = spectrum._half_cube_masses(squares)
+    tile_ends = np.cumsum(squares.reshape(-1, min(1 << 16, squares.size)).sum(axis=1))
+    del squares
+    assert total == 1 << (2 * t.n)
+    for built in (s, WalshSpectrum(t.n, np.array(s.w))):
+        assert [built.ones_square_sum(i) for i in range(1, t.n + 1)] == list(ones)
+        assert built.square_sum() == total
+        assert built._tile_ends.dtype == np.int64
+        assert np.array_equal(built._tile_ends, tile_ends)
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
