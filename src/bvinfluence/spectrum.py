@@ -29,7 +29,6 @@ int64; ``w * w`` wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -55,8 +54,8 @@ def _signs(count: int, cols: np.ndarray) -> np.ndarray:
     return np.where(parity, -1.0, 1.0)
 
 
-# H_16[a, b] = (-1)^(a.b); its leading r x r block is H_r.
-_H16 = _signs(16, np.arange(16))
+# H_16[a, b] = (-1)^(a.b), per float type; its leading r x r block is H_r.
+_H16 = {t: _signs(16, np.arange(16)).astype(t) for t in (np.float32, np.float64)}
 
 
 def _grid(size: int) -> tuple[int, int, int]:
@@ -66,25 +65,26 @@ def _grid(size: int) -> tuple[int, int, int]:
     return rows, tile, min(tile, max(_BLOCK, _CHUNK // rows))
 
 
-def _modes(h16: np.ndarray, src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
+def _modes(src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
     """src times H_16 (H_r for a shorter last digit) along each index digit of place value below..stop.
 
     Each product goes into the next of ``bufs`` in turn: rows times H_r at
     the lowest digit, H_r times slabs above it. Returns the array holding
     the result, ``src`` itself if no digit is in range.
     """
-    for dst in itertools.cycle(bufs):
-        if below >= stop:
-            return src
+    while below < stop:
+        dst = bufs[src is bufs[0]]  # the one of the two that src is not
         r = min(16, stop // below)
+        h = _H16[dst.dtype.type][:r, :r]
         if below == 1:
             k = min(_BLOCK, src.size // r)
-            np.matmul(src.reshape(-1, k, r), h16[:r, :r], out=dst.reshape(-1, k, r))
+            np.matmul(src.reshape(-1, k, r), h, out=dst.reshape(-1, k, r))
         else:
             k = min(_BLOCK, below)
-            np.matmul(h16[:r, :r], src.reshape(-1, r, below // k, k).swapaxes(1, 2),
-                      out=dst.reshape(-1, r, below // k, k).swapaxes(1, 2))
+            slabs = (-1, r, below // k, k)
+            np.matmul(h, src.reshape(slabs).swapaxes(1, 2), out=dst.reshape(slabs).swapaxes(1, 2))
         src, below = dst, below * r
+    return src
 
 
 def _hadamard(out: np.ndarray, load):
@@ -98,19 +98,18 @@ def _hadamard(out: np.ndarray, load):
     finished chunk of ``out``; the transform is done when it is exhausted.
     """
     values = out.view(f"f{out.itemsize}")
-    h16 = _H16.astype(values.dtype)
     rows, tile, width = _grid(out.size)
     buf = np.empty(max(tile, 2 * rows * width), values.dtype)
     for start in range(0, out.size, tile):
         x = values[start:start + tile]
         load(x, start)
-        if (done := _modes(h16, x, (buf[:tile], x), 1, tile)) is not x:
+        if (done := _modes(x, (buf[:tile], x), 1, tile)) is not x:
             x[...] = done
-    pair = buf[:2 * rows * width].reshape(2, rows, width)
+    pair = tuple(buf[:2 * rows * width].reshape(2, rows, width))
     shape = (rows, tile) if rows > 1 else (tile,)  # one row casts back in place in 1-D, with no temporary
     grid, float_grid = out.reshape(shape), values.reshape(shape)
     for c in range(0, tile, width):
-        grid[..., c:c + width] = _modes(h16, float_grid[..., c:c + width], pair, width, rows * width)
+        grid[..., c:c + width] = _modes(float_grid[..., c:c + width], pair, width, rows * width)
         yield grid[..., c:c + width]
 
 
@@ -125,16 +124,17 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
     rows, tile, width = _grid(size)
     q = min(_BLOCK, width)
     squares = np.empty((rows, width))
-    segments = squares.reshape(-1, q)
-    per_offset, per_segment = np.zeros(q), np.empty((rows, tile // q))
-    ones_down, ones_along = np.ones(segments.shape[0]), np.ones(q)
+    per_offset, per_segment, per_tile = np.zeros(q), np.empty(tile // q), np.zeros(rows)
+    ones_down, ones_along = np.ones(rows * width // q), np.ones(q)
     for k, chunk in enumerate(chunks):
         squares[...] = chunk
         squares *= squares
-        per_offset += ones_down @ segments
-        per_segment[:, k * width // q:(k + 1) * width // q] = (segments @ ones_along).reshape(rows, -1)
-    high, total = _half_cube_masses(per_segment.ravel())
-    return _half_cube_masses(per_offset)[0] + high, total, np.cumsum(per_segment.sum(axis=1).astype(np.int64))
+        per_offset += ones_down @ squares.reshape(-1, q)
+        sums = (squares.reshape(-1, q) @ ones_along).reshape(rows, -1)
+        per_segment[k * width // q:(k + 1) * width // q] = sums.sum(axis=0)
+        per_tile += sums.sum(axis=1)
+    masses = (m for part in (per_offset, per_segment, per_tile) for m in _half_cube_masses(part)[0])
+    return tuple(masses), int(per_tile.sum()), np.cumsum(per_tile.astype(np.int64))
 
 
 def fwht(values) -> np.ndarray:
