@@ -17,12 +17,7 @@ from .boolfn import (
     Anf,
     AnfSyntaxError,
     TruthTable,
-    dec_input,
-    enc_input,
-    evaluate,
-    flip_input,
     from_anf,
-    point_mask,
     random_function,
     to_truth_table,
 )
@@ -69,7 +64,6 @@ from .spectrum import (
     fwht,
     influence_by_definition,
     influence_by_spectrum,
-    influence_counts,
     influence_vector,
     verify_identities,
     walsh_spectrum,

@@ -1,4 +1,4 @@
-"""Boolean functions on up to 24 variables: truth tables, ANF, evaluation.
+"""Boolean functions on up to 24 variables: ANF, its truth table, random tables.
 
 Conventions used throughout the package:
 
@@ -17,8 +17,7 @@ may compute twice but can only store equal values.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -48,30 +47,6 @@ def _check_n(n: int) -> None:
 def _check_index(i: int, n: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"variable index must be in 1..{n}, got {i}")
-
-
-def enc_input(x: Sequence[int]) -> int:
-    """Encode an assignment (x_1, ..., x_n) as an integer, x_1 = LSB."""
-    value = 0
-    for pos, bit in enumerate(x):
-        if bit not in (0, 1):
-            raise ValueError(f"assignment bits must be 0 or 1, got {bit!r}")
-        value |= bit << pos
-    return value
-
-
-def dec_input(value: int, n: int) -> tuple[int, ...]:
-    """Decode an integer back into the assignment tuple (x_1, ..., x_n)."""
-    _check_n(n)
-    if not 0 <= value < (1 << n):
-        raise ValueError(f"encoded input {value} out of range for n={n}")
-    return tuple((value >> pos) & 1 for pos in range(n))
-
-
-def point_mask(i: int, n: int) -> int:
-    """Encoded unit vector with a single 1 in position i."""
-    _check_index(i, n)
-    return 1 << (i - 1)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -135,38 +110,6 @@ class TruthTable:
         """(-1)^f(x) for every x, as int64."""
         return 1 - 2 * self.bits.astype(np.int64)
 
-    def ones_fraction(self) -> Fraction:
-        return Fraction(int(self.bits.sum()), 1 << self.n)
-
-
-def evaluate(f: TruthTable, x) -> int:
-    """Evaluate f on an assignment given as a bit sequence or encoded int."""
-    if isinstance(x, (int, np.integer)):
-        index = int(x)
-        if not 0 <= index < (1 << f.n):
-            raise ValueError(f"encoded input {index} out of range for n={f.n}")
-    else:
-        if len(x) != f.n:
-            raise ValueError(f"assignment has {len(x)} bits, function has {f.n} variables")
-        index = enc_input(x)
-    return int(f.bits[index])
-
-
-def flip_input(x, i: int):
-    """x with variable i toggled (x XOR alpha^i); an involution.
-
-    Accepts either an encoded int or a bit sequence and returns the same
-    form. For the int form only ``i >= 1`` can be checked here.
-    """
-    if isinstance(x, (int, np.integer)):
-        if i < 1:
-            raise ValueError(f"variable index must be >= 1, got {i}")
-        return int(x) ^ (1 << (i - 1))
-    _check_index(i, len(x))
-    flipped = list(x)
-    flipped[i - 1] ^= 1
-    return tuple(flipped)
-
 
 class Anf:
     """Algebraic normal form: an XOR of AND-monomials over GF(2).
@@ -203,15 +146,6 @@ class Anf:
 
     def degree(self) -> int:
         return max((len(m) for m in self.monomials), default=0)
-
-    def evaluate(self, x) -> int:
-        """Direct ANF evaluation: XOR over monomials of the AND of its bits."""
-        if not isinstance(x, (int, np.integer)):
-            x = enc_input(x)
-        acc = 0
-        for mono in self.monomials:
-            acc ^= all((x >> (k - 1)) & 1 for k in mono)
-        return int(acc)
 
     def to_text(self) -> str:
         """Canonical rendering; parsing it back yields an equal Anf."""

@@ -134,6 +134,8 @@ def _resolve_function(args) -> tuple[TruthTable, dict]:
     chosen = [name for name in ("anf", "table", "random") if getattr(args, name) is not None]
     if len(chosen) != 1:
         raise CliError("exactly one of --anf, --table, --random is required")
+    if args.n is not None and args.anf is None:
+        raise CliError("--n applies only to --anf")
 
     if args.anf is not None:
         if args.n is None:
@@ -323,25 +325,38 @@ def _check_count_memory(args) -> None:
         raise CliError(f"--m {args.m} needs {need} bytes of draws, more than the {have} bytes of physical memory")
 
 
-_HANDLERS = {
-    "influence": _cmd_influence,
-    "spectrum": _cmd_spectrum,
-    "bv-sample": _cmd_bv_sample,
-    "estimate": _cmd_estimate,
-    "list-influential": _cmd_list_influential,
-    "learn2": _cmd_learn2,
-    "learn3": _cmd_learn3,
-    "classical": _cmd_classical,
-    "verify": _cmd_verify,
+_M = ("--m", {"type": int, "default": est.DEFAULT_SAMPLES, "help": "number of draws"})
+_SEED = ("--seed", {"type": int})
+
+# Per subcommand, in --help order: its handler and the options it takes
+# after the function flags.
+_COMMANDS = {
+    "influence": (_cmd_influence, ()),
+    "spectrum": (_cmd_spectrum, ()),
+    "verify": (_cmd_verify, ()),
+    "bv-sample": (_cmd_bv_sample, (_M, _SEED)),
+    "estimate": (_cmd_estimate, (_M, _SEED)),
+    "list-influential": (_cmd_list_influential, (
+        _M, ("--c", {"type": float, "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"}), _SEED,
+    )),
+    "learn2": (_cmd_learn2, (("--rho", {"type": int, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"}), _SEED)),
+    "learn3": (_cmd_learn3, (
+        ("--lambda", {"dest": "lam", "type": int, "default": ln.DEFAULT_LAMBDA}),
+        ("--epsilon", {"type": _fraction, "default": Fraction(1, 10), "help": "window half-width, in (0, 1/8)"}),
+        _SEED,
+    )),
+    "classical": (_cmd_classical, (
+        ("--i", {"type": int, "help": "variable index; all variables when omitted"}), _M, _SEED,
+    )),
 }
 
-
-def _add_function_flags(sub):
-    sub.add_argument("--anf", help="ANF expression, e.g. 'x1 + x2*x3' (requires --n)")
-    sub.add_argument("--n", type=int, help="variable count for --anf")
-    sub.add_argument("--table", help="truth-table file (text, or binary with .ttb extension)")
-    sub.add_argument("--random", help="random function as '<n>:<seed>' (seed optional)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+_FUNCTION_FLAGS = (
+    ("--anf", {"help": "ANF expression, e.g. 'x1 + x2*x3' (requires --n)"}),
+    ("--n", {"type": int, "help": "variable count for --anf"}),
+    ("--table", {"help": "truth-table file (text, or binary with .ttb extension)"}),
+    ("--random", {"help": "random function as '<n>:<seed>' (seed optional)"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,43 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and sampled influences of Boolean-function variables.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("influence", "spectrum", "verify"):
-        _add_function_flags(subs.add_parser(name))
-
-    p = subs.add_parser("bv-sample")
-    _add_function_flags(p)
-    p.add_argument("--m", type=int, default=est.DEFAULT_SAMPLES, help="number of draws")
-    p.add_argument("--seed", type=int)
-
-    p = subs.add_parser("estimate")
-    _add_function_flags(p)
-    p.add_argument("--m", type=int, default=est.DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int)
-
-    p = subs.add_parser("list-influential")
-    _add_function_flags(p)
-    p.add_argument("--m", type=int, default=est.DEFAULT_SAMPLES)
-    p.add_argument("--c", type=float, default=3.0, help="sensitivity constant in the 1-e^-c guarantee")
-    p.add_argument("--seed", type=int)
-
-    p = subs.add_parser("learn2")
-    _add_function_flags(p)
-    p.add_argument("--rho", type=int, default=ln.DEFAULT_RHO, help="circuit repetitions")
-    p.add_argument("--seed", type=int)
-
-    p = subs.add_parser("learn3")
-    _add_function_flags(p)
-    p.add_argument("--lambda", dest="lam", type=int, default=ln.DEFAULT_LAMBDA)
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10), help="window half-width, in (0, 1/8)")
-    p.add_argument("--seed", type=int)
-
-    p = subs.add_parser("classical")
-    _add_function_flags(p)
-    p.add_argument("--i", type=int, help="variable index; all variables when omitted")
-    p.add_argument("--m", type=int, default=est.DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int)
-
+    for name, (_, options) in _COMMANDS.items():
+        sub = subs.add_parser(name)
+        for flag, kwargs in _FUNCTION_FLAGS + options:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
@@ -415,7 +397,7 @@ def run(argv=None, out=None, err=None) -> int:
         table, source = _resolve_function(args)
         if "seed" in args:
             args.seed = resolve_seed(args.seed)
-        params, results, code = _HANDLERS[args.command](args, table, source)
+        params, results, code = _COMMANDS[args.command][0](args, table, source)
         # The table holds its cached spectrum; free it before rendering.
         del table
     except (ValueError, OSError) as exc:

@@ -63,9 +63,6 @@ class LearnReport:
     def label_of(self, i: int) -> TermClass:
         return self.classes[i - 1].label
 
-    def by_label(self, label: TermClass) -> tuple[int, ...]:
-        return tuple(vc.index for vc in self.classes if vc.label is label)
-
 
 def lemma1_influence(r: int) -> Fraction:
     """Influence 2^(1-r) of a variable appearing in exactly one degree-r term."""

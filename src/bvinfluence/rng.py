@@ -25,16 +25,23 @@ first if numpy changes its bounded-integer algorithm.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
 def resolve_seed(seed: int | None) -> int:
-    """Return ``seed`` as an int, drawing a fresh entropy seed for None."""
+    """Return ``seed`` as an int, drawing a fresh entropy seed for None.
+
+    Any integer type is taken (``operator.index``); a float raises
+    ``TypeError`` rather than being truncated to another seed.
+    """
     if seed is None:
         return int(np.random.SeedSequence().entropy)
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return int(seed)
+    return seed
 
 
 def make_generator(seed: int) -> np.random.Generator:

@@ -297,20 +297,10 @@ def _flip_counts_at(words: np.ndarray, repeat: int, gammas) -> list[int]:
     return counts
 
 
-def influence_counts(f: TruthTable, i: int) -> tuple[int, int]:
-    """(|V_0|, |V_1|): how many inputs keep / change f when bit i is flipped.
-
-    Exhaustive enumeration; the definitional ground truth for influence.
-    """
-    _check_index(i, f.n)
-    changed = _flip_count(*_packed(f), i)
-    return (1 << f.n) - changed, changed
-
-
 def influence_by_definition(f: TruthTable, i: int) -> Fraction:
-    """|V_1| / 2^n, straight from the definition of influence."""
-    _, v1 = influence_counts(f, i)
-    return Fraction(v1, 1 << f.n)
+    """|V_1(i)| / 2^n, the share of inputs x with f(x) != f(x xor e_i)."""
+    _check_index(i, f.n)
+    return Fraction(_flip_count(*_packed(f), i), 1 << f.n)
 
 
 def influence_by_spectrum(s: WalshSpectrum, i: int) -> Fraction:

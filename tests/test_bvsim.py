@@ -151,6 +151,22 @@ def test_sampler_deterministic_and_records_seed():
     assert np.array_equal(c.outcomes, replay.outcomes)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [partial(random_function, 3), partial(bv_sample, bv_distribution_of(AND2), 10), partial(algorithm1, AND2, 10)],
+    ids=["random_function", "bv_sample", "algorithm1"],
+)
+def test_seed_must_be_a_non_negative_integer(draw):
+    # a float is refused, not truncated to the seed below it
+    with pytest.raises(TypeError):
+        draw(seed=1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(seed=-1)
+    # numpy integers are integers
+    result = draw(seed=np.int64(5))
+    assert getattr(result, "seed", 5) == 5
+
+
 def test_sampler_rejects_bad_m():
     with pytest.raises(ValueError):
         bv_sample(bv_distribution_of(AND2), 0)

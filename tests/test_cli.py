@@ -1,8 +1,12 @@
+import argparse
 import io
 import json
 import os
+import re
 import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +253,9 @@ def test_each_format_builds_only_its_own_output(monkeypatch):
     assert out.splitlines()[1] == "y,coefficient"
 
 
-def test_exit_code_2_on_bad_input():
+def test_exit_code_2_on_bad_input(tmp_path):
+    table2 = str(tmp_path / "n2.txt")
+    write_table(random_function(2, seed=1), table2)
     bad = [
         ["influence", "--anf", "x1 +* x2", "--n", "2"],        # syntax
         ["influence", "--anf", "x9", "--n", "2"],              # index range
@@ -259,6 +265,8 @@ def test_exit_code_2_on_bad_input():
         ["influence", "--table", "/nonexistent/file.tt"],      # unreadable
         ["influence", "--random", "0:4"],                      # n out of range
         ["influence", "--random", "abc"],                      # malformed
+        ["influence", "--random", "4:1", "--n", "7"],          # --n without --anf
+        ["influence", "--table", table2, "--n", "9"],          # --n without --anf
         ["learn3", "--anf", "x1", "--n", "1", "--epsilon", "0.2"],    # eps domain
         ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "nan"],
         ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "inf"],
@@ -268,6 +276,33 @@ def test_exit_code_2_on_bad_input():
         assert code == 2, argv
         assert err.strip(), argv  # a diagnostic was printed
         assert not out.strip()
+
+
+def test_parser_options_match_the_readme():
+    # the README's command table lists each subcommand's own options, after
+    # the function flags, and its prose gives their defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|[^|]*\|([^|]*)\|$", readme, re.M)
+    documented = {command: re.findall(r"--\w+", options) for command, options in rows}
+    defaults = dict(re.findall(r"`(--\w+)` (?:defaults )?to (\d+(?:\.\d+)?)", " ".join(readme.split())))
+    assert sorted(defaults) == ["--c", "--epsilon", "--lambda", "--m", "--rho"]
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == [
+        "influence", "spectrum", "verify", "bv-sample", "estimate",
+        "list-influential", "learn2", "learn3", "classical",
+    ]
+    assert sorted(documented) == sorted(subparsers.choices)
+    function_flags = ["--anf", "--n", "--table", "--random", "--format"]
+    for command, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if "--help" not in a.option_strings]
+        assert [a.option_strings for a in actions] == [[flag] for flag in function_flags + documented[command]]
+        for action in actions[len(function_flags):]:
+            flag = action.option_strings[0]
+            assert action.dest == {"--lambda": "lam"}.get(flag, flag[2:]), command
+            if flag in defaults:
+                assert action.default == Fraction(defaults[flag]), (command, flag)
+            else:
+                assert action.default is None, (command, flag)
 
 
 @pytest.mark.parametrize("epsilon", ["1/0", "nan"])

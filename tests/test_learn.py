@@ -38,7 +38,6 @@ def test_algorithm2_mixed_function():
     assert report.label_of(3) is TermClass.QUADRATIC
     for i in (4, 5, 6):
         assert report.label_of(i) is TermClass.ABSENT
-    assert report.by_label(TermClass.QUADRATIC) == (2, 3)
     assert report.algorithm == "linear-quadratic"
     assert report.trials == 20
 
@@ -96,10 +95,8 @@ def test_algorithm2_misread_rate_x1x2():
 
 def test_algorithm3_mixed_function():
     report = algorithm3(MIXED_QC, lam=2000, epsilon=0.1, seed=2024)
-    assert report.label_of(1) is TermClass.LINEAR
-    assert report.by_label(TermClass.QUADRATIC) == (2, 3)
-    assert report.by_label(TermClass.CUBIC) == (4, 5, 6)
-    assert report.by_label(TermClass.ABSENT) == (7, 8)
+    want = [TermClass.LINEAR] + [TermClass.QUADRATIC] * 2 + [TermClass.CUBIC] * 3 + [TermClass.ABSENT] * 2
+    assert [report.label_of(i) for i in range(1, 9)] == want
     assert report.algorithm == "linear-quadratic-cubic"
 
 
@@ -115,7 +112,8 @@ def test_algorithm3_degree4_lands_unclassified():
     report = algorithm3(quartic, lam=2000, epsilon=0.1, seed=301)
     for i in (1, 2, 3, 4):
         assert report.label_of(i) is TermClass.UNCLASSIFIED
-    assert report.by_label(TermClass.ABSENT) == (5, 6)
+    for i in (5, 6):
+        assert report.label_of(i) is TermClass.ABSENT
 
 
 def test_algorithm3_windows_recorded():

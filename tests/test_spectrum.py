@@ -23,7 +23,6 @@ from bvinfluence import (
     fwht,
     influence_by_definition,
     influence_by_spectrum,
-    influence_counts,
     influence_vector,
     influential_list,
     random_function,
@@ -101,14 +100,6 @@ def test_influence_by_spectrum_examples():
     assert influence_by_spectrum(s, 2) == 0
     const0 = to_truth_table(from_anf("0", 2))
     assert influence_by_spectrum(walsh_spectrum(const0), 1) == 0
-
-
-def test_influence_counts_partition():
-    for t in corpus(20, ns=[4, 6, 8]):
-        for i in range(1, t.n + 1):
-            v0, v1 = influence_counts(t, i)
-            assert v0 + v1 == 1 << t.n
-            assert influence_by_definition(t, i) == Fraction(v1, 1 << t.n)
 
 
 def test_influence_vector_examples():
@@ -195,11 +186,11 @@ def test_half_cube_mass_equals_flip_counts():
         total = s.square_sum()
         assert total == int(squares.sum())
         for i in range(1, t.n + 1):
-            v0, v1 = influence_counts(t, i)
+            v1 = influence_by_definition(t, i) * (1 << t.n)
             v1sum = s.ones_square_sum(i)
             assert v1sum == strided_half_mass(squares, i), f"i={i}, n={t.n}"
             assert Fraction(v1sum, 1 << (2 * t.n)) == Fraction(v1, 1 << t.n)
-            assert Fraction(total - v1sum, 1 << (2 * t.n)) == Fraction(v0, 1 << t.n)
+            assert Fraction(total - v1sum, 1 << (2 * t.n)) == Fraction((1 << t.n) - v1, 1 << t.n)
 
 
 def test_packed_flip_counts_match_a_byte_pair_comparison():
@@ -211,7 +202,7 @@ def test_packed_flip_counts_match_a_byte_pair_comparison():
         for i in range(1, t.n + 1):
             changed = sum(t.bits[x] != t.bits[x ^ (1 << (i - 1))] for x in range(1 << t.n))
             assert spectrum._flip_count(words, repeat, i) == changed, f"i={i}, n={t.n}"
-            assert influence_counts(t, i) == ((1 << t.n) - changed, changed)
+            assert influence_by_definition(t, i) * (1 << t.n) == changed
 
 
 def test_batched_direct_correlation_matches_naive_summation():
