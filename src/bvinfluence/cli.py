@@ -154,43 +154,35 @@ def _resolve_function(args) -> tuple[TruthTable, dict]:
     return random_function(n, seed), {"source": "random", "n": n, "function_seed": seed}
 
 
-def _bits_string(value: int, n: int) -> str:
-    """y rendered as y_1 y_2 ... y_n, left to right."""
-    return format(value, f"0{n}b")[::-1]
+# --- subcommand handlers: each returns the results block of its report ---
 
 
-# --- subcommand handlers: each returns (parameters, results, exit code) ---
-
-
-def _cmd_influence(args, table, source):
+def _cmd_influence(args, table):
     vec = influence_vector(table)
-    results = {
+    return {
         "influences": [
             {"variable": i, "influence": rational(vec[i])} for i in range(1, table.n + 1)
         ],
         "total": rational(vec.total),
     }
-    return source, results, 0
 
 
-def _cmd_spectrum(args, table, source):
-    return source, {"n": table.n, "coefficients": walsh_spectrum(table).w.tolist()}, 0
+def _cmd_spectrum(args, table):
+    return {"n": table.n, "coefficients": walsh_spectrum(table).w.tolist()}
 
 
-def _cmd_bv_sample(args, table, source):
+def _cmd_bv_sample(args, table):
     outcomes = bv_sample(bv_distribution_of(table), args.m, args.seed).outcomes.tolist()
-    params = dict(source, m=args.m, seed=args.seed)
-    results = {
+    return {
         "outcomes": outcomes,
-        "bits": [_bits_string(y, table.n) for y in outcomes],
+        # y rendered as y_1 y_2 ... y_n, left to right
+        "bits": [format(y, f"0{table.n}b")[::-1] for y in outcomes],
     }
-    return params, results, 0
 
 
-def _cmd_estimate(args, table, source):
+def _cmd_estimate(args, table):
     report = est.algorithm1(table, args.m, args.seed)
-    params = dict(source, m=args.m, seed=args.seed)
-    results = {
+    return {
         "estimates": [
             {"variable": i, "ones": report.ones[i - 1], "p": rational(report.p[i - 1])}
             for i in range(1, report.n + 1)
@@ -199,19 +191,16 @@ def _cmd_estimate(args, table, source):
         "oracle_calls": report.oracle_calls,
         "hoeffding": {"confidence": 0.99, "epsilon": report.epsilon_at(0.99)},
     }
-    return params, results, 0
 
 
-def _cmd_list_influential(args, table, source):
+def _cmd_list_influential(args, table):
     listing = est.influential_list(table, args.m, args.seed, c=args.c)
-    params = dict(source, m=args.m, seed=args.seed, c=args.c)
-    results = {
+    return {
         "variables": list(listing.variables),
         "guarantee": listing.guarantee,
         "threshold_influence": listing.threshold_influence,
         "oracle_calls": listing.m,
     }
-    return params, results, 0
 
 
 def _learn_results(report):
@@ -231,29 +220,22 @@ def _learn_results(report):
     }
 
 
-def _cmd_learn2(args, table, source):
-    report = ln.algorithm2(table, args.rho, args.seed)
-    params = dict(source, rho=args.rho, seed=args.seed)
-    return params, _learn_results(report), 0
+def _cmd_learn2(args, table):
+    return _learn_results(ln.algorithm2(table, args.rho, args.seed))
 
 
-def _cmd_learn3(args, table, source):
-    report = ln.algorithm3(table, args.lam, args.epsilon, args.seed)
-    params = dict(source, **{"lambda": args.lam}, epsilon=rational(args.epsilon), seed=args.seed)
-    return params, _learn_results(report), 0
+def _cmd_learn3(args, table):
+    return _learn_results(ln.algorithm3(table, args.lam, args.epsilon, args.seed))
 
 
-def _cmd_classical(args, table, source):
+def _cmd_classical(args, table):
     if args.i is not None:
         _check_index(args.i, table.n)
     indices = [args.i] if args.i is not None else list(range(1, table.n + 1))
     # Variable i draws from child i-1 of the run seed, so --i replays it.
     seeds = spawn_seeds(args.seed, table.n)
     estimates = [est.classical_estimate(table, i, args.m, seeds[i - 1]) for i in indices]
-    params = dict(source, m=args.m, seed=args.seed)
-    if args.i is not None:
-        params["i"] = args.i
-    results = {
+    return {
         "estimates": [
             {"variable": e.i, "q": rational(e.q), "oracle_calls": e.oracle_calls}
             for e in estimates
@@ -262,13 +244,11 @@ def _cmd_classical(args, table, source):
         "oracle_calls_total": sum(e.oracle_calls for e in estimates),
         "sampling_path_calls_for_all_variables": args.m,
     }
-    return params, results, 0
 
 
-def _cmd_verify(args, table, source):
+def _cmd_verify(args, table):
     checks = verify_identities(table)
-    all_passed = all(c["passed"] for c in checks)
-    return source, {"identities": checks, "all_passed": all_passed}, 0 if all_passed else 1
+    return {"identities": checks, "all_passed": all(c["passed"] for c in checks)}
 
 
 def _influence_rows(results):
@@ -281,29 +261,6 @@ def _learn_rows(results):
         window = e["window"]
         low, high = ("", "") if window is None else (window["low"]["decimal"], window["high"]["decimal"])
         yield [e["variable"], e["class"], *e["observed"].values(), low, high]
-
-
-_LEARN_HEADER = "variable,class,observed_fraction,observed_decimal,window_low,window_high"
-
-# CSV v1: per subcommand, the header line and a function reading the data
-# rows off the JSON results.
-_CSV_TABLES = {
-    "influence": ("variable,influence_fraction,influence_decimal", _influence_rows),
-    "spectrum": ("y,coefficient", lambda r: enumerate(r["coefficients"])),
-    "bv-sample": ("index,outcome,bits", lambda r: zip(itertools.count(), r["outcomes"], r["bits"])),
-    "estimate": (
-        "variable,ones,p_fraction,p_decimal",
-        lambda r: ([e["variable"], e["ones"], *e["p"].values()] for e in r["estimates"]),
-    ),
-    "list-influential": ("variable", lambda r: ([v] for v in r["variables"])),
-    "learn2": (_LEARN_HEADER, _learn_rows),
-    "learn3": (_LEARN_HEADER, _learn_rows),
-    "classical": (
-        "variable,q_fraction,q_decimal,oracle_calls",
-        lambda r: ([e["variable"], *e["q"].values(), e["oracle_calls"]] for e in r["estimates"]),
-    ),
-    "verify": ("identity,passed,detail", lambda r: (c.values() for c in r["identities"])),
-}
 
 
 # Bytes bv-sample holds per draw: one int64 outcome, and while the report
@@ -327,27 +284,34 @@ def _check_count_memory(args) -> None:
 
 _M = ("--m", {"type": int, "default": est.DEFAULT_SAMPLES, "help": "number of draws"})
 _SEED = ("--seed", {"type": int})
+_C = ("--c", {"type": float, "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"})
+_RHO = ("--rho", {"type": int, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": int, "default": ln.DEFAULT_LAMBDA})
+_EPSILON = ("--epsilon", {"type": _fraction, "default": ln.DEFAULT_EPSILON, "help": "window half-width, in (0, 1/8)"})
+_I = ("--i", {"type": int, "help": "variable index; all variables when omitted"})
+_LEARN_CSV = ("variable,class,observed_fraction,observed_decimal,window_low,window_high", _learn_rows)
 
-# Per subcommand, in --help order: its handler and the options it takes
-# after the function flags.
+# Per subcommand, in --help order: its handler; the options it takes after
+# the function flags, in the order its report's parameters list them; and
+# its CSV v1 header line and a function reading the data rows off its results.
 _COMMANDS = {
-    "influence": (_cmd_influence, ()),
-    "spectrum": (_cmd_spectrum, ()),
-    "verify": (_cmd_verify, ()),
-    "bv-sample": (_cmd_bv_sample, (_M, _SEED)),
-    "estimate": (_cmd_estimate, (_M, _SEED)),
-    "list-influential": (_cmd_list_influential, (
-        _M, ("--c", {"type": float, "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"}), _SEED,
-    )),
-    "learn2": (_cmd_learn2, (("--rho", {"type": int, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"}), _SEED)),
-    "learn3": (_cmd_learn3, (
-        ("--lambda", {"dest": "lam", "type": int, "default": ln.DEFAULT_LAMBDA}),
-        ("--epsilon", {"type": _fraction, "default": Fraction(1, 10), "help": "window half-width, in (0, 1/8)"}),
-        _SEED,
-    )),
-    "classical": (_cmd_classical, (
-        ("--i", {"type": int, "help": "variable index; all variables when omitted"}), _M, _SEED,
-    )),
+    "influence": (_cmd_influence, (), "variable,influence_fraction,influence_decimal", _influence_rows),
+    "spectrum": (_cmd_spectrum, (), "y,coefficient", lambda r: enumerate(r["coefficients"])),
+    "verify": (_cmd_verify, (), "identity,passed,detail", lambda r: (c.values() for c in r["identities"])),
+    "bv-sample": (
+        _cmd_bv_sample, (_M, _SEED), "index,outcome,bits", lambda r: zip(itertools.count(), r["outcomes"], r["bits"]),
+    ),
+    "estimate": (
+        _cmd_estimate, (_M, _SEED), "variable,ones,p_fraction,p_decimal",
+        lambda r: ([e["variable"], e["ones"], *e["p"].values()] for e in r["estimates"]),
+    ),
+    "list-influential": (_cmd_list_influential, (_M, _SEED, _C), "variable", lambda r: ([v] for v in r["variables"])),
+    "learn2": (_cmd_learn2, (_RHO, _SEED), *_LEARN_CSV),
+    "learn3": (_cmd_learn3, (_LAMBDA, _EPSILON, _SEED), *_LEARN_CSV),
+    "classical": (
+        _cmd_classical, (_M, _SEED, _I), "variable,q_fraction,q_decimal,oracle_calls",
+        lambda r: ([e["variable"], *e["q"].values(), e["oracle_calls"]] for e in r["estimates"]),
+    ),
 }
 
 _FUNCTION_FLAGS = (
@@ -365,23 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and sampled influences of Boolean-function variables.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
+    for name, (_, options, _, _) in _COMMANDS.items():
         sub = subs.add_parser(name)
         for flag, kwargs in _FUNCTION_FLAGS + options:
             sub.add_argument(flag, **kwargs)
     return parser
 
 
-def _emit_json(report: dict, out) -> None:
-    # dump writes each piece as it is encoded; no whole-report string is built.
-    json.dump(report, out, indent=2)
-    out.write("\n")
-
-
-def _emit_csv(command: str, results: dict, out) -> None:
-    header, rows = _CSV_TABLES[command]
-    out.write(f"# bvinfluence-csv v{CSV_SCHEMA_VERSION} command={command}\n{header}\n")
-    csv.writer(out, lineterminator="\n").writerows(rows(results))
+def _parameters(args, source: dict, options) -> dict:
+    """The function's provenance, then each declared option that is set, keyed by its flag."""
+    params = dict(source)
+    for flag, kwargs in options:
+        value = getattr(args, kwargs.get("dest", flag[2:]))
+        if value is not None:
+            params[flag[2:]] = rational(value) if isinstance(value, Fraction) else value
+    return params
 
 
 def run(argv=None, out=None, err=None) -> int:
@@ -390,6 +352,7 @@ def run(argv=None, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, options, header, rows = _COMMANDS[args.command]
 
     started = time.perf_counter()
     try:
@@ -397,7 +360,7 @@ def run(argv=None, out=None, err=None) -> int:
         table, source = _resolve_function(args)
         if "seed" in args:
             args.seed = resolve_seed(args.seed)
-        params, results, code = _COMMANDS[args.command][0](args, table, source)
+        results = handler(args, table)
         # The table holds its cached spectrum; free it before rendering.
         del table
     except (ValueError, OSError) as exc:
@@ -406,17 +369,21 @@ def run(argv=None, out=None, err=None) -> int:
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
-        _emit_csv(args.command, results, out)
+        out.write(f"# bvinfluence-csv v{CSV_SCHEMA_VERSION} command={args.command}\n{header}\n")
+        csv.writer(out, lineterminator="\n").writerows(rows(results))
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "parameters": params,
+            "parameters": _parameters(args, source, options),
             "results": results,
             "timing": {"seconds": elapsed},
         }
-        _emit_json(report, out)
-    return code
+        # dump writes each piece as it is encoded; no whole-report string is built.
+        json.dump(report, out, indent=2)
+        out.write("\n")
+    # Only verify's results carry all_passed; it exits 1 when a check failed.
+    return 0 if results.get("all_passed", True) else 1
 
 
 def main(argv=None) -> int:

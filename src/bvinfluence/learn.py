@@ -26,7 +26,7 @@ from .estimate import hoeffding_failure_bound
 
 DEFAULT_RHO = 20
 DEFAULT_LAMBDA = 2000
-DEFAULT_EPSILON = 0.1
+DEFAULT_EPSILON = Fraction(1, 10)
 
 _DISJOINT_TERMS_NOTE = "each variable appears in at most one term (assumed, not checked)"
 

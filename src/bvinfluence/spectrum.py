@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index, _frozen
+from .boolfn import TruthTable, _check_index, _check_n, _frozen
 from .rng import make_generator
 
 # Entries per tile (L2 is 2 MiB per core) and per column chunk, at least
@@ -176,6 +176,7 @@ class WalshSpectrum:
     """
 
     def __init__(self, n: int, w):
+        _check_n(n)
         arr = np.asarray(w)
         if arr.size != (1 << n):
             raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
@@ -316,6 +317,7 @@ class InfluenceVector:
     """All n influences of a function, as exact rationals, plus their sum."""
 
     def __init__(self, n: int, values):
+        _check_n(n)
         values = tuple(Fraction(v) for v in values)
         if len(values) != n:
             raise ValueError(f"expected {n} influence values, got {len(values)}")

@@ -156,6 +156,12 @@ def test_learn3_command_windows():
     quad = next(e for e in report["results"]["classes"] if e["variable"] == 2)
     assert quad["window"]["low"]["fraction"] == "2/5"
     assert report["parameters"]["epsilon"]["fraction"] == "1/10"
+    # parameters list the options in the order learn3 declares them
+    params = invoke_json(
+        ["learn3", "--anf", "x1 + x2*x3", "--n", "3", "--lambda", "100", "--epsilon", "1/20", "--seed", "12"]
+    )["parameters"]
+    assert params["epsilon"] == {"fraction": "1/20", "decimal": "0.050000000000000003"}
+    assert list(params) == ["source", "expression", "n", "lambda", "epsilon", "seed"]
 
 
 def test_classical_command_query_ledger():
@@ -175,6 +181,8 @@ def test_classical_single_variable():
     )
     assert [e["variable"] for e in report["results"]["estimates"]] == [2]
     assert report["parameters"]["i"] == 2
+    # --i comes last, and only when it is given
+    assert list(report["parameters"]) == ["source", "expression", "n", "m", "seed", "i"]
 
 
 def test_classical_variables_draw_from_spawned_seeds():
@@ -243,7 +251,7 @@ def test_each_format_builds_only_its_own_output(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("built output for the other format")
 
-    monkeypatch.setitem(cli._CSV_TABLES, "spectrum", ("y,coefficient", fail))
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (*cli._COMMANDS["spectrum"][:3], fail))
     assert invoke_json(["spectrum", "--random", "5:1"])["results"]["n"] == 5
     monkeypatch.undo()
     monkeypatch.setattr(cli.json, "dump", fail)

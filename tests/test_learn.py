@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvinfluence import (
+    DEFAULT_EPSILON,
     TermClass,
     algorithm2,
     algorithm3,
@@ -17,6 +18,7 @@ from bvinfluence import (
     quadratic_window,
     to_truth_table,
 )
+from bvinfluence import cli
 
 MIXED6 = to_truth_table(from_anf("x1 + x2*x3", 6))
 MIXED_QC = to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 8))
@@ -153,6 +155,12 @@ def test_assumed_model_is_flagged():
 def test_window_values_at_default_epsilon():
     assert quadratic_window(Fraction(1, 10)) == (Fraction(2, 5), Fraction(3, 5))
     assert cubic_window(Fraction(1, 10)) == (Fraction(3, 20), Fraction(7, 20))
+    # The default is exactly 1/10 in the library and in the CLI. As the float
+    # 0.1 it was slightly above 1/10, and with lam=2000 a one-count of 1200
+    # landed in the library's quadratic window but in none of the CLI's.
+    assert algorithm3(MIXED6, lam=50, seed=1).epsilon == Fraction(1, 10)
+    args = cli.build_parser().parse_args(["learn3", "--random", "4:1"])
+    assert args.epsilon == DEFAULT_EPSILON
 
 
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 8)))

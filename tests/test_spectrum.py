@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bvinfluence import (
+    InfluenceVector,
     TruthTable,
     WalshSpectrum,
     algorithm1,
@@ -340,6 +341,13 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         WalshSpectrum(2, [4, 0, 0])
     assert WalshSpectrum(2, np.array([-4, 0, 0, 0])).w.tolist() == [-4, 0, 0, 0]
+    # n is checked first: n=0 was accepted, n=-1 failed on a negative shift
+    # count and n=25 got as far as the size check
+    for n in (0, -1, 25):
+        with pytest.raises(ValueError, match="variable count"):
+            WalshSpectrum(n, [1])
+    with pytest.raises(ValueError, match="variable count"):
+        InfluenceVector(0, [])
 
 
 @pytest.mark.parametrize("n, count, value", [(2, 3, 2), (22, (1 << 20) + 1, 1 << 22)], ids=["n2", "n22"])
