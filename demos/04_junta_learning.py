@@ -8,6 +8,8 @@ its ones-frequency alone — all-ones means linear, all-zeros absent, and
 windows around 1/2 and 1/4 pick out quadratic and cubic terms.
 """
 
+from fractions import Fraction
+
 from bvinfluence import algorithm2, algorithm3, from_anf, lemma1_influence, to_truth_table
 
 print("reference influences by term degree:",
@@ -23,7 +25,7 @@ print("error budget per quadratic variable:", report.error_budget["quadratic_mis
 
 print("\n--- three-class learner (adds cubic), lambda = 2000 runs, eps = 0.1 ---")
 g = to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 8))
-report = algorithm3(g, lam=2000, epsilon=0.1, seed=42)
+report = algorithm3(g, lam=2000, epsilon=Fraction(1, 10), seed=42)
 print("g = x1 + x2*x3 + x4*x5*x6 on n=8")
 for vc in report.classes:
     window = "" if vc.window is None else f"  window ({float(vc.window[0])}, {float(vc.window[1])})"
@@ -32,7 +34,7 @@ print("window-miss budget:", report.error_budget["quadratic_window_miss"])
 
 print("\n--- out of model: a degree-4 term lands in no window ---")
 h = to_truth_table(from_anf("x1*x2*x3*x4", 6))
-report = algorithm3(h, lam=2000, epsilon=0.1, seed=42)
+report = algorithm3(h, lam=2000, epsilon=Fraction(1, 10), seed=42)
 print("h = x1*x2*x3*x4 on n=6 (influence 1/8 per variable)")
 for vc in report.classes[:4]:
     print(f"  x{vc.index}: {vc.label.value:<12} (ones frequency {float(vc.observed):.4f})")

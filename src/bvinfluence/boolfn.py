@@ -67,15 +67,19 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 class TruthTable:
-    """Evaluation table of a Boolean function over all 2^n inputs.
+    """Evaluation table of a Boolean function over all 2^n inputs, one bit per entry.
 
-    ``bits[k]`` holds f(x) for the assignment with ``enc(x) == k``.
+    ``packed`` is f as read-only little-endian packed bytes: bit b of byte j
+    is f(x) for the assignment with ``enc(x) == 8j + b``, and below n = 3
+    the one byte's bits above 2^n are 0. This is the ``.ttb`` payload's
+    layout. ``bits`` unpacks it into a fresh read-only uint8 array, one
+    entry per input: an O(2^n) copy for inspection, not for hot loops.
     The table's Walsh spectrum is cached on it on first use
     (``walsh_spectrum``) and lives as long as the table does; the output
     distribution is a view of it, built anew by ``bv_distribution_of``.
     """
 
-    __slots__ = ("n", "bits", "_spectrum")
+    __slots__ = ("n", "packed", "_spectrum")
 
     def __init__(self, n: int, bits):
         _check_n(n)
@@ -91,20 +95,38 @@ class TruthTable:
             arr = arr == 1  # exact 0/1 of any dtype, such as 1.0, as bools
         else:
             raise ValueError("truth table entries must be 0 or 1")
+        self._set(n, np.packbits(arr, bitorder="little"))
+
+    @classmethod
+    def _of_packed(cls, n: int, packed: np.ndarray) -> TruthTable:
+        """The table whose ``packed`` is this fresh, zero-padded uint8 array, kept without a copy."""
+        table = cls.__new__(cls)
+        table._set(n, packed)
+        return table
+
+    def _set(self, n: int, packed: np.ndarray) -> None:
+        packed.flags.writeable = False
         super().__setattr__("n", n)
-        super().__setattr__("bits", _frozen(arr, np.uint8))
+        super().__setattr__("packed", packed)
         super().__setattr__("_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruthTable is immutable")
 
+    @property
+    def bits(self) -> np.ndarray:
+        """f(x) at every enc(x), as a new read-only uint8 array."""
+        bits = np.unpackbits(self.packed, count=1 << self.n, bitorder="little")
+        bits.flags.writeable = False
+        return bits
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruthTable):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.bits, other.bits)
+        return self.n == other.n and np.array_equal(self.packed, other.packed)
 
     def __repr__(self) -> str:
-        return f"TruthTable(n={self.n}, weight={int(self.bits.sum())})"
+        return f"TruthTable(n={self.n}, weight={int(np.bitwise_count(self.packed).sum())})"
 
     def signs(self) -> np.ndarray:
         """(-1)^f(x) for every x, as int64."""
@@ -239,30 +261,55 @@ def from_anf(text: str, n: int) -> Anf:
     return Anf(monomials, n)
 
 
+# In-byte masks of x1, x2, x3: bit b of the byte is set where bit k-1 of b is.
+_LOW_MASKS = (0xAA, 0xCC, 0xF0)
+
+# Raw 64-bit words per block of random_function: 2^16 table entries.
+_RAW_BLOCK = 1 << 13
+
+
 def to_truth_table(f: Anf) -> TruthTable:
     """Tabulate an ANF: T[enc(x)] = XOR over monomials of AND of x's bits.
 
     Each monomial is 1 exactly on the subcube where its variables are 1,
-    so it is XORed into that subcube of a (2,)*n view of the table; axis
-    n - k of the view is the bit of x_k.
+    so it is XORed into the packed table. Variables x4..xn pick a subcube
+    of the (2,)*(n-3) view of the bytes, whose axis n - k is the bit of
+    x_k; x1, x2 and x3 AND the in-byte mask. Below n = 3 the mask keeps
+    the one byte's low 2^n bits.
     """
-    bits = np.zeros(1 << f.n, dtype=np.uint8)
-    cube = bits.reshape((2,) * f.n)
+    packed = np.zeros(max(1, 1 << f.n >> 3), np.uint8)
+    cube = packed.reshape((2,) * max(0, f.n - 3))
+    full = (1 << min(8, 1 << f.n)) - 1
     for mono in f.monomials:
-        subcube = [slice(None)] * f.n
+        subcube = [slice(None)] * cube.ndim
+        mask = full
         for k in mono:
-            subcube[f.n - k] = 1
-        cube[tuple(subcube)] ^= 1
-    bits.flags.writeable = False
-    return TruthTable(f.n, bits)
+            if k > 3:
+                subcube[f.n - k] = 1
+            else:
+                mask &= _LOW_MASKS[k - 1]
+        cube[tuple(subcube)] ^= mask
+    return TruthTable._of_packed(f.n, packed)
 
 
 def random_function(n: int, seed: int | None = None) -> TruthTable:
-    """Uniformly random truth table; deterministic for a given seed."""
+    """Uniformly random truth table; deterministic for a given seed.
+
+    Entry k is numpy's k-th uint8 draw in [0, 2), the top bit of the k-th
+    raw byte (see rng): each raw word packs into one table byte, one block
+    of words at a time. The multiply gathers the top bit of every byte of a
+    word into its top byte (Knuth, TAOCP 4A, 7.1.3).
+    """
     _check_n(n)
-    size = 1 << n
-    # a uint8 draw in [0, 2) is the top bit of the next raw byte (see rng)
-    raw = make_generator(resolve_seed(seed)).bit_generator.random_raw(-(-size // 8))
-    bits = raw.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
-    bits.flags.writeable = False
-    return TruthTable(n, bits)
+    raw = make_generator(resolve_seed(seed)).bit_generator.random_raw
+    packed = np.empty(max(1, 1 << n >> 3), np.uint8)
+    for start in range(0, packed.size, _RAW_BLOCK):
+        words = raw(min(_RAW_BLOCK, packed.size - start))
+        words >>= np.uint64(7)
+        words &= np.uint64(0x0101010101010101)
+        words *= np.uint64(0x0102040810204080)
+        words >>= np.uint64(56)
+        packed[start:start + words.size] = words
+    if n < 3:
+        packed &= (1 << (1 << n)) - 1
+    return TruthTable._of_packed(n, packed)

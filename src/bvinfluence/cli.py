@@ -11,7 +11,8 @@ Truth-table file formats (also see README):
 * text: first line ``n=<k>``, second line 2^k characters of 0/1 in
   encoded-input order (x_1 = least significant bit), newline-terminated;
 * binary (``.ttb`` extension): one header byte holding n, then the same
-  bit sequence packed little-endian, 8 bits per byte.
+  bit sequence packed little-endian, 8 bits per byte: the table's own
+  layout, ``TruthTable.packed``.
 """
 
 from __future__ import annotations
@@ -67,10 +68,8 @@ def read_table(path: str) -> TruthTable:
             raise CliError(f"{path}: expected {need} payload bytes for n={n}, found {len(raw) - 1}")
         if raw[-1] >> (size % 8 or 8):
             raise CliError(f"{path}: nonzero padding bits after the {size} table bits")
-        # Fresh arrays handed over read-only, which TruthTable keeps instead of copying.
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8, offset=1), count=size, bitorder="little")
-        bits.flags.writeable = False
-        return TruthTable(n, bits)
+        # the payload is the table's own layout: one aligned copy, kept by the table
+        return TruthTable._of_packed(n, np.frombuffer(raw, np.uint8, offset=1).copy())
 
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -91,22 +90,19 @@ def read_table(path: str) -> TruthTable:
         raise CliError(f"{path}: table line may contain only 0 and 1")
     if trailing:
         raise CliError(f"{path}: unexpected content after the table line")
-    bits = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - ord("0")
-    bits.flags.writeable = False
-    return TruthTable(n, bits)
+    return TruthTable(n, np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - ord("0"))
 
 
 def write_table(table: TruthTable, path: str) -> None:
     """Write a truth table; the .ttb extension selects the binary format."""
     if path.endswith(".ttb"):
-        packed = np.packbits(table.bits, bitorder="little")
         with open(path, "wb") as fh:
             fh.write(bytes([table.n]))
-            fh.write(packed.tobytes())
+            fh.write(table.packed)
     else:
         with open(path, "wb") as fh:
             fh.write(f"n={table.n}\n".encode("ascii"))
-            fh.write((table.bits + ord("0")).tobytes())
+            fh.write(table.bits + ord("0"))
             fh.write(b"\n")
 
 

@@ -62,6 +62,8 @@ def _grid(size: int) -> tuple[int, int, int]:
     """(rows, tile, width) of a 2^n array's grid and its column chunks."""
     tile = min(_TILE, size)
     rows = size // tile
+    if rows == 1:  # sweep 2 only casts and squares: a quarter of the tile at a time, or all of a short one
+        return rows, tile, tile if tile <= _BLOCK else tile // 4
     return rows, tile, min(tile, max(_BLOCK, _CHUNK // rows))
 
 
@@ -90,22 +92,32 @@ def _modes(src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
 def _hadamard(out: np.ndarray, load):
     """Walsh-Hadamard transform into the int32 or int64 ``out``, run in its float view (module docstring).
 
-    H_{2^n} is a Kronecker power of H_16. Sweep 1, per 2^16-entry tile:
-    ``load(tile, start)`` writes the input from ``start`` on into the tile,
-    and the index digits inside it run in cache. Sweep 2, per column chunk
-    of the (rows x tile) grid: the higher digits run in two chunk buffers,
-    and the result is cast back into ``out``. This generator yields each
+    H_{2^n} is a Kronecker power of H_16. Sweep 1 runs on the call, per
+    2^16-entry tile: ``load(tile, start, scratch)`` writes the input from
+    ``start`` on into the tile, and may use ``scratch``, a free buffer of
+    the tile's size; then the index digits inside the tile run in cache.
+    Sweep 2 is the returned generator (:func:`_columns`), which yields each
     finished chunk of ``out``; the transform is done when it is exhausted.
     """
     values = out.view(f"f{out.itemsize}")
     rows, tile, width = _grid(out.size)
-    buf = np.empty(max(tile, 2 * rows * width), values.dtype)
+    buf = np.empty(tile, values.dtype)
     for start in range(0, out.size, tile):
         x = values[start:start + tile]
-        load(x, start)
-        if (done := _modes(x, (buf[:tile], x), 1, tile)) is not x:
+        load(x, start, buf)
+        if (done := _modes(x, (buf, x), 1, tile)) is not x:
             x[...] = done
-    pair = tuple(buf[:2 * rows * width].reshape(2, rows, width))
+    return _columns(out, values, rows, tile, width)
+
+
+def _columns(out: np.ndarray, values: np.ndarray, rows: int, tile: int, width: int):
+    """Sweep 2 of :func:`_hadamard`, per column chunk of the (rows x tile) grid.
+
+    The higher digits run in two chunk buffers, and the result is cast back
+    into ``out``. With one row, n <= 16, no digit is left and the sweep
+    only casts, with no buffers.
+    """
+    pair = tuple(np.empty((2, rows, width), values.dtype)) if rows > 1 else ()
     shape = (rows, tile) if rows > 1 else (tile,)  # one row casts back in place in 1-D, with no temporary
     grid, float_grid = out.reshape(shape), values.reshape(shape)
     for c in range(0, tile, width):
@@ -113,28 +125,44 @@ def _hadamard(out: np.ndarray, load):
         yield grid[..., c:c + width]
 
 
+# _BITS[a, b] is bit b of a, for a < 2^8.
+_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.float64)
+_ONES = np.ones(_BLOCK)  # no ones vector below is longer
+
+
+def _bit_sums(sums: np.ndarray) -> list[int]:
+    """For 2^k float sums indexed by k <= 8 bits: per bit, the sum of those whose index has it set."""
+    return [int(m) for m in (sums @ _BITS[:sums.size, :sums.size.bit_length() - 1]).tolist()]
+
+
 def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
     """Half-cube masses, total and per-tile running sums of the squares of a 2^n array's column chunks.
 
-    Each chunk is squared into one float64 buffer; products with ones sum
-    it down and along its _BLOCK-entry segments, for the masses on the bits
-    inside a segment and above it. Every sum is of non-negative integers no
-    larger than the total: exact up to 2^53, and 2^53 or more above it.
+    Each chunk is squared into one float64 buffer. Products with ones sum it
+    down its _BLOCK-entry segments, into the sums per offset, and along
+    them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
+    takes the masses on the bits inside a segment, above it and above the
+    tile. Every sum is of non-negative integers no larger than the total:
+    exact up to 2^53, and 2^53 or more above it.
     """
+    if size <= _BLOCK:  # one chunk, one segment: its squares give every mass
+        (chunk,) = chunks
+        squares = np.square(chunk.reshape(-1), dtype=np.float64)
+        total = int(squares.sum())
+        return tuple(_bit_sums(squares)), total, np.array([total])
     rows, tile, width = _grid(size)
     q = min(_BLOCK, width)
-    squares = np.empty((rows, width))
-    per_offset, per_segment, per_tile = np.zeros(q), np.empty(tile // q), np.zeros(rows)
-    ones_down, ones_along = np.ones(rows * width // q), np.ones(q)
+    squares = np.empty((rows, width // q, q))
+    per_offset, segments = np.zeros(q), np.empty((rows, tile // q))
+    flat, ones = squares.reshape(rows, width), _ONES[:rows * width // q]
     for k, chunk in enumerate(chunks):
-        squares[...] = chunk
-        squares *= squares
-        per_offset += ones_down @ squares.reshape(-1, q)
-        sums = (squares.reshape(-1, q) @ ones_along).reshape(rows, -1)
-        per_segment[k * width // q:(k + 1) * width // q] = sums.sum(axis=0)
-        per_tile += sums.sum(axis=1)
-    masses = (m for part in (per_offset, per_segment, per_tile) for m in _half_cube_masses(part)[0])
-    return tuple(masses), int(per_tile.sum()), np.cumsum(per_tile.astype(np.int64))
+        flat[...] = chunk
+        flat *= flat
+        per_offset += ones @ squares.reshape(-1, q)
+        np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
+    per_tile = segments.sum(axis=1)
+    masses = (m for part in (per_offset, segments.sum(axis=0), per_tile) for m in _bit_sums(part))
+    return tuple(masses), int(per_tile.sum()), np.cumsum(per_tile, dtype=np.int64)
 
 
 def fwht(values) -> np.ndarray:
@@ -154,15 +182,9 @@ def fwht(values) -> np.ndarray:
     if max(-int(arr.min()), int(arr.max())) * size > 1 << 53:
         raise ValueError("fwht needs max|v| * length <= 2^53 for an exact float64 transform")
     out = np.empty(size, np.int64)
-    for _ in _hadamard(out, lambda tile, start: np.copyto(tile, arr.reshape(-1)[start:start + tile.size])):
+    for _ in _hadamard(out, lambda tile, start, _: np.copyto(tile, arr.reshape(-1)[start:start + tile.size])):
         pass
     return out.reshape(arr.shape)
-
-
-def _half_cube_masses(weights: np.ndarray) -> tuple[tuple[int, ...], int]:
-    """Every half-cube mass sum_{y_i = 1} weights[y], i = 1..n, and the total."""
-    halves = (weights.reshape(-1, 2, 1 << b)[:, 1] for b in range(weights.size.bit_length() - 1))
-    return tuple(int(h.sum()) for h in halves), int(weights.sum())
 
 
 class WalshSpectrum:
@@ -212,6 +234,24 @@ class WalshSpectrum:
         return f"WalshSpectrum(n={self.n})"
 
 
+# _BYTE_SIGNS[v] holds (-1)^b for the 8 bits b of the byte v, low bit first.
+_BYTE_SIGNS = np.float32(1) - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def _load_signs(packed: np.ndarray, tile: np.ndarray, start: int, scratch: np.ndarray) -> None:
+    """Write the signs 1 - 2 f(x) of a packed table into ``tile``, from x = ``start`` on.
+
+    Each byte picks its 8 signs from ``_BYTE_SIGNS``; the byte values are
+    cast to indices in ``scratch``, a float buffer of the tile's size.
+    """
+    if tile.size < 8:  # n < 3: the low 2^n bits of the one byte
+        tile[...] = _BYTE_SIGNS[packed[0], :tile.size]
+        return
+    index = scratch.view(np.intp)[:tile.size >> 3]
+    np.copyto(index, packed[start >> 3:(start + tile.size) >> 3])
+    np.take(_BYTE_SIGNS, index, axis=0, out=tile.reshape(-1, 8), mode="clip")
+
+
 def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
     """Exact spectrum of f by FWHT on the (-1)^f(x) table; O(n 2^n).
 
@@ -221,9 +261,8 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
     if not isinstance(f, TruthTable):
         raise TypeError(f"need a TruthTable (tabulate an Anf with to_truth_table), got {type(f).__name__}")
     if f._spectrum is None:
-        w = np.empty(f.bits.size, np.int32)
-        # the transform of the signs 1 - 2 f(x), built tile by tile
-        chunks = _hadamard(w, lambda tile, i: np.subtract(np.float32(1), 2 * f.bits[i:i + tile.size], out=tile))
+        w = np.empty(1 << f.n, np.int32)
+        chunks = _hadamard(w, lambda tile, start, scratch: _load_signs(f.packed, tile, start, scratch))
         masses = _square_sums(chunks, w.size)
         w.flags.writeable = False
         s = WalshSpectrum.__new__(WalshSpectrum)  # unchecked: w is this transform's own, read-only
@@ -246,8 +285,9 @@ def _packed(f: TruthTable) -> tuple[np.ndarray, int]:
     taken on the words is ``repeat`` times the count on f.
     """
     repeat = max(1, 64 >> f.n)
-    bits = np.tile(f.bits, repeat) if repeat > 1 else f.bits
-    return np.packbits(bits, bitorder="little").view("<u8"), repeat
+    if repeat == 1:
+        return f.packed.view("<u8"), repeat
+    return np.packbits(np.tile(f.bits, repeat), bitorder="little").view("<u8"), repeat
 
 
 def _flip_count(words: np.ndarray, repeat: int, i: int) -> int:
@@ -360,7 +400,7 @@ def correlation_fast(f: TruthTable) -> np.ndarray:
     """
     w = walsh_spectrum(f).w
     c = np.empty(w.size, np.int64)
-    for _ in _hadamard(c, lambda tile, start: np.square(w[start:start + tile.size], out=tile, dtype=np.float64)):
+    for _ in _hadamard(c, lambda tile, start, _: np.square(w[start:start + tile.size], out=tile, dtype=np.float64)):
         pass
     c = _divide_exactly(c, f.n)
     c.flags.writeable = False

@@ -194,7 +194,7 @@ def test_criterion_09_two_class_error_budget():
 
 def test_criterion_10_three_class_windows_and_out_of_model():
     t = to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 8))
-    lam, eps, trials = 2000, 0.1, 1000
+    lam, eps, trials = 2000, Fraction(1, 10), 1000
     wanted = {
         1: TermClass.LINEAR,
         2: TermClass.QUADRATIC, 3: TermClass.QUADRATIC,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,9 +171,39 @@ def _anf_value(f: Anf, x: int) -> int:
 @example(Anf([[], [1, 5], [2, 3, 4], [1, 2, 3, 4, 5]], 5))
 @settings(max_examples=60, deadline=None)
 def test_table_agrees_with_direct_anf_evaluation(f):
-    table = to_truth_table(f)
+    bits = to_truth_table(f).bits
     for v in range(1 << f.n):
-        assert table.bits[v] == _anf_value(f, v), f"mismatch at input {v} of {f.to_text()}"
+        assert bits[v] == _anf_value(f, v), f"mismatch at input {v} of {f.to_text()}"
+
+
+def test_bits_unpack_the_packed_bytes_in_enc_order():
+    # bit b of packed byte j is f at enc 8j + b; bits is one uint8 per
+    # entry in enc order, unpacked afresh and read-only on every access
+    f = from_anf("1 + x1 + x2*x5 + x3*x4*x7", 7)
+    t = to_truth_table(f)
+    want = [_anf_value(f, x) for x in range(1 << 7)]
+    assert t.packed.dtype == np.uint8 and not t.packed.flags.writeable
+    assert t.packed.tolist() == [sum(want[8 * j + b] << b for b in range(8)) for j in range(16)]
+    bits = t.bits
+    assert bits.dtype == np.uint8 and bits.tolist() == want
+    assert not bits.flags.writeable and t.bits is not bits
+    assert TruthTable(7, bits) == t
+
+
+def test_tabulation_holds_one_bit_per_entry():
+    # The packed table is 1/8 byte per entry, built without an unpacked
+    # uint8 table (1 byte per entry) or a raw byte per entry.
+    size = 1 << 20
+    planted = from_anf("x1 + x2*x3 + x4*x5*x6 + x7*x8*x9*x10 + x11*x20 + 1", 20)
+    for name, job in (("to_truth_table", lambda: to_truth_table(planted)),
+                      ("random_function", lambda: random_function(20, seed=7))):
+        tracemalloc.start()
+        try:
+            job()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * size, f"{name}: peak {peak / size:.3f} bytes per entry"
 
 
 @given(anf_instances())

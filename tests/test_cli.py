@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bvinfluence import cli
-from bvinfluence.boolfn import from_anf, random_function, to_truth_table
+from bvinfluence.boolfn import TruthTable, from_anf, random_function, to_truth_table
 from bvinfluence.cli import main, read_table, run, write_table
 from bvinfluence.rng import spawn_seeds
 
@@ -357,8 +357,8 @@ def test_table_file_round_trip(tmp_path):
 
 
 def test_binary_table_is_read_without_a_second_copy(tmp_path):
-    # 1/8 byte per entry of file, and the unpacked bits handed to the table
-    # as they are: a copy of the bits, or of the payload, would exceed 1.25
+    # the file's bytes and the table's one copy of the payload, each 1/8
+    # byte per entry: unpacked bits, or a second copy, would exceed 0.3
     size = 1 << 20
     path = tmp_path / "f.ttb"
     write_table(random_function(20, seed=9), str(path))
@@ -368,7 +368,29 @@ def test_binary_table_is_read_without_a_second_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * size, f"peak {peak / size:.2f} bytes per entry"
+    assert peak <= 0.3 * size, f"peak {peak / size:.2f} bytes per entry"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_short_tables_keep_zero_padding(tmp_path, n):
+    # Below n=3 the one packed byte has padding bits above the 2^n table
+    # bits; every route to a table leaves them 0, so == and the weight in
+    # repr see only the table, and a .ttb file round-trips.
+    for seed in range(6):
+        t = random_function(n, seed=seed)
+        bits = t.bits
+        assert t.packed.tolist() == [sum(int(v) << b for b, v in enumerate(bits))]
+        path = tmp_path / f"f{n}-{seed}.ttb"
+        write_table(t, str(path))
+        assert path.read_bytes() == bytes([n]) + t.packed.tobytes()
+        for same in (read_table(str(path)), TruthTable(n, bits)):
+            assert same == t and repr(same) == repr(t)
+        assert repr(t) == f"TruthTable(n={n}, weight={int(bits.sum())})"
+        flipped = TruthTable(n, 1 - bits)
+        assert flipped != t and repr(flipped) == f"TruthTable(n={n}, weight={(1 << n) - int(bits.sum())})"
+    ones = to_truth_table(from_anf("1", n))
+    assert ones.packed.tolist() == [(1 << min(8, 1 << n)) - 1]
+    assert ones == TruthTable(n, [1] * (1 << n))
 
 
 def test_table_file_error_reporting(tmp_path):

@@ -172,7 +172,8 @@ def test_classical_blocks_match_one_draw_call():
     # three blocks, the last one partial, against one draw of all m inputs
     f, m, i = random_function(12, seed=61), 2 * _BLOCK + 5, 5
     xs = make_generator(62).integers(0, 2**f.n, m)
-    changed = int(np.count_nonzero(f.bits[xs] != f.bits[xs ^ (1 << (i - 1))]))
+    bits = f.bits
+    changed = int(np.count_nonzero(bits[xs] != bits[xs ^ (1 << (i - 1))]))
     assert classical_estimate(f, i, m, seed=62).q == Fraction(changed, m)
 
 
@@ -203,11 +204,24 @@ def test_sampling_memory_does_not_grow_with_m(job):
 
 def test_black_box_oracle_classical_path():
     table = random_function(5, seed=71)
-    black = BlackBoxOracle(lambda x: int(table.bits[x]), 5)
+    bits = table.bits
+    black = BlackBoxOracle(lambda x: int(bits[x]), 5)
     # same draws, same answer, whichever oracle form is used
     a = classical_estimate(table, 2, 2000, seed=90)
     b = classical_estimate(black, 2, 2000, seed=90)
     assert a.q == b.q
+
+
+def test_classical_reads_packed_bytes_below_its_unpack_threshold():
+    # below m = 2^n / 16 a table is read off its packed bytes, from there on
+    # from an unpacked copy; both count what the oracle counts, for partners
+    # in the same byte (i <= 3) and in another (i >= 4)
+    table = random_function(12, seed=73)
+    bits = table.bits
+    black = BlackBoxOracle(lambda x: int(bits[x]), 12)
+    for m in (255, 256):
+        for i in (1, 3, 4, 12):
+            assert classical_estimate(table, i, m, seed=m + i).q == classical_estimate(black, i, m, seed=m + i).q
 
 
 def test_classical_estimate_rejects_non_oracles():

@@ -96,7 +96,7 @@ def test_algorithm2_misread_rate_x1x2():
 
 
 def test_algorithm3_mixed_function():
-    report = algorithm3(MIXED_QC, lam=2000, epsilon=0.1, seed=2024)
+    report = algorithm3(MIXED_QC, lam=2000, epsilon=Fraction(1, 10), seed=2024)
     want = [TermClass.LINEAR] + [TermClass.QUADRATIC] * 2 + [TermClass.CUBIC] * 3 + [TermClass.ABSENT] * 2
     assert [report.label_of(i) for i in range(1, 9)] == want
     assert report.algorithm == "linear-quadratic-cubic"
@@ -104,14 +104,14 @@ def test_algorithm3_mixed_function():
 
 def test_algorithm3_constant_all_absent():
     const = to_truth_table(from_anf("1", 5))
-    report = algorithm3(const, lam=50, epsilon=0.1, seed=8)
+    report = algorithm3(const, lam=50, epsilon=Fraction(1, 10), seed=8)
     assert all(vc.label is TermClass.ABSENT for vc in report.classes)
 
 
 def test_algorithm3_degree4_lands_unclassified():
     # a degree-4 variable sits at influence 1/8, outside both windows
     quartic = to_truth_table(from_anf("x1*x2*x3*x4", 6))
-    report = algorithm3(quartic, lam=2000, epsilon=0.1, seed=301)
+    report = algorithm3(quartic, lam=2000, epsilon=Fraction(1, 10), seed=301)
     for i in (1, 2, 3, 4):
         assert report.label_of(i) is TermClass.UNCLASSIFIED
     for i in (5, 6):
@@ -127,20 +127,20 @@ def test_algorithm3_windows_recorded():
 
 def test_algorithm3_parameter_validation():
     with pytest.raises(ValueError):
-        algorithm3(MIXED_QC, lam=3, epsilon=0.1, seed=0)
+        algorithm3(MIXED_QC, lam=3, epsilon=Fraction(1, 10), seed=0)
     for eps in (0, Fraction(1, 8), 0.2, -0.01):
         with pytest.raises(ValueError):
             algorithm3(MIXED_QC, lam=100, epsilon=eps, seed=0)
 
 
 def test_algorithm3_determinism():
-    a = algorithm3(MIXED_QC, lam=200, epsilon=0.05, seed=17)
-    b = algorithm3(MIXED_QC, lam=200, epsilon=0.05, seed=17)
+    a = algorithm3(MIXED_QC, lam=200, epsilon=Fraction(1, 20), seed=17)
+    b = algorithm3(MIXED_QC, lam=200, epsilon=Fraction(1, 20), seed=17)
     assert a == b
 
 
 def test_algorithm3_error_budget():
-    report = algorithm3(MIXED_QC, lam=2000, epsilon=0.1, seed=0)
+    report = algorithm3(MIXED_QC, lam=2000, epsilon=Fraction(1, 10), seed=0)
     expected = 2 * math.exp(-2 * 2000 * 0.1**2)
     assert report.error_budget["quadratic_window_miss"] == pytest.approx(expected, rel=1e-6)
     assert report.error_budget["cubic_window_miss"] == pytest.approx(expected, rel=1e-6)

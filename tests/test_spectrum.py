@@ -200,8 +200,9 @@ def test_packed_flip_counts_match_a_byte_pair_comparison():
     for t in corpus(24, ns=range(1, 9)):
         words, repeat = spectrum._packed(t)
         assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << t.n) // 64)
+        bits = t.bits
         for i in range(1, t.n + 1):
-            changed = sum(t.bits[x] != t.bits[x ^ (1 << (i - 1))] for x in range(1 << t.n))
+            changed = sum(bits[x] != bits[x ^ (1 << (i - 1))] for x in range(1 << t.n))
             assert spectrum._flip_count(words, repeat, i) == changed, f"i={i}, n={t.n}"
             assert influence_by_definition(t, i) * (1 << t.n) == changed
 
@@ -270,7 +271,7 @@ def test_hadamard_kernel_matches_naive_summation(dtype):
         values = np.outer(a, b).ravel()
         expected = np.outer(parity_signs(high) @ a, parity_signs(low) @ b).ravel()
         out = np.empty(values.size, f"i{np.dtype(dtype).itemsize}")
-        chunks = [c.copy() for c in spectrum._hadamard(out, lambda tile, s: np.copyto(tile, values[s:s + tile.size]))]
+        chunks = [c.copy() for c in spectrum._hadamard(out, lambda tile, s, _: np.copyto(tile, values[s:s + tile.size]))]
         assert np.array_equal(out, expected), f"n={n}"
         rows, tile, width = spectrum._grid(out.size)
         assert np.array_equal(np.hstack(chunks).reshape(rows, tile), out.reshape(rows, tile)), f"n={n}"
@@ -397,12 +398,12 @@ def test_fused_masses_match_the_squares(name):
     t = FUSED_TABLES[name]()
     s = walsh_spectrum(t)
     squares = s.squares()
-    ones, total = spectrum._half_cube_masses(squares)
+    ones, total = [strided_half_mass(squares, i) for i in range(1, t.n + 1)], int(squares.sum())
     tile_ends = np.cumsum(squares.reshape(-1, min(1 << 16, squares.size)).sum(axis=1))
     del squares
     assert total == 1 << (2 * t.n)
     for built in (s, WalshSpectrum(t.n, np.array(s.w))):
-        assert [built.ones_square_sum(i) for i in range(1, t.n + 1)] == list(ones)
+        assert [built.ones_square_sum(i) for i in range(1, t.n + 1)] == ones
         assert built.square_sum() == total
         assert built._tile_ends.dtype == np.int64
         assert np.array_equal(built._tile_ends, tile_ends)
@@ -449,6 +450,24 @@ def test_transforms_cast_in_place():
         finally:
             tracemalloc.stop()
         assert peak <= (width + 0.75) * size, f"{job.__name__}: peak {peak / size:.2f} bytes per entry"
+
+
+def test_spectrum_at_n16_is_no_larger_than_before_the_fused_sweep():
+    # One row, n <= 16: sweep 1 holds the ping-pong tile buffer (4 bytes per
+    # entry) beside the int32 spectrum (4), and sweep 2 only casts and
+    # squares a quarter of the row at a time once that buffer is freed. The
+    # transform of e49963d, which left the masses for later, peaked at 8.04
+    # bytes per entry; the two-sweep transform with 2^15-entry chunk
+    # buffers at 13.7.
+    size = 1 << 16
+    t = random_function(16, 4)
+    tracemalloc.start()
+    try:
+        walsh_spectrum(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.05 * size, f"peak {peak / size:.3f} bytes per entry"
 
 
 def test_fwht_input_validation():
