@@ -161,21 +161,13 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
 
     Inputs are drawn uniformly with replacement so the same Hoeffding
     bound as the sampling path applies. Costs 2m oracle calls and covers
-    a single variable. Inputs are drawn and compared block by block; a
-    table is read from an unpacked copy from m >= 2^n / 16 on, and from its
-    packed bytes below that.
+    a single variable. Inputs are drawn and compared block by block.
     """
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
     seed, blocks = _blocks(f.n, m, seed, _BLOCK)
     _check_index(i, f.n)
-    if isinstance(f, BlackBoxOracle):
-        evaluate = f.evaluate_many
-    elif m >= 1 << f.n >> 4:  # an unpacked copy of f, 2^n bytes, pays for itself from about 2^n / 16 draws
-        evaluate = f.bits.take
-    else:
-        def evaluate(xs):
-            return f.packed.take(xs >> 3) >> (xs & 7) & 1
+    evaluate = f.bits.take if isinstance(f, TruthTable) else f.evaluate_many
     changed = 0
     for xs in blocks:
         before = evaluate(xs)

@@ -145,11 +145,6 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
     tile. Every sum is of non-negative integers no larger than the total:
     exact up to 2^53, and 2^53 or more above it.
     """
-    if size <= _BLOCK:  # one chunk, one segment: its squares give every mass
-        (chunk,) = chunks
-        squares = np.square(chunk.reshape(-1), dtype=np.float64)
-        total = int(squares.sum())
-        return tuple(_bit_sums(squares)), total, np.array([total])
     rows, tile, width = _grid(size)
     q = min(_BLOCK, width)
     squares = np.empty((rows, width // q, q))
@@ -162,7 +157,7 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
         np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
     per_tile = segments.sum(axis=1)
     masses = (m for part in (per_offset, segments.sum(axis=0), per_tile) for m in _bit_sums(part))
-    return tuple(masses), int(per_tile.sum()), np.cumsum(per_tile, dtype=np.int64)
+    return tuple(masses), int(per_tile.sum()), per_tile.astype(np.int64).cumsum()
 
 
 def fwht(values) -> np.ndarray:

@@ -96,6 +96,10 @@ def test_truth_table_immutable():
         t.n = 3
     with pytest.raises(ValueError):
         t.bits[0] = 1
+    # the table's own storage is the packed bytes, read-only from every route
+    for table in (t, TruthTable(4, [0, 1] * 8), random_function(4, seed=3)):
+        with pytest.raises(ValueError):
+            table.packed[0] = 1
 
 
 def test_truth_table_spectrum_cache_is_invisible():
@@ -111,6 +115,8 @@ def test_truth_table_spectrum_cache_is_invisible():
             setattr(warm, name, None)
     with pytest.raises(ValueError):
         warm.bits[0] = 1
+    with pytest.raises(ValueError):
+        warm.packed[0] = 1
     assert warm != to_truth_table(from_anf("x1", 3))
 
 

@@ -349,6 +349,8 @@ def test_table_file_round_trip(tmp_path):
         back = read_table(str(path))
         assert back.n == t.n
         assert np.array_equal(back.bits, t.bits)
+        with pytest.raises(ValueError):
+            back.packed[0] = 1
 
     # both file routes agree with the direct route end to end
     via_text = invoke_json(["influence", "--table", str(text_path)])

@@ -212,18 +212,6 @@ def test_black_box_oracle_classical_path():
     assert a.q == b.q
 
 
-def test_classical_reads_packed_bytes_below_its_unpack_threshold():
-    # below m = 2^n / 16 a table is read off its packed bytes, from there on
-    # from an unpacked copy; both count what the oracle counts, for partners
-    # in the same byte (i <= 3) and in another (i >= 4)
-    table = random_function(12, seed=73)
-    bits = table.bits
-    black = BlackBoxOracle(lambda x: int(bits[x]), 12)
-    for m in (255, 256):
-        for i in (1, 3, 4, 12):
-            assert classical_estimate(table, i, m, seed=m + i).q == classical_estimate(black, i, m, seed=m + i).q
-
-
 def test_classical_estimate_rejects_non_oracles():
     # an Anf has no evaluate_many and a str no .n: both are type errors
     for f in (from_anf("x1*x2", 2), "x1*x2"):
