@@ -213,19 +213,12 @@ def from_anf(text: str, n: int) -> Anf:
     if not tokens:
         raise AnfSyntaxError("empty expression", 0)
 
-    monomials: set[Monomial] = set()
-
-    def toggle(mono: Monomial) -> None:
-        if mono in monomials:
-            monomials.remove(mono)
-        else:
-            monomials.add(mono)
-
+    monomials: set[Monomial] = set()  # each term is XORed in: a repeated one cancels
     idx = 0
     while True:
         kind, value, pos = tokens[idx]
         if kind == "1":
-            toggle(frozenset())
+            monomials ^= {frozenset()}
             idx += 1
         elif kind == "0":
             idx += 1
@@ -245,7 +238,7 @@ def from_anf(text: str, n: int) -> Anf:
                         raise AnfSyntaxError("expected variable after '*'", pos)
                 else:
                     break
-            toggle(frozenset(factors))
+            monomials ^= {frozenset(factors)}
         else:
             raise AnfSyntaxError(f"expected a term, found {kind!r}", pos)
 

@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index
+from .boolfn import TruthTable, _check_index, _check_n
 from .bvsim import _BLOCK, _blocks, _sampled_ones
+from .spectrum import _flips, _packed
 
 
 class BlackBoxOracle:
@@ -32,8 +33,10 @@ class BlackBoxOracle:
     """
 
     def __init__(self, fn: Callable[[int], int], n: int):
-        self.fn = fn
-        self.n = n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"variable count must be an integer, got {n!r}")
+        _check_n(n)
+        self.fn, self.n = fn, int(n)
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         out = np.fromiter((self.fn(int(x)) for x in xs), dtype=object, count=len(xs))
@@ -161,16 +164,21 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
 
     Inputs are drawn uniformly with replacement so the same Hoeffding
     bound as the sampling path applies. Costs 2m oracle calls and covers
-    a single variable. Inputs are drawn and compared block by block.
+    a single variable. Inputs are drawn and tested block by block: each by
+    one lookup in a table's f(x) xor f(x xor alpha^i), or two black-box queries.
     """
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
     seed, blocks = _blocks(f.n, m, seed, _BLOCK)
     _check_index(i, f.n)
-    evaluate = f.bits.take if isinstance(f, TruthTable) else f.evaluate_many
     changed = 0
-    for xs in blocks:
-        before = evaluate(xs)
-        xs ^= 1 << (i - 1)  # in place, in the reused draw buffer
-        changed += int(np.count_nonzero(before != evaluate(xs)))
+    if isinstance(f, TruthTable):
+        differs = np.unpackbits(_flips(_packed(f)[0], i, both=True).view(np.uint8), count=1 << f.n, bitorder="little")
+        for xs in blocks:
+            changed += int(np.count_nonzero(differs.take(xs)))
+    else:
+        for xs in blocks:
+            before = f.evaluate_many(xs)
+            xs ^= 1 << (i - 1)  # in place, in the reused draw buffer
+            changed += int(np.count_nonzero(before != f.evaluate_many(xs)))
     return ClassicalEstimate(i=i, m=m, seed=seed, q=Fraction(changed, m), oracle_calls=2 * m)

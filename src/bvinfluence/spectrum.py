@@ -285,21 +285,33 @@ def _packed(f: TruthTable) -> tuple[np.ndarray, int]:
     return np.packbits(np.tile(f.bits, repeat), bitorder="little").view("<u8"), repeat
 
 
-def _flip_count(words: np.ndarray, repeat: int, i: int) -> int:
-    """|V_1(i)|, the inputs x with f(x) != f(x xor e_i), on :func:`_packed` words.
+def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
+    """f(x) xor f(x xor e_i) on :func:`_packed` words: at the lower x of each partner pair, or with ``both`` at each x.
 
-    For i <= 6 the partner bit is 2^(i-1) places up in the same word;
-    above that it is the same bit of the word 2^(i-7) places up.
+    For i <= 6 the partner is 2^(i-1) bits up in the same word; one multiply
+    copies the lower bits there (the copies never overlap). Above that it is
+    in the word 2^(i-7) places up: the lower words, or both halves, hold the XOR.
     """
     k = i - 1
     if k < 6:
         diff = words >> (1 << k)
         diff ^= words
         diff &= _LOW[k]
-    else:
-        pairs = words.reshape(-1, 2, 1 << (k - 6))
-        diff = pairs[:, 0] ^ pairs[:, 1]
-    return 2 * int(np.bitwise_count(diff).sum()) // repeat
+        if both:
+            diff *= 1 + (1 << (1 << k))
+        return diff
+    pairs = words.reshape(-1, 2, 1 << (k - 6))
+    if not both:
+        return pairs[:, 0] ^ pairs[:, 1]
+    diff = np.empty_like(pairs)  # one array: no freed lower half is left below what follows it
+    np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=diff[:, 0])
+    diff[:, 1] = diff[:, 0]
+    return diff.reshape(-1)
+
+
+def _flip_count(words: np.ndarray, repeat: int, i: int) -> int:
+    """|V_1(i)|, the inputs x with f(x) != f(x xor e_i), on :func:`_packed` words."""
+    return 2 * int(np.bitwise_count(_flips(words, i)).sum()) // repeat
 
 
 def _flip_counts_at(words: np.ndarray, repeat: int, gammas) -> list[int]:
@@ -394,8 +406,11 @@ def correlation_fast(f: TruthTable) -> np.ndarray:
     block by block.
     """
     w = walsh_spectrum(f).w
+    def load(tile, start, _):  # cast, then square: a casting np.square goes through a ufunc buffer
+        tile[...] = w[start:start + tile.size]
+        tile *= tile
     c = np.empty(w.size, np.int64)
-    for _ in _hadamard(c, lambda tile, start, _: np.square(w[start:start + tile.size], out=tile, dtype=np.float64)):
+    for _ in _hadamard(c, load):
         pass
     c = _divide_exactly(c, f.n)
     c.flags.writeable = False
@@ -403,8 +418,8 @@ def correlation_fast(f: TruthTable) -> np.ndarray:
 
 
 def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
-    """c / 2^n in place, checked tile by tile to be exact; returns c."""
-    if any((c[k:k + _TILE] & ((1 << n) - 1)).any() for k in range(0, c.size, _TILE)):
+    """c / 2^n in place, checked tile by tile to be exact (counted: .any() casts through a buffer); returns c."""
+    if any(np.count_nonzero(c[k:k + _TILE] & ((1 << n) - 1)) for k in range(0, c.size, _TILE)):
         raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
     c >>= n
     return c

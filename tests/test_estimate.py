@@ -168,13 +168,18 @@ def test_classical_and_sampling_paths_converge():
         assert abs(float(q) - float(exact[i])) < 0.01
 
 
-def test_classical_blocks_match_one_draw_call():
-    # three blocks, the last one partial, against one draw of all m inputs
-    f, m, i = random_function(12, seed=61), 2 * _BLOCK + 5, 5
-    xs = make_generator(62).integers(0, 2**f.n, m)
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 12])
+def test_classical_blocks_match_one_draw_call(n):
+    # Two blocks, the last one partial, against the pair test on one draw of
+    # all m inputs, for every variable: the difference table is built on
+    # words repeated to 64 bits below n = 6, with partners inside a word for
+    # i <= 6 and in another word above that.
+    f, m = random_function(n, seed=61), _BLOCK + 5
+    xs = make_generator(62).integers(0, 2**n, m)
     bits = f.bits
-    changed = int(np.count_nonzero(bits[xs] != bits[xs ^ (1 << (i - 1))]))
-    assert classical_estimate(f, i, m, seed=62).q == Fraction(changed, m)
+    for i in range(1, n + 1):
+        changed = int(np.count_nonzero(bits[xs] != bits[xs ^ (1 << (i - 1))]))
+        assert classical_estimate(f, i, m, seed=62).q == Fraction(changed, m), f"i={i}"
 
 
 @pytest.mark.parametrize(
@@ -203,13 +208,14 @@ def test_sampling_memory_does_not_grow_with_m(job):
 
 
 def test_black_box_oracle_classical_path():
-    table = random_function(5, seed=71)
+    table = random_function(8, seed=71)
     bits = table.bits
-    black = BlackBoxOracle(lambda x: int(bits[x]), 5)
+    black = BlackBoxOracle(lambda x: int(bits[x]), 8)
     # same draws, same answer, whichever oracle form is used
-    a = classical_estimate(table, 2, 2000, seed=90)
-    b = classical_estimate(black, 2, 2000, seed=90)
-    assert a.q == b.q
+    for i in range(1, 9):
+        a = classical_estimate(table, i, 2000, seed=90)
+        b = classical_estimate(black, i, 2000, seed=90)
+        assert a.q == b.q and a.oracle_calls == b.oracle_calls == 4000, f"i={i}"
 
 
 def test_classical_estimate_rejects_non_oracles():
@@ -246,3 +252,15 @@ def test_black_box_oracle_rejects_non_bits(output):
         black.evaluate_many(np.arange(8))
     with pytest.raises(ValueError):
         classical_estimate(black, 1, 200, seed=0)
+
+
+def test_black_box_oracle_rejects_bad_variable_counts():
+    # checked on construction, as a TruthTable's is: not deep in the draws
+    for n in (2.0, True, "3", None):
+        with pytest.raises(TypeError):
+            BlackBoxOracle(lambda x: x & 1, n)
+    for n in (0, -2, 25, 40):
+        with pytest.raises(ValueError, match=r"variable count must be in 1\.\.24"):
+            BlackBoxOracle(lambda x: x & 1, n)
+    black = BlackBoxOracle(lambda x: x & 1, np.int64(3))
+    assert type(black.n) is int and classical_estimate(black, 1, 10, seed=0).q == 1

@@ -452,6 +452,26 @@ def test_transforms_cast_in_place():
         assert peak <= (width + 0.75) * size, f"{job.__name__}: peak {peak / size:.2f} bytes per entry"
 
 
+@pytest.mark.parametrize("n", [10, 13, 16])
+def test_correlation_at_one_row_holds_two_arrays(n):
+    # One row, n <= 16: the int64 result and sweep 1's float64 tile buffer,
+    # 16 bytes per entry, then the result and one tile of remainders. 4 KiB
+    # more covers the generator and the array views (about 1.6 KiB
+    # measured); squaring the int32 spectrum with a casting np.square, and
+    # .any() on the remainders, went through ufunc buffers: 24.8, 24.1 and
+    # 17.0 bytes per entry at n = 10, 13 and 16.
+    size = 1 << n
+    t = random_function(n, 4)
+    walsh_spectrum(t)
+    tracemalloc.start()
+    try:
+        correlation_fast(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * size + 4096, f"peak {peak / size:.2f} bytes per entry"
+
+
 def test_spectrum_at_n16_is_no_larger_than_before_the_fused_sweep():
     # One row, n <= 16: sweep 1 holds the ping-pong tile buffer (4 bytes per
     # entry) beside the int32 spectrum (4), and sweep 2 only casts and
