@@ -290,7 +290,7 @@ def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
 
     For i <= 6 the partner is 2^(i-1) bits up in the same word; one multiply
     copies the lower bits there (the copies never overlap). Above that it is
-    in the word 2^(i-7) places up: the lower words, or both halves, hold the XOR.
+    the same bit of the word 2^(i-7) places up.
     """
     k = i - 1
     if k < 6:
@@ -301,12 +301,9 @@ def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
             diff *= 1 + (1 << (1 << k))
         return diff
     pairs = words.reshape(-1, 2, 1 << (k - 6))
-    if not both:
-        return pairs[:, 0] ^ pairs[:, 1]
-    diff = np.empty_like(pairs)  # one array: no freed lower half is left below what follows it
-    np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=diff[:, 0])
-    diff[:, 1] = diff[:, 0]
-    return diff.reshape(-1)
+    if both:
+        return (pairs ^ pairs[:, ::-1]).reshape(-1)  # each word against its partner word
+    return pairs[:, 0] ^ pairs[:, 1]
 
 
 def _flip_count(words: np.ndarray, repeat: int, i: int) -> int:
@@ -418,7 +415,7 @@ def correlation_fast(f: TruthTable) -> np.ndarray:
 
 
 def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
-    """c / 2^n in place, checked tile by tile to be exact (counted: .any() casts through a buffer); returns c."""
+    """c / 2^n in place, checked tile by tile to be exact; returns c. (.any() would cast through a buffer.)"""
     if any(np.count_nonzero(c[k:k + _TILE] & ((1 << n) - 1)) for k in range(0, c.size, _TILE)):
         raise AssertionError("transform-route autocorrelation was not exactly divisible by 2^n")
     c >>= n
