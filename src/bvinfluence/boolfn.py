@@ -16,6 +16,7 @@ may compute twice but can only store equal values.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable
 
@@ -39,14 +40,26 @@ class AnfSyntaxError(ValueError):
         self.position = position
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_VARIABLES:
-        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {n}")
+def _check_int(value, name: str, low: int, high: int | None = None, error="{name} must be {bound}, got {value}") -> int:
+    """``value`` as an int in low..high (from low up if ``high`` is None), as by ``operator.index``.
+
+    A bool, a float or a str raises ``TypeError`` naming ``name``; out of range, ``ValueError`` from ``error``.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(error.format(name=name, bound=bound, low=low, value=value))
+    return value
 
 
-def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index must be in 1..{n}, got {i}")
+def _check_n(n) -> int:
+    return _check_int(n, "variable count", 1, MAX_VARIABLES)
+
+
+def _check_index(i, n: int) -> int:
+    return _check_int(i, "variable index", 1, n)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -82,7 +95,7 @@ class TruthTable:
     __slots__ = ("n", "packed", "_spectrum")
 
     def __init__(self, n: int, bits):
-        _check_n(n)
+        n = _check_n(n)
         arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size != (1 << n):
             raise ValueError(f"truth table for n={n} needs exactly {1 << n} bits, got shape {arr.shape}")
@@ -144,11 +157,8 @@ class Anf:
     __slots__ = ("n", "monomials")
 
     def __init__(self, monomials: Iterable[Iterable[int]], n: int):
-        _check_n(n)
-        monos = frozenset(frozenset(m) for m in monomials)
-        for mono in monos:
-            for k in mono:
-                _check_index(k, n)
+        n = _check_n(n)
+        monos = frozenset(frozenset(_check_index(k, n) for k in m) for m in monomials)
         super().__setattr__("n", n)
         super().__setattr__("monomials", monos)
 
@@ -208,7 +218,7 @@ def from_anf(text: str, n: int) -> Anf:
     with 1 <= k <= n. '+' is GF(2) addition, so repeated monomials
     cancel. Whitespace is ignored.
     """
-    _check_n(n)
+    n = _check_n(n)
     tokens = _tokenize(text)
     if not tokens:
         raise AnfSyntaxError("empty expression", 0)
@@ -293,7 +303,7 @@ def random_function(n: int, seed: int | None = None) -> TruthTable:
     of words at a time. The multiply gathers the top bit of every byte of a
     word into its top byte (Knuth, TAOCP 4A, 7.1.3).
     """
-    _check_n(n)
+    n = _check_n(n)
     raw = make_generator(resolve_seed(seed)).bit_generator.random_raw
     packed = np.empty(max(1, 1 << n >> 3), np.uint8)
     for start in range(0, packed.size, _RAW_BLOCK):

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_n, _frozen
+from .boolfn import TruthTable, _check_int, _check_n, _frozen
 from .rng import make_generator, resolve_seed
 from .spectrum import WalshSpectrum, influence_by_spectrum, walsh_spectrum
 
@@ -70,8 +70,7 @@ class BvDistribution:
         self._tile_ends = spectrum._tile_ends
 
     def prob(self, y: int) -> Fraction:
-        if not 0 <= y < 1 << self.n:
-            raise ValueError(f"outcome {y} outside [0, 2^{self.n})")
+        y = _check_int(y, "outcome", 0, (1 << self.n) - 1, f"outcome {{value}} outside [0, 2^{self.n})")
         return Fraction(int(self.spectrum.w[y]) ** 2, self.denominator)
 
     def marginal_one(self, i: int) -> Fraction:
@@ -101,7 +100,7 @@ class SampleBatch:
     """
 
     def __init__(self, n: int, outcomes, seed: int):
-        _check_n(n)
+        n = _check_n(n)
         arr = _frozen(outcomes, np.int64)
         if arr.size and not (0 <= arr.min() and arr.max() < 1 << n):
             raise ValueError(f"outcomes must lie in [0, 2^{n})")
@@ -143,8 +142,6 @@ def _blocks(bits: int, m: int, seed: int | None, block: int):
     word. A block is valid only until the next one is drawn: at
     ``bits <= 32`` every block is the same reused buffer.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
     if block < 2 or block % 2 or not 0 < bits < 64:
         raise ValueError(f"need an even block and 0 < bits < 64, got block={block}, bits={bits}")
     seed = resolve_seed(seed)
@@ -205,6 +202,7 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     unsorted ``searchsorted`` of all keys: 8 bytes per draw, in one
     m-sized array.
     """
+    m = _check_int(m, "sample count", 1)
     seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
     outcomes = np.empty(m, dtype=np.int64)
     for start, keys in zip(range(0, m, _KEY_BLOCK), blocks):

@@ -225,9 +225,7 @@ def _cmd_learn3(args, table):
 
 
 def _cmd_classical(args, table):
-    if args.i is not None:
-        _check_index(args.i, table.n)
-    indices = [args.i] if args.i is not None else list(range(1, table.n + 1))
+    indices = [_check_index(args.i, table.n)] if args.i is not None else list(range(1, table.n + 1))
     # Variable i draws from child i-1 of the run seed, so --i replays it.
     seeds = spawn_seeds(args.seed, table.n)
     estimates = [est.classical_estimate(table, i, args.m, seeds[i - 1]) for i in indices]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index, _check_n
+from .boolfn import TruthTable, _check_index, _check_int, _check_n
 from .bvsim import _BLOCK, _blocks, _sampled_ones
 from .spectrum import _flips, _packed
 
@@ -33,10 +33,7 @@ class BlackBoxOracle:
     """
 
     def __init__(self, fn: Callable[[int], int], n: int):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"variable count must be an integer, got {n!r}")
-        _check_n(n)
-        self.fn, self.n = fn, int(n)
+        self.fn, self.n = fn, _check_n(n)
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         out = np.fromiter((self.fn(int(x)) for x in xs), dtype=object, count=len(xs))
@@ -47,8 +44,7 @@ class BlackBoxOracle:
 
 def hoeffding_radius(m: int, delta: float) -> float:
     """Accuracy radius eps with Pr(|I - p_i| < eps) > 1 - delta at m samples."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
+    m = _check_int(m, "sample count", 1)
     if not 0 < delta < 1:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
@@ -56,8 +52,7 @@ def hoeffding_radius(m: int, delta: float) -> float:
 
 def hoeffding_failure_bound(m: int, epsilon: float) -> float:
     """The two-sided tail bound 2 exp(-2 m eps^2)."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
+    m = _check_int(m, "sample count", 1)
     if epsilon <= 0:
         raise ValueError(f"radius must be positive, got {epsilon}")
     return 2.0 * math.exp(-2.0 * m * epsilon * epsilon)
@@ -101,6 +96,7 @@ def algorithm1(f: TruthTable, m: int, seed: int | None = None) -> EstimateReport
     (sum_i l_i) / m. Costs m oracle uses for all n variables together.
     The draws are counted block by block and never kept.
     """
+    m = _check_int(m, "sample count", 1)
     ones, seed = _sampled_ones(f, m, seed)
     return EstimateReport(
         n=f.n,
@@ -143,7 +139,7 @@ def influential_list(f: TruthTable, m: int, seed: int | None = None, c: float = 
         variables=variables,
         c=float(c),
         guarantee=1.0 - math.exp(-c),
-        m=m,
+        m=report.m,
         seed=report.seed,
     )
 
@@ -169,11 +165,11 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
     """
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
+    i, m = _check_index(i, f.n), _check_int(m, "sample count", 1)
     seed, blocks = _blocks(f.n, m, seed, _BLOCK)
-    _check_index(i, f.n)
     changed = 0
     if isinstance(f, TruthTable):
-        differs = np.unpackbits(_flips(_packed(f)[0], i, both=True).view(np.uint8), count=1 << f.n, bitorder="little")
+        differs = np.unpackbits(_flips(_packed(f), i, both=True).view(np.uint8), count=1 << f.n, bitorder="little")
         for xs in blocks:
             changed += int(np.count_nonzero(differs.take(xs)))
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .boolfn import TruthTable
+from .boolfn import TruthTable, _check_index, _check_int
 from .bvsim import _sampled_ones
 from .estimate import hoeffding_failure_bound
 
@@ -61,13 +61,12 @@ class LearnReport:
     assumed_model: str = field(compare=False)
 
     def label_of(self, i: int) -> TermClass:
-        return self.classes[i - 1].label
+        return self.classes[_check_index(i, self.n) - 1].label
 
 
 def lemma1_influence(r: int) -> Fraction:
     """Influence 2^(1-r) of a variable appearing in exactly one degree-r term."""
-    if r < 1:
-        raise ValueError(f"monomial degree must be >= 1, got {r}")
+    r = _check_int(r, "monomial degree", 1)
     return Fraction(1, 1 << (r - 1))
 
 
@@ -129,8 +128,7 @@ def algorithm2(f: TruthTable, rho: int = DEFAULT_RHO, seed: int | None = None) -
     misread only when its rho fair-coin marginals all agree, so the
     per-variable error is 2 * (1/2)^rho.
     """
-    if rho < 2:
-        raise ValueError(f"need at least 2 repetitions, got {rho}")
+    rho = _check_int(rho, "repetition count rho", 2, error="need at least {low} repetitions, got {value}")
     ones, seed = _sampled_ones(f, rho, seed)
     mixed = (Fraction(0), Fraction(1))
     return LearnReport(
@@ -166,8 +164,7 @@ def algorithm3(
     least 1 - 2 exp(-2 lam eps^2); the linear rule's budget is inherited
     from the two-class analysis, not proved for this setting.
     """
-    if lam < 4:
-        raise ValueError(f"need at least 4 repetitions, got {lam}")
+    lam = _check_int(lam, "repetition count lam", 4, error="need at least {low} repetitions, got {value}")
     eps = _check_epsilon(epsilon)
     ones, seed = _sampled_ones(f, lam, seed)
     rules = ((TermClass.QUADRATIC, quadratic_window(eps)), (TermClass.CUBIC, cubic_window(eps)))

@@ -33,11 +33,13 @@ import numpy as np
 def resolve_seed(seed: int | None) -> int:
     """Return ``seed`` as an int, drawing a fresh entropy seed for None.
 
-    Any integer type is taken (``operator.index``); a float raises
-    ``TypeError`` rather than being truncated to another seed.
+    Any integer type is taken (``operator.index``); a bool or a float
+    raises ``TypeError`` rather than being read as another seed.
     """
     if seed is None:
         return int(np.random.SeedSequence().entropy)
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

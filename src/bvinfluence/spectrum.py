@@ -193,7 +193,7 @@ class WalshSpectrum:
     """
 
     def __init__(self, n: int, w):
-        _check_n(n)
+        n = _check_n(n)
         arr = np.asarray(w)
         if arr.size != (1 << n):
             raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
@@ -217,8 +217,7 @@ class WalshSpectrum:
 
     def ones_square_sum(self, i: int) -> int:
         """Sum of W(y)^2 over y with y_i = 1."""
-        _check_index(i, self.n)
-        return self._ones[i - 1]
+        return self._ones[_check_index(i, self.n) - 1]
 
     def __eq__(self, other):
         if not isinstance(other, WalshSpectrum):
@@ -273,16 +272,15 @@ _LOW = tuple(np.uint64(m) for m in (
 ))
 
 
-def _packed(f: TruthTable) -> tuple[np.ndarray, int]:
-    """f as little-endian 64-bit words, bit b of word j = f at enc 64j + b, and a repeat factor.
+def _packed(f: TruthTable) -> np.ndarray:
+    """f as little-endian 64-bit words, bit b of word j = f at enc 64j + b.
 
-    Below n = 6 the table is repeated to fill one word, so every count
-    taken on the words is ``repeat`` times the count on f.
+    Below n = 6 the table is zero-padded to one word. No pair x, x xor gamma
+    with gamma < 2^n crosses 2^n, so the padding adds nothing to any count.
     """
-    repeat = max(1, 64 >> f.n)
-    if repeat == 1:
-        return f.packed.view("<u8"), repeat
-    return np.packbits(np.tile(f.bits, repeat), bitorder="little").view("<u8"), repeat
+    if f.n >= 6:
+        return f.packed.view("<u8")
+    return np.pad(f.packed, (0, 8 - f.packed.size)).view("<u8")
 
 
 def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
@@ -306,12 +304,12 @@ def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
     return pairs[:, 0] ^ pairs[:, 1]
 
 
-def _flip_count(words: np.ndarray, repeat: int, i: int) -> int:
+def _flip_count(words: np.ndarray, i: int) -> int:
     """|V_1(i)|, the inputs x with f(x) != f(x xor e_i), on :func:`_packed` words."""
-    return 2 * int(np.bitwise_count(_flips(words, i)).sum()) // repeat
+    return 2 * int(np.bitwise_count(_flips(words, i)).sum())
 
 
-def _flip_counts_at(words: np.ndarray, repeat: int, gammas) -> list[int]:
+def _flip_counts_at(words: np.ndarray, gammas) -> list[int]:
     """The inputs x with f(x) != f(x xor gamma), for each gamma, on :func:`_packed` words.
 
     Word j of f(. xor gamma) is word j xor (gamma >> 6), with gamma's low 6
@@ -337,15 +335,14 @@ def _flip_counts_at(words: np.ndarray, repeat: int, gammas) -> list[int]:
                 t <<= 1 << k
                 moved ^= t
         moved ^= words
-        counts += (np.bitwise_count(moved).sum(axis=1) // repeat).tolist()
+        counts += np.bitwise_count(moved).sum(axis=1).tolist()
         del moved, t  # before the next chunk's are built
     return counts
 
 
 def influence_by_definition(f: TruthTable, i: int) -> Fraction:
     """|V_1(i)| / 2^n, the share of inputs x with f(x) != f(x xor e_i)."""
-    _check_index(i, f.n)
-    return Fraction(_flip_count(*_packed(f), i), 1 << f.n)
+    return Fraction(_flip_count(_packed(f), _check_index(i, f.n)), 1 << f.n)
 
 
 def influence_by_spectrum(s: WalshSpectrum, i: int) -> Fraction:
@@ -361,7 +358,7 @@ class InfluenceVector:
     """All n influences of a function, as exact rationals, plus their sum."""
 
     def __init__(self, n: int, values):
-        _check_n(n)
+        n = _check_n(n)
         values = tuple(Fraction(v) for v in values)
         if len(values) != n:
             raise ValueError(f"expected {n} influence values, got {len(values)}")
@@ -374,8 +371,7 @@ class InfluenceVector:
 
     def __getitem__(self, i: int) -> Fraction:
         """1-based access, matching variable numbering."""
-        _check_index(i, self.n)
-        return self.values[i - 1]
+        return self.values[_check_index(i, self.n) - 1]
 
     def __iter__(self):
         return iter(self.values)
@@ -471,8 +467,8 @@ def verify_identities(f: TruthTable) -> list[dict]:
     checks = []
 
     size = 1 << f.n
-    words, repeat = _packed(f)
-    changed = [_flip_count(words, repeat, i) for i in range(1, f.n + 1)]
+    words = _packed(f)
+    changed = [_flip_count(words, i) for i in range(1, f.n + 1)]
     mismatched = [
         i for i, v1 in enumerate(changed, 1)
         if Fraction(v1, size) != influence_by_spectrum(s, i)
@@ -498,7 +494,7 @@ def verify_identities(f: TruthTable) -> list[dict]:
         gammas = set(direct) | {size - 1}
         gammas |= set(make_generator(0).integers(1, size, size=8).tolist())
     rest = sorted(set(gammas) - set(direct))
-    direct.update((g, size - 2 * d) for g, d in zip(rest, _flip_counts_at(words, repeat, rest)))
+    direct.update((g, size - 2 * d) for g, d in zip(rest, _flip_counts_at(words, rest)))
     del words
     gammas = sorted(gammas)
     wrong = [g for g, c in zip(gammas, _correlation_at(s, gammas).tolist()) if c != direct[g]]

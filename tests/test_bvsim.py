@@ -157,9 +157,11 @@ def test_sampler_deterministic_and_records_seed():
     ids=["random_function", "bv_sample", "algorithm1"],
 )
 def test_seed_must_be_a_non_negative_integer(draw):
-    # a float is refused, not truncated to the seed below it
-    with pytest.raises(TypeError):
-        draw(seed=1.5)
+    # a float is refused, not truncated to the seed below it, and a bool
+    # is not read as seed 1
+    for seed in (1.5, True):
+        with pytest.raises(TypeError):
+            draw(seed=seed)
     with pytest.raises(ValueError, match="non-negative"):
         draw(seed=-1)
     # numpy integers are integers

@@ -172,8 +172,8 @@ def test_classical_and_sampling_paths_converge():
 def test_classical_blocks_match_one_draw_call(n):
     # Two blocks, the last one partial, against the pair test on one draw of
     # all m inputs, for every variable: the difference table is built on
-    # words repeated to 64 bits below n = 6, with partners inside a word for
-    # i <= 6 and in another word above that.
+    # words zero-padded to 64 bits below n = 6, with partners inside a word
+    # for i <= 6 and in another word above that.
     f, m = random_function(n, seed=61), _BLOCK + 5
     xs = make_generator(62).integers(0, 2**n, m)
     bits = f.bits

@@ -42,6 +42,11 @@ def test_algorithm2_mixed_function():
         assert report.label_of(i) is TermClass.ABSENT
     assert report.algorithm == "linear-quadratic"
     assert report.trials == 20
+    # variable 0 used to read classes[-1], variable n's label, and n + 1
+    # failed with a bare IndexError
+    for i in (0, 7):
+        with pytest.raises(ValueError, match=r"variable index must be in 1\.\.6"):
+            report.label_of(i)
 
 
 def test_algorithm2_linear_and_absent_are_certain():

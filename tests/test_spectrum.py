@@ -160,7 +160,7 @@ def test_correlation_transform_link_exact():
         assert np.array_equal(correlation_fast(t), c), f"n={t.n}"
         # verify's direct evaluation of C on packed words agrees everywhere
         size = 1 << t.n
-        direct = spectrum._flip_counts_at(*spectrum._packed(t), range(size))
+        direct = spectrum._flip_counts_at(spectrum._packed(t), range(size))
         assert [size - 2 * d for d in direct] == c.tolist(), f"n={t.n}"
 
 
@@ -195,15 +195,15 @@ def test_half_cube_mass_equals_flip_counts():
 
 
 def test_packed_flip_counts_match_a_byte_pair_comparison():
-    # n = 1..5 repeat the table to fill one word; i = 6 is the last
+    # n = 1..5 pad the table with zeros to one word; i = 6 is the last
     # in-word shift and i = 7 the first word-pair XOR
     for t in corpus(24, ns=range(1, 9)):
-        words, repeat = spectrum._packed(t)
+        words = spectrum._packed(t)
         assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << t.n) // 64)
         bits = t.bits
         for i in range(1, t.n + 1):
             changed = sum(bits[x] != bits[x ^ (1 << (i - 1))] for x in range(1 << t.n))
-            assert spectrum._flip_count(words, repeat, i) == changed, f"i={i}, n={t.n}"
+            assert spectrum._flip_count(words, i) == changed, f"i={i}, n={t.n}"
             assert influence_by_definition(t, i) * (1 << t.n) == changed
 
 
@@ -214,7 +214,7 @@ def test_batched_direct_correlation_matches_naive_summation():
     for n in range(1, 14):
         t = corpus(1, ns=[n], master_seed=n)[0]
         size = 1 << n
-        direct = spectrum._flip_counts_at(*spectrum._packed(t), range(size))
+        direct = spectrum._flip_counts_at(spectrum._packed(t), range(size))
         assert [size - 2 * d for d in direct] == naive_correlation(t).tolist(), f"n={n}"
 
 
