@@ -107,7 +107,7 @@ class SampleBatch:
         self.n = n
         self.m = int(arr.size)
         self.outcomes = arr
-        self.seed = seed
+        self.seed = _check_int(seed, "seed", 0)
 
     def ones_counts(self) -> tuple[int, ...]:
         """Per position i, how many outcomes have y_i = 1."""

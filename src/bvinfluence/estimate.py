@@ -42,10 +42,17 @@ class BlackBoxOracle:
         return out.astype(np.uint8)
 
 
+def _check_real(value, name: str):
+    """``value``, unless it is a bool (numpy's too), which raises ``TypeError`` naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
+    return value
+
+
 def hoeffding_radius(m: int, delta: float) -> float:
     """Accuracy radius eps with Pr(|I - p_i| < eps) > 1 - delta at m samples."""
     m = _check_int(m, "sample count", 1)
-    if not 0 < delta < 1:
+    if not 0 < _check_real(delta, "failure probability delta") < 1:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
 
@@ -53,16 +60,16 @@ def hoeffding_radius(m: int, delta: float) -> float:
 def hoeffding_failure_bound(m: int, epsilon: float) -> float:
     """The two-sided tail bound 2 exp(-2 m eps^2)."""
     m = _check_int(m, "sample count", 1)
-    if epsilon <= 0:
+    if _check_real(epsilon, "radius epsilon") <= 0:
         raise ValueError(f"radius must be positive, got {epsilon}")
     return 2.0 * math.exp(-2.0 * m * epsilon * epsilon)
 
 
 def samples_needed(epsilon: float, delta: float) -> int:
     """Smallest m (by the bound) with radius <= epsilon at failure prob delta."""
-    if epsilon <= 0:
+    if _check_real(epsilon, "radius epsilon") <= 0:
         raise ValueError(f"radius must be positive, got {epsilon}")
-    if not 0 < delta < 1:
+    if not 0 < _check_real(delta, "failure probability delta") < 1:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
@@ -131,7 +138,7 @@ class InfluentialList:
 
 def influential_list(f: TruthTable, m: int, seed: int | None = None, c: float = 3.0) -> InfluentialList:
     """List every variable whose position showed a 1 at least once."""
-    if not 0 < c < math.inf:
+    if not 0 < _check_real(c, "sensitivity constant c") < math.inf:
         raise ValueError(f"sensitivity constant must be finite and positive, got {c}")
     report = algorithm1(f, m, seed)
     variables = tuple(i for i in range(1, report.n + 1) if report.ones[i - 1] >= 1)

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index, _check_n, _frozen
+from .boolfn import TruthTable, _check_index
 from .rng import make_generator
 
 # Entries per tile (L2 is 2 MiB per core) and per column chunk, at least
@@ -185,27 +185,12 @@ def fwht(values) -> np.ndarray:
 class WalshSpectrum:
     """Integer Walsh coefficients W(y) for all 2^n values of y, in enc order.
 
-    ``w`` is a read-only int32 array; ``w * w`` wraps for n >= 16, so
-    square it with :meth:`squares`. The masses of the squares are taken as
-    the spectrum is made, by :func:`_square_sums`: in the transform's second
-    sweep, or over the ``w`` of a hand-built spectrum, which must hold
-    integers in [-2^n, 2^n] and satisfy Parseval: sum W^2 = 4^n.
+    Built only by :func:`walsh_spectrum`, from the transform's read-only
+    int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
+    so square it with :meth:`squares`.
     """
 
-    def __init__(self, n: int, w):
-        n = _check_n(n)
-        arr = np.asarray(w)
-        if arr.size != (1 << n):
-            raise ValueError(f"spectrum for n={n} needs {1 << n} coefficients, got {arr.size}")
-        # Checked on the input's own dtype: the int32 cast would read 2^33 and 0.5 as 0.
-        if arr.dtype.kind not in "iu" or arr.min() < -(1 << n) or arr.max() > 1 << n:
-            raise ValueError(f"Walsh coefficients for n={n} must be integers in [-2^{n}, 2^{n}]")
-        w = _frozen(arr, np.int32)
-        rows, tile, width = _grid(w.size)
-        masses = _square_sums((w.reshape(rows, tile)[:, c:c + width] for c in range(0, tile, width)), w.size)
-        # Squares are <= 2^48 here, so a sum of 4^n is exact and no other sum comes out as 4^n.
-        if masses[1] != 1 << (2 * n):
-            raise ValueError(f"Walsh coefficients for n={n} must satisfy Parseval: sum W^2 = 4^{n}")
+    def __init__(self, n: int, w: np.ndarray, masses: tuple):
         self.n, self.w, (self._ones, self._total, self._tile_ends) = n, w, masses
 
     def squares(self) -> np.ndarray:
@@ -259,9 +244,7 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
         chunks = _hadamard(w, lambda tile, start, scratch: _load_signs(f.packed, tile, start, scratch))
         masses = _square_sums(chunks, w.size)
         w.flags.writeable = False
-        s = WalshSpectrum.__new__(WalshSpectrum)  # unchecked: w is this transform's own, read-only
-        s.n, s.w, (s._ones, s._total, s._tile_ends) = f.n, w, masses
-        object.__setattr__(f, "_spectrum", s)
+        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, w, masses))
     return f._spectrum
 
 
@@ -355,19 +338,12 @@ def influence_by_spectrum(s: WalshSpectrum, i: int) -> Fraction:
 
 
 class InfluenceVector:
-    """All n influences of a function, as exact rationals, plus their sum."""
+    """All n influences read off a spectrum (built by :func:`influence_vector`), exact, plus their sum."""
 
-    def __init__(self, n: int, values):
-        n = _check_n(n)
-        values = tuple(Fraction(v) for v in values)
-        if len(values) != n:
-            raise ValueError(f"expected {n} influence values, got {len(values)}")
-        for v in values:
-            if not 0 <= v <= 1:
-                raise ValueError(f"influence {v} outside [0, 1]")
-        self.n = n
-        self.values = values
-        self.total = sum(values, Fraction(0))
+    def __init__(self, spectrum: WalshSpectrum):
+        self.n = spectrum.n
+        self.values = tuple(influence_by_spectrum(spectrum, i) for i in range(1, spectrum.n + 1))
+        self.total = sum(self.values, Fraction(0))
 
     def __getitem__(self, i: int) -> Fraction:
         """1-based access, matching variable numbering."""
@@ -387,8 +363,7 @@ class InfluenceVector:
 
 def influence_vector(f: TruthTable) -> InfluenceVector:
     """Every variable's influence from one spectrum pass."""
-    s = walsh_spectrum(f)
-    return InfluenceVector(f.n, [influence_by_spectrum(s, i) for i in range(1, f.n + 1)])
+    return InfluenceVector(walsh_spectrum(f))
 
 
 def correlation_fast(f: TruthTable) -> np.ndarray:

@@ -9,9 +9,7 @@ import scipy.stats
 
 from bvinfluence import (
     STATEVECTOR_MAX_N,
-    BvDistribution,
     SampleBatch,
-    WalshSpectrum,
     algorithm1,
     bv_distribution,
     bv_distribution_of,
@@ -320,9 +318,6 @@ def test_statevector_cap():
 
 
 def test_distribution_rejects_bad_weights():
-    # the weights are the squares of a spectrum, which must satisfy Parseval
-    with pytest.raises(ValueError):
-        BvDistribution(WalshSpectrum(2, [1, 1, 1, 1]))  # squares sum to 4, not 4^n
     # refused on the input's own dtype: an int64 cast would read [1, 3]
     with pytest.raises(ValueError):
         SampleBatch(2, [1.7, 3.2], seed=0)
@@ -336,11 +331,9 @@ def test_sample_batch_rejects_outcomes_outside_the_cube(n, outcomes):
 
 
 def test_arrays_handed_to_results_are_not_shared():
-    w = np.array([2, 2, 2, -2])
-    d = BvDistribution(WalshSpectrum(2, w))
+    d = bv_distribution_of(AND2)
     outcomes = np.array([3, 1, 0])
     batch = SampleBatch(2, outcomes, seed=1)
-    w[0] = 0
     outcomes[0] = 0
     d.spectrum.squares()[0] = 0
     assert d.spectrum.squares().tolist() == [4, 4, 4, 4]

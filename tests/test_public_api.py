@@ -7,10 +7,8 @@ import bvinfluence
 from bvinfluence import (
     Anf,
     BlackBoxOracle,
-    InfluenceVector,
     SampleBatch,
     TruthTable,
-    WalshSpectrum,
     algorithm1,
     algorithm2,
     algorithm3,
@@ -26,6 +24,7 @@ from bvinfluence import (
     influential_list,
     lemma1_influence,
     random_function,
+    samples_needed,
     walsh_spectrum,
 )
 
@@ -62,8 +61,7 @@ INTEGER_ENTRIES = {
     "from_anf-n": ("variable count", lambda v: from_anf("x1", v), 3, lambda r: r.n),
     "random_function-n": ("variable count", lambda v: random_function(v, 1), 3, lambda r: r.n),
     "SampleBatch-n": ("variable count", lambda v: SampleBatch(v, [0], 0), 3, lambda r: r.n),
-    "WalshSpectrum-n": ("variable count", lambda v: WalshSpectrum(v, [8, 0, 0, 0, 0, 0, 0, 0]), 3, lambda r: r.n),
-    "InfluenceVector-n": ("variable count", lambda v: InfluenceVector(v, [0, 0, 0]), 3, lambda r: r.n),
+    "SampleBatch-seed": ("seed", lambda v: SampleBatch(3, [0], v), 3, lambda r: r.seed),
     "BlackBoxOracle-n": ("variable count", lambda v: BlackBoxOracle(lambda x: x & 1, v), 3, lambda r: r.n),
     "influence_by_definition-i": ("variable index", lambda v: influence_by_definition(T, v), 3, None),
     "influence_by_spectrum-i": ("variable index", lambda v: influence_by_spectrum(walsh_spectrum(T), v), 3, None),
@@ -95,3 +93,23 @@ def test_counts_indices_and_outcomes_take_integers_only(entry):
     result = call(np.int64(good))
     if kept is not None:
         assert type(kept(result)) is int and kept(result) == good
+
+
+# Per float parameter: the name its TypeError gives and the call with that value.
+FLOAT_ENTRIES = {
+    "influential_list-c": ("sensitivity constant c", lambda v: influential_list(T, 10, seed=0, c=v)),
+    "samples_needed-epsilon": ("radius epsilon", lambda v: samples_needed(v, 0.5)),
+    "samples_needed-delta": ("failure probability delta", lambda v: samples_needed(0.5, v)),
+    "hoeffding_radius-delta": ("failure probability delta", lambda v: hoeffding_radius(10, v)),
+    "hoeffding_failure_bound-epsilon": ("radius epsilon", lambda v: hoeffding_failure_bound(10, v)),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRIES)
+def test_float_parameters_refuse_bools(entry):
+    # a bool is refused by name, never read as 1.0 or 0.0; a float is taken
+    name, call = FLOAT_ENTRIES[entry]
+    for value in (True, np.True_):
+        with pytest.raises(TypeError, match=name):
+            call(value)
+    call(0.5)

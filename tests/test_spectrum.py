@@ -324,9 +324,7 @@ def test_transform_runs_once_per_table(monkeypatch):
 
 
 def test_arrays_handed_to_results_are_not_shared():
-    w = np.array([2, 2, 2, -2])
-    s = WalshSpectrum(2, w)
-    w[0] = 0
+    s = walsh_spectrum(AND2)
     assert s.w.tolist() == [2, 2, 2, -2]
     with pytest.raises(ValueError):
         s.w[0] = 0
@@ -334,50 +332,15 @@ def test_arrays_handed_to_results_are_not_shared():
         correlation_fast(AND2)[0] = 0
 
 
-def test_spectrum_validation():
-    # checked before the int32 cast, which would read 2^33 as 0 and 0.5 as 0
-    for w in ([2**33, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, -5], [2**70, 0, 0, 0], [0.5, 0, 0, 0]):
-        with pytest.raises(ValueError):
-            WalshSpectrum(2, w)
-    with pytest.raises(ValueError):
-        WalshSpectrum(2, [4, 0, 0])
-    assert WalshSpectrum(2, np.array([-4, 0, 0, 0])).w.tolist() == [-4, 0, 0, 0]
-    # n is checked first: n=0 was accepted, n=-1 failed on a negative shift
-    # count and n=25 got as far as the size check
-    for n in (0, -1, 25):
-        with pytest.raises(ValueError, match="variable count"):
-            WalshSpectrum(n, [1])
-    with pytest.raises(ValueError, match="variable count"):
-        InfluenceVector(0, [])
-
-
-@pytest.mark.parametrize("n, count, value", [(2, 3, 2), (22, (1 << 20) + 1, 1 << 22)], ids=["n2", "n22"])
-def test_hand_built_spectrum_must_satisfy_parseval(n, count, value):
-    # Every coefficient is in range. At n=22, 2^20 + 1 squares of 2^44 sum to
-    # 2^64 + 2^44, which wraps in int64 to exactly 4^22: the masses and the
-    # sampler's table would then wrap, and an influence read negative.
-    w = np.zeros(1 << n, np.int32)
-    w[:count] = value
-    with pytest.raises(ValueError, match="Parseval"):
-        WalshSpectrum(n, w)
-
-
-def test_read_only_int32_spectrum_is_checked_too():
-    # A read-only int32 array that owns its data used to skip both checks,
-    # as walsh_spectrum's own buffer did: [5, 3, 0, 0] was taken, with
-    # square_sum() == 34 and an influence of 9/16. walsh_spectrum now makes
-    # its spectrum by a private path, and the constructor always checks.
-    for values, match in (([5, 3, 0, 0], r"\[-2\^2, 2\^2\]"), ([2, 2, 2, 0], "Parseval")):
-        w = np.array(values, np.int32)
-        w.flags.writeable = False
-        assert w.flags.owndata
-        with pytest.raises(ValueError, match=match):
-            WalshSpectrum(2, w)
-    w = np.array([2, 2, 2, -2], np.int32)
-    w.flags.writeable = False
-    s = WalshSpectrum(2, w)
-    assert s.w is w
-    assert s.square_sum() == 16 and influence_by_spectrum(s, 1) == Fraction(1, 2)
+def test_spectra_and_influence_vectors_come_only_from_a_table():
+    # walsh_spectrum is the only way to build a spectrum, and an influence
+    # vector is read off one: an (n, w) or (n, values) call builds nothing
+    with pytest.raises(TypeError):
+        WalshSpectrum(2, [2, 2, 2, -2])
+    with pytest.raises(TypeError):
+        InfluenceVector(2, [Fraction(1, 2), Fraction(1, 2)])
+    for t in (AND2, random_function(7, seed=3)):
+        assert InfluenceVector(walsh_spectrum(t)) == influence_vector(t)
 
 
 FUSED_TABLES = {
@@ -392,9 +355,8 @@ FUSED_TABLES = {
 def test_fused_masses_match_the_squares(name):
     # The transform's second sweep squares and sums each chunk on its way
     # out: its masses, total and per-tile running sums must equal those of
-    # the squares, and so must the same square-sum code run over a
-    # hand-built copy. The sizes cover one row (n <= 16), a last mode of
-    # fewer than 4 bits, and at n=24 a single square of 2^48.
+    # the squares. The sizes cover one row (n <= 16), a last mode of fewer
+    # than 4 bits, and at n=24 a single square of 2^48.
     t = FUSED_TABLES[name]()
     s = walsh_spectrum(t)
     squares = s.squares()
@@ -402,11 +364,10 @@ def test_fused_masses_match_the_squares(name):
     tile_ends = np.cumsum(squares.reshape(-1, min(1 << 16, squares.size)).sum(axis=1))
     del squares
     assert total == 1 << (2 * t.n)
-    for built in (s, WalshSpectrum(t.n, np.array(s.w))):
-        assert [built.ones_square_sum(i) for i in range(1, t.n + 1)] == ones
-        assert built.square_sum() == total
-        assert built._tile_ends.dtype == np.int64
-        assert np.array_equal(built._tile_ends, tile_ends)
+    assert [s.ones_square_sum(i) for i in range(1, t.n + 1)] == ones
+    assert s.square_sum() == total
+    assert s._tile_ends.dtype == np.int64
+    assert np.array_equal(s._tile_ends, tile_ends)
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
