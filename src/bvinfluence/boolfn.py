@@ -16,13 +16,12 @@ may compute twice but can only store equal values.
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import Iterable
 
 import numpy as np
 
-from .rng import make_generator, resolve_seed
+from .rng import _check_int, make_generator, resolve_seed
 
 MAX_VARIABLES = 24
 
@@ -40,43 +39,12 @@ class AnfSyntaxError(ValueError):
         self.position = position
 
 
-def _check_int(value, name: str, low: int, high: int | None = None, error="{name} must be {bound}, got {value}") -> int:
-    """``value`` as an int in low..high (from low up if ``high`` is None), as by ``operator.index``.
-
-    A bool, a float or a str raises ``TypeError`` naming ``name``; out of range, ``ValueError`` from ``error``.
-    """
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
-    if value < low or high is not None and value > high:
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(error.format(name=name, bound=bound, low=low, value=value))
-    return value
-
-
 def _check_n(n) -> int:
     return _check_int(n, "variable count", 1, MAX_VARIABLES)
 
 
 def _check_index(i, n: int) -> int:
     return _check_int(i, "variable index", 1, n)
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    """``values`` as a read-only array of ``dtype``, copied unless it is safe to keep.
-
-    A read-only array of the right dtype that owns its data is kept as is:
-    the package hands over the arrays it builds this way. Anything else,
-    in particular an array its caller can still write, is copied. Values
-    of a non-integer dtype are refused before the cast could truncate them.
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iub":
-        raise ValueError(f"expected integer values, got dtype {arr.dtype}")
-    if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.astype(dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 class TruthTable:

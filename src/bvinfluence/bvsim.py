@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_int, _check_n, _frozen
-from .rng import make_generator, resolve_seed
+from .boolfn import TruthTable, _check_n
+from .rng import _check_int, make_generator, resolve_seed
 from .spectrum import WalshSpectrum, influence_by_spectrum, walsh_spectrum
 
 STATEVECTOR_MAX_N = 12
@@ -97,11 +97,17 @@ class SampleBatch:
 
     Reproducible bit for bit from (distribution, m, seed); ``seed`` is
     the seed actually used, even when the caller left it to entropy.
+    ``outcomes`` is a read-only int64 copy, which no caller can change.
     """
 
     def __init__(self, n: int, outcomes, seed: int):
         n = _check_n(n)
-        arr = _frozen(outcomes, np.int64)
+        arr = np.array(outcomes)
+        # Refused before the cast could truncate them.
+        if arr.dtype.kind not in "iub":
+            raise ValueError(f"expected integer values, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
+        arr.flags.writeable = False
         if arr.size and not (0 <= arr.min() and arr.max() < 1 << n):
             raise ValueError(f"outcomes must lie in [0, 2^{n})")
         self.n = n
@@ -210,7 +216,6 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
         ordered = keys[order]
         _locate(d, ordered)
         outcomes[start:start + keys.size][order] = ordered
-    outcomes.flags.writeable = False
     return SampleBatch(d.n, outcomes, seed)
 
 

@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index, _check_int, _check_n
+from .boolfn import TruthTable, _check_index, _check_n
 from .bvsim import _BLOCK, _blocks, _sampled_ones
+from .rng import _check_int
 from .spectrum import _flips, _packed
 
 

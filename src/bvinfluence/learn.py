@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .boolfn import TruthTable, _check_index, _check_int
+from .boolfn import TruthTable, _check_index
 from .bvsim import _sampled_ones
 from .estimate import hoeffding_failure_bound
+from .rng import _check_int
 
 DEFAULT_RHO = 20
 DEFAULT_LAMBDA = 2000

@@ -21,6 +21,9 @@ the raw words this way, which is faster than ``integers`` and gives
 identical streams. ``test_raw_word_draws_match_integers`` and
 ``test_random_function_matches_integers`` pin the equivalence; they fail
 first if numpy changes its bounded-integer algorithm.
+
+The package's one integer rule, ``_check_int``, lives here too: every
+seed, count, index and outcome taken from a caller passes through it.
 """
 
 from __future__ import annotations
@@ -30,20 +33,25 @@ import operator
 import numpy as np
 
 
-def resolve_seed(seed: int | None) -> int:
-    """Return ``seed`` as an int, drawing a fresh entropy seed for None.
+def _check_int(value, name: str, low: int, high: int | None = None, error="{name} must be {bound}, got {value}") -> int:
+    """``value`` as an int in low..high (from low up if ``high`` is None), as by ``operator.index``.
 
-    Any integer type is taken (``operator.index``); a bool or a float
-    raises ``TypeError`` rather than being read as another seed.
+    A bool, a float or a str raises ``TypeError`` naming ``name``; out of range, ``ValueError`` from ``error``.
     """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(error.format(name=name, bound=bound, low=low, value=value))
+    return value
+
+
+def resolve_seed(seed: int | None) -> int:
+    """Return ``seed`` as a non-negative int by ``_check_int``, drawing a fresh entropy seed for None."""
     if seed is None:
         return int(np.random.SeedSequence().entropy)
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    return _check_int(seed, "seed", 0, error="seed must be non-negative, got {value}")
 
 
 def make_generator(seed: int) -> np.random.Generator:

@@ -344,6 +344,14 @@ def test_arrays_handed_to_results_are_not_shared():
         batch.outcomes[0] = 0
     with pytest.raises(ValueError):
         d.cumulative()[0] = 0
+    # a read-only array its caller can make writable again is copied too
+    a = np.array([3, 1, 0])
+    a.flags.writeable = False
+    b = SampleBatch(2, a, 0)
+    a.flags.writeable = True
+    a[0] = 0
+    assert b.outcomes.tolist() == [3, 1, 0]
+    assert b.ones_counts() == (2, 1)
 
 
 def test_distribution_cached_on_the_table():

@@ -396,18 +396,29 @@ def test_short_tables_keep_zero_padding(tmp_path, n):
 
 
 def test_table_file_error_reporting(tmp_path):
+    # each diagnostic names the file and its fault; '/' wraps to 255 in
+    # uint8 and '2' does not, and the table's own 0/1 check refuses both
     cases = {
-        "bad_header.tt": "k=3\n00010111\n",
-        "bad_length.tt": "n=3\n0001\n",
-        "bad_chars.tt": "n=2\n01x1\n",
-        "bad_n.tt": "n=0\n\n",
+        "bad_header.tt": ("k=3\n00010111\n", "first line must be 'n=<k>', found 'k=3'"),
+        "bad_length.tt": ("n=3\n0001\n", "expected 8 table characters, found 4"),
+        "bad_chars.tt": ("n=2\n01x1\n", "truth table entries must be 0 or 1"),
+        "bad_slash.tt": ("n=2\n01/1\n", "truth table entries must be 0 or 1"),
+        "bad_two.tt": ("n=2\n0121\n", "truth table entries must be 0 or 1"),
+        "bad_n.tt": ("n=0\n\n", "n=0 out of range 1..24"),
     }
-    for name, payload in cases.items():
+    for name, (payload, fault) in cases.items():
         p = tmp_path / name
         p.write_text(payload)
-        code, _, err = invoke(["influence", "--table", str(p)])
+        code, out, err = invoke(["influence", "--table", str(p)])
         assert code == 2, name
-        assert name.split(".")[0].replace("bad_", "") or err
+        assert not out
+        assert err == f"bvinfluence: error: {p}: {fault}\n", name
+
+    # a random table's variable count is checked by the rule --anf's --n meets
+    by_random = invoke(["influence", "--random", "0:4"])
+    by_anf = invoke(["influence", "--anf", "x1", "--n", "0"])
+    assert by_random[0] == by_anf[0] == 2
+    assert by_random[2] == by_anf[2] == "bvinfluence: error: variable count must be in 1..24, got 0\n"
 
     # anything after the table line, other than blank lines, is rejected
     trailing = tmp_path / "trailing.tt"

@@ -24,6 +24,7 @@ from bvinfluence import (
     influential_list,
     lemma1_influence,
     random_function,
+    resolve_seed,
     samples_needed,
     walsh_spectrum,
 )
@@ -51,7 +52,7 @@ def test_all_is_the_pinned_public_surface():
 
 T = random_function(3, seed=1)
 
-# Per public entry that takes a count, an index or an outcome: the name its
+# Per public entry that takes a count, an index, an outcome or a seed: the name its
 # TypeError gives, the call with that value, a value in range, and where the
 # result keeps the value (None when it does not).
 INTEGER_ENTRIES = {
@@ -79,6 +80,11 @@ INTEGER_ENTRIES = {
     "algorithm3-lam": ("repetition count lam", lambda v: algorithm3(T, v, seed=0), 4, lambda r: r.trials),
     "lemma1_influence-r": ("monomial degree", lemma1_influence, 3, None),
     "prob-y": ("outcome", lambda v: bv_distribution_of(T).prob(v), 3, None),
+    "resolve_seed": ("seed", resolve_seed, 3, lambda r: r),
+    "random_function-seed": ("seed", lambda v: random_function(3, v), 3, None),
+    "bv_sample-seed": ("seed", lambda v: bv_sample(bv_distribution_of(T), 3, v), 3, lambda r: r.seed),
+    "classical_estimate-seed": ("seed", lambda v: classical_estimate(T, 1, 10, v), 3, lambda r: r.seed),
+    "algorithm2-seed": ("seed", lambda v: algorithm2(T, seed=v), 3, lambda r: r.seed),
 }
 
 
