@@ -158,77 +158,57 @@ class Anf:
         return " + ".join(terms)
 
 
-_TOKEN = re.compile(r"x(\d+)|[10+*]")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise AnfSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("var", int(m.group(1)), pos))
-        else:
-            tokens.append((m.group(0), None, pos))
-        pos = m.end()
-    return tokens
+# After any whitespace: a variable (ASCII digits), a constant, an operator, or (group 3) an unexpected character.
+_TOKEN = re.compile(r"\s*(x([0-9]+)|[10+*]|(\S))")
 
 
 def from_anf(text: str, n: int) -> Anf:
     """Parse an ANF expression: terms joined by '+', XOR-reducing duplicates.
 
     Each term is '1', '0' (empty XOR), or 'x<k>' factors joined by '*'
-    with 1 <= k <= n. '+' is GF(2) addition, so repeated monomials
-    cancel. Whitespace is ignored.
+    with k in ASCII digits and 1 <= k <= n. '+' is GF(2) addition, so
+    repeated monomials cancel. Whitespace is ignored.
     """
     n = _check_n(n)
-    tokens = _tokenize(text)
+    tokens = list(_TOKEN.finditer(text))  # all read first: a bad character is reported before any grammar error
+    for m in tokens:
+        if m[3] is not None:
+            raise AnfSyntaxError(f"unexpected character {m[3]!r}", m.start(1))
     if not tokens:
         raise AnfSyntaxError("empty expression", 0)
 
-    monomials: set[Monomial] = set()  # each term is XORed in: a repeated one cancels
-    idx = 0
-    while True:
-        kind, value, pos = tokens[idx]
-        if kind == "1":
-            monomials ^= {frozenset()}
-            idx += 1
-        elif kind == "0":
-            idx += 1
+    terms: list[set[int]] = []  # the factors of every term but '0'
+    expect = "term"  # what may come next: a "term", a "var" after '*', or after a term "+" ("+*" in a monomial)
+    for m in tokens:
+        kind, pos = "var" if m[2] else m[1], m.start(1)
+        if expect in ("+", "+*"):
+            if kind not in expect:
+                raise AnfSyntaxError(f"expected '+', found {kind!r}", pos)
+            expect = "term" if kind == "+" else "var"
         elif kind == "var":
-            factors = set()
-            while True:
-                if value < 1 or value > n:
-                    raise AnfSyntaxError(f"variable x{value} out of range for n={n}", pos)
-                factors.add(value)
-                idx += 1
-                if idx < len(tokens) and tokens[idx][0] == "*":
-                    idx += 1
-                    if idx >= len(tokens):
-                        raise AnfSyntaxError("dangling '*'", tokens[idx - 1][2])
-                    kind, value, pos = tokens[idx]
-                    if kind != "var":
-                        raise AnfSyntaxError("expected variable after '*'", pos)
-                else:
-                    break
-            monomials ^= {frozenset(factors)}
-        else:
+            digits = m[2].lstrip("0") or "0"  # compared as text first: int() refuses over 4300 digits
+            if len(digits) > len(str(n)) or not 1 <= int(digits) <= n:
+                raise AnfSyntaxError(f"variable x{digits} out of range for n={n}", pos)
+            if expect == "term":
+                terms.append(set())
+            terms[-1].add(int(digits))
+            expect = "+*"
+        elif expect == "var":
+            raise AnfSyntaxError("expected variable after '*'", pos)
+        elif kind in ("+", "*"):
             raise AnfSyntaxError(f"expected a term, found {kind!r}", pos)
+        else:  # '1' is the empty monomial, '0' the empty XOR
+            if kind == "1":
+                terms.append(set())
+            expect = "+"
+    if expect == "term":
+        raise AnfSyntaxError("dangling '+'", pos)
+    if expect == "var":
+        raise AnfSyntaxError("dangling '*'", pos)
 
-        if idx == len(tokens):
-            break
-        kind, _, pos = tokens[idx]
-        if kind != "+":
-            raise AnfSyntaxError(f"expected '+', found {kind!r}", pos)
-        idx += 1
-        if idx == len(tokens):
-            raise AnfSyntaxError("dangling '+'", pos)
-
+    monomials: set[Monomial] = set()
+    for term in terms:
+        monomials ^= {frozenset(term)}  # each term is XORed in: a repeated one cancels
     return Anf(monomials, n)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .boolfn import TruthTable, _check_n
 from .rng import _check_int, make_generator, resolve_seed
-from .spectrum import WalshSpectrum, influence_by_spectrum, walsh_spectrum
+from .spectrum import _BITS, WalshSpectrum, influence_by_spectrum, walsh_spectrum
 
 STATEVECTOR_MAX_N = 12
 
@@ -49,9 +49,6 @@ _BLOCK = 1 << 18
 # ran 4-9% slower than 2^19, and 2^20 was no faster and peaked 9 MiB
 # (17%) higher.
 _KEY_BLOCK = 1 << 19
-
-# _BYTE_BITS[v, k] is bit k of the byte value v.
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 class BvDistribution:
@@ -103,15 +100,16 @@ class SampleBatch:
     def __init__(self, n: int, outcomes, seed: int):
         n = _check_n(n)
         arr = np.array(outcomes)
+        m = _check_int(arr.size, "sample count", 1)
         # Refused before the cast could truncate them.
         if arr.dtype.kind not in "iub":
             raise ValueError(f"expected integer values, got dtype {arr.dtype}")
         arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
-        if arr.size and not (0 <= arr.min() and arr.max() < 1 << n):
+        if not (0 <= arr.min() and arr.max() < 1 << n):
             raise ValueError(f"outcomes must lie in [0, 2^{n})")
         self.n = n
-        self.m = int(arr.size)
+        self.m = m
         self.outcomes = arr
         self.seed = _check_int(seed, "seed", 0)
 
@@ -135,7 +133,7 @@ def _ones_counts(n: int, blocks) -> tuple[int, ...]:
         raw = outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
         for b, row in enumerate(hist):
             row += np.bincount(raw[:, b], minlength=256)
-    return tuple(int(c) for c in (hist @ _BYTE_BITS).ravel()[:n])
+    return tuple(int(c) for c in (hist @ _BITS).ravel()[:n])
 
 
 def _blocks(bits: int, m: int, seed: int | None, block: int):

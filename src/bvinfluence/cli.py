@@ -8,8 +8,9 @@ or CSV; nothing is colorized, so NO_COLOR needs no special handling.
 
 Truth-table file formats (also see README):
 
-* text: first line ``n=<k>``, second line 2^k characters of 0/1 in
-  encoded-input order (x_1 = least significant bit), newline-terminated;
+* text: first line ``n=<k>`` with k in decimal digits (no sign, space
+  or ``_``), second line 2^k characters of 0/1 in encoded-input order
+  (x_1 = least significant bit), newline-terminated;
 * binary (``.ttb`` extension): one header byte holding n, then the same
   bit sequence packed little-endian, 8 bits per byte: the table's own
   layout, ``TruthTable.packed``.
@@ -22,6 +23,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -75,11 +77,12 @@ def read_table(path: str) -> TruthTable:
         header = fh.readline().strip()
         payload = fh.readline().strip()
         trailing = fh.read().strip()
-    if not header.startswith("n="):
+    digits = re.fullmatch(r"n=([0-9]+)", header)
+    if digits is None:
         raise CliError(f"{path}: first line must be 'n=<k>', found {header!r}")
     try:
-        n = int(header[2:])
-    except ValueError:
+        n = int(digits[1])
+    except ValueError:  # more than 4300 digits
         raise CliError(f"{path}: could not parse variable count from {header!r}") from None
     if not 1 <= n <= MAX_VARIABLES:
         raise CliError(f"{path}: n={n} out of range 1..{MAX_VARIABLES}")
@@ -118,13 +121,13 @@ def _fraction(text: str) -> Fraction:
 
 def _parse_random_source(text: str) -> tuple[int, int | None]:
     """'<n>' or '<n>:<seed>'."""
-    head, sep, tail = text.partition(":")
+    parts = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", text)
     try:
-        n = int(head)
-        seed = int(tail) if sep else None
-    except ValueError:
+        if parts is None:
+            raise ValueError(text)
+        return int(parts[1]), int(parts[2]) if parts[2] else None
+    except ValueError:  # not decimal digits, or more than 4300 of them
         raise CliError(f"--random expects '<n>' or '<n>:<seed>', got {text!r}") from None
-    return n, seed
 
 
 def _resolve_function(args) -> tuple[TruthTable, dict]:

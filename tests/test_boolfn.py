@@ -49,19 +49,40 @@ def test_from_anf_constant_and_whitespace():
 
 
 def test_from_anf_errors_carry_position():
-    with pytest.raises(AnfSyntaxError) as exc:
-        from_anf("x1 +* x2", 2)
-    assert exc.value.position == 4
-
-    with pytest.raises(AnfSyntaxError):
-        from_anf("", 2)
-    with pytest.raises(AnfSyntaxError):
-        from_anf("x1 + ", 2)
-    with pytest.raises(AnfSyntaxError):
-        from_anf("y1", 2)
-
-    with pytest.raises(ValueError, match="out of range"):
-        from_anf("x3", 2)
+    # (text, n, message, 0-based offset of the offending token); a bad
+    # character is found before any grammar error, and a grammar error or an
+    # out-of-range variable is reported at the first token that has it
+    cases = [
+        ("y1", 2, "unexpected character 'y'", 0),
+        ("x1 + x2 -", 2, "unexpected character '-'", 8),
+        ("+ y", 2, "unexpected character 'y'", 2),
+        ("x² + x1", 2, "unexpected character 'x'", 0),
+        ("", 2, "empty expression", 0),
+        (" \t\n", 2, "empty expression", 0),
+        ("x1 +* x2", 2, "expected a term, found '*'", 4),
+        ("+ x1", 2, "expected a term, found '+'", 0),
+        ("x1 * 1", 2, "expected variable after '*'", 5),
+        ("x1*+x2", 2, "expected variable after '*'", 3),
+        ("x1 x2", 2, "expected '+', found 'var'", 3),
+        ("1 * x1", 2, "expected '+', found '*'", 2),
+        ("10", 2, "expected '+', found '0'", 1),
+        ("x1 + ", 2, "dangling '+'", 3),
+        ("x1 *  ", 2, "dangling '*'", 3),
+        ("x3", 2, "variable x3 out of range for n=2", 0),
+        ("x1 + x2*x0", 2, "variable x0 out of range for n=2", 8),
+        ("x03", 2, "variable x3 out of range for n=2", 0),
+        ("x9 +", 2, "variable x9 out of range for n=2", 0),
+        ("x1 + x١", 2, "unexpected character 'x'", 5),  # variable numbers are ASCII digits
+        ("x" + "9" * 5000, 24, f"variable x{'9' * 5000} out of range for n=24", 0),
+        ("x" + "0" * 5000, 24, "variable x0 out of range for n=24", 0),
+    ]
+    for text, n, message, position in cases:
+        with pytest.raises(AnfSyntaxError) as exc:
+            from_anf(text, n)
+        assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position), text
+    assert issubclass(AnfSyntaxError, ValueError)  # the CLI reports it with exit code 2
+    # leading zeros are read, however many
+    assert from_anf("x" + "0" * 5000 + "24", 24) == Anf([[24]], 24)
 
 
 def test_to_truth_table_examples():

@@ -321,6 +321,10 @@ def test_distribution_rejects_bad_weights():
     # refused on the input's own dtype: an int64 cast would read [1, 3]
     with pytest.raises(ValueError):
         SampleBatch(2, [1.7, 3.2], seed=0)
+    # no outcomes, of any dtype, is refused by the rule bv_sample's m meets
+    for empty in ([], np.array([], np.int64)):
+        with pytest.raises(ValueError, match=r"^sample count must be >= 1, got 0$"):
+            SampleBatch(2, empty, seed=0)
 
 
 @pytest.mark.parametrize("n, outcomes", [(2, [5]), (2, [-1]), (2, [4]), (2, [0, 3, 4]), (0, [0])])

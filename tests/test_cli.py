@@ -273,6 +273,10 @@ def test_exit_code_2_on_bad_input(tmp_path):
         ["influence", "--table", "/nonexistent/file.tt"],      # unreadable
         ["influence", "--random", "0:4"],                      # n out of range
         ["influence", "--random", "abc"],                      # malformed
+        ["influence", "--random", " 3:+1"],                    # sign and space: decimal digits only
+        ["influence", "--random", "2_0:1"],                    # digit separator
+        ["influence", "--random", "3:-1"],                     # negative seed
+        ["influence", "--random", "3:" + "9" * 5000],          # too long for int()
         ["influence", "--random", "4:1", "--n", "7"],          # --n without --anf
         ["influence", "--table", table2, "--n", "9"],          # --n without --anf
         ["learn3", "--anf", "x1", "--n", "1", "--epsilon", "0.2"],    # eps domain
@@ -284,6 +288,10 @@ def test_exit_code_2_on_bad_input(tmp_path):
         assert code == 2, argv
         assert err.strip(), argv  # a diagnostic was printed
         assert not out.strip()
+    # a signed seed does not have the '<n>:<seed>' form
+    assert invoke(["influence", "--random", "3:-1"])[2] == (
+        "bvinfluence: error: --random expects '<n>' or '<n>:<seed>', got '3:-1'\n"
+    )
 
 
 def test_parser_options_match_the_readme():
@@ -405,6 +413,11 @@ def test_table_file_error_reporting(tmp_path):
         "bad_slash.tt": ("n=2\n01/1\n", "truth table entries must be 0 or 1"),
         "bad_two.tt": ("n=2\n0121\n", "truth table entries must be 0 or 1"),
         "bad_n.tt": ("n=0\n\n", "n=0 out of range 1..24"),
+        # the variable count is decimal digits, not any int() literal
+        "bad_separator.tt": ("n=0_2\n0110\n", "first line must be 'n=<k>', found 'n=0_2'"),
+        "bad_space.tt": ("n= 2\n0110\n", "first line must be 'n=<k>', found 'n= 2'"),
+        "bad_sign.tt": ("n=+2\n0110\n", "first line must be 'n=<k>', found 'n=+2'"),
+        "bad_long.tt": (f"n={'9' * 5000}\n0\n", f"could not parse variable count from 'n={'9' * 5000}'"),
     }
     for name, (payload, fault) in cases.items():
         p = tmp_path / name
