@@ -67,7 +67,7 @@ class BvDistribution:
         self._tile_ends = spectrum._tile_ends
 
     def prob(self, y: int) -> Fraction:
-        y = _check_int(y, "outcome", 0, (1 << self.n) - 1, f"outcome {{value}} outside [0, 2^{self.n})")
+        y = _check_int(y, "outcome", 0, (1 << self.n) - 1)
         return Fraction(int(self.spectrum.w[y]) ** 2, self.denominator)
 
     def marginal_one(self, i: int) -> Fraction:
@@ -100,6 +100,8 @@ class SampleBatch:
     def __init__(self, n: int, outcomes, seed: int):
         n = _check_n(n)
         arr = np.array(outcomes)
+        if arr.ndim != 1:
+            raise ValueError(f"outcomes must be one-dimensional, got shape {arr.shape}")
         m = _check_int(arr.size, "sample count", 1)
         # Refused before the cast could truncate them.
         if arr.dtype.kind not in "iub":

@@ -19,6 +19,7 @@ Truth-table file formats (also see README):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -81,8 +82,8 @@ def read_table(path: str) -> TruthTable:
     if digits is None:
         raise CliError(f"{path}: first line must be 'n=<k>', found {header!r}")
     try:
-        n = int(digits[1])
-    except ValueError:  # more than 4300 digits
+        n = _digits(digits[1])
+    except argparse.ArgumentTypeError:  # more than 4300 digits
         raise CliError(f"{path}: could not parse variable count from {header!r}") from None
     if not 1 <= n <= MAX_VARIABLES:
         raise CliError(f"{path}: n={n} out of range 1..{MAX_VARIABLES}")
@@ -119,15 +120,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
-def _parse_random_source(text: str) -> tuple[int, int | None]:
-    """'<n>' or '<n>:<seed>'."""
-    parts = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", text)
-    try:
-        if parts is None:
-            raise ValueError(text)
-        return int(parts[1]), int(parts[2]) if parts[2] else None
-    except ValueError:  # not decimal digits, or more than 4300 of them
-        raise CliError(f"--random expects '<n>' or '<n>:<seed>', got {text!r}") from None
+def _digits(text: str) -> int:
+    """The CLI's one integer reader, an argparse type: ASCII decimal digits only, with no sign, space or '_'."""
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):  # more than 4300 digits
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _resolve_function(args) -> tuple[TruthTable, dict]:
@@ -148,8 +146,11 @@ def _resolve_function(args) -> tuple[TruthTable, dict]:
         table = read_table(args.table)
         return table, {"source": "table", "path": args.table, "n": table.n}
 
-    n, seed = _parse_random_source(args.random)
-    seed = resolve_seed(seed)
+    n, colon, seed = args.random.partition(":")
+    try:
+        n, seed = _digits(n), resolve_seed(_digits(seed) if colon else None)
+    except argparse.ArgumentTypeError:
+        raise CliError(f"--random expects '<n>' or '<n>:<seed>', got {args.random!r}") from None
     return random_function(n, seed), {"source": "random", "n": n, "function_seed": seed}
 
 
@@ -279,13 +280,13 @@ def _check_count_memory(args) -> None:
         raise CliError(f"--m {args.m} needs {need} bytes of draws, more than the {have} bytes of physical memory")
 
 
-_M = ("--m", {"type": int, "default": est.DEFAULT_SAMPLES, "help": "number of draws"})
-_SEED = ("--seed", {"type": int})
+_M = ("--m", {"type": _digits, "default": est.DEFAULT_SAMPLES, "help": "number of draws"})
+_SEED = ("--seed", {"type": _digits})
 _C = ("--c", {"type": float, "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"})
-_RHO = ("--rho", {"type": int, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"})
-_LAMBDA = ("--lambda", {"dest": "lam", "type": int, "default": ln.DEFAULT_LAMBDA})
+_RHO = ("--rho", {"type": _digits, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": _digits, "default": ln.DEFAULT_LAMBDA})
 _EPSILON = ("--epsilon", {"type": _fraction, "default": ln.DEFAULT_EPSILON, "help": "window half-width, in (0, 1/8)"})
-_I = ("--i", {"type": int, "help": "variable index; all variables when omitted"})
+_I = ("--i", {"type": _digits, "help": "variable index; all variables when omitted"})
 _LEARN_CSV = ("variable,class,observed_fraction,observed_decimal,window_low,window_high", _learn_rows)
 
 # Per subcommand, in --help order: its handler; the options it takes after
@@ -313,7 +314,7 @@ _COMMANDS = {
 
 _FUNCTION_FLAGS = (
     ("--anf", {"help": "ANF expression, e.g. 'x1 + x2*x3' (requires --n)"}),
-    ("--n", {"type": int, "help": "variable count for --anf"}),
+    ("--n", {"type": _digits, "help": "variable count for --anf"}),
     ("--table", {"help": "truth-table file (text, or binary with .ttb extension)"}),
     ("--random", {"help": "random function as '<n>:<seed>' (seed optional)"}),
     ("--format", {"choices": ("json", "csv"), "default": "json"}),

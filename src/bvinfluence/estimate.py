@@ -22,7 +22,7 @@ import numpy as np
 
 from .boolfn import TruthTable, _check_index, _check_n
 from .bvsim import _BLOCK, _blocks, _sampled_ones
-from .rng import _check_int
+from .rng import _check_int, _check_real
 from .spectrum import _flips, _packed
 
 
@@ -43,35 +43,21 @@ class BlackBoxOracle:
         return out.astype(np.uint8)
 
 
-def _check_real(value, name: str):
-    """``value``, unless it is a bool (numpy's too), which raises ``TypeError`` naming ``name``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
-    return value
-
-
 def hoeffding_radius(m: int, delta: float) -> float:
     """Accuracy radius eps with Pr(|I - p_i| < eps) > 1 - delta at m samples."""
-    m = _check_int(m, "sample count", 1)
-    if not 0 < _check_real(delta, "failure probability delta") < 1:
-        raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    m, delta = _check_int(m, "sample count", 1), _check_real(delta, "failure probability delta", 1)
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
 
 
 def hoeffding_failure_bound(m: int, epsilon: float) -> float:
     """The two-sided tail bound 2 exp(-2 m eps^2)."""
-    m = _check_int(m, "sample count", 1)
-    if _check_real(epsilon, "radius epsilon") <= 0:
-        raise ValueError(f"radius must be positive, got {epsilon}")
+    m, epsilon = _check_int(m, "sample count", 1), _check_real(epsilon, "radius epsilon")
     return 2.0 * math.exp(-2.0 * m * epsilon * epsilon)
 
 
 def samples_needed(epsilon: float, delta: float) -> int:
     """Smallest m (by the bound) with radius <= epsilon at failure prob delta."""
-    if _check_real(epsilon, "radius epsilon") <= 0:
-        raise ValueError(f"radius must be positive, got {epsilon}")
-    if not 0 < _check_real(delta, "failure probability delta") < 1:
-        raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    epsilon, delta = _check_real(epsilon, "radius epsilon"), _check_real(delta, "failure probability delta", 1)
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
 
@@ -93,7 +79,7 @@ class EstimateReport:
 
     def epsilon_at(self, confidence: float) -> float:
         """Radius guaranteed at the given confidence level (e.g. 0.99)."""
-        return hoeffding_radius(self.m, 1.0 - confidence)
+        return hoeffding_radius(self.m, 1.0 - _check_real(confidence, "confidence", 1))
 
 
 def algorithm1(f: TruthTable, m: int, seed: int | None = None) -> EstimateReport:
@@ -139,8 +125,7 @@ class InfluentialList:
 
 def influential_list(f: TruthTable, m: int, seed: int | None = None, c: float = 3.0) -> InfluentialList:
     """List every variable whose position showed a 1 at least once."""
-    if not 0 < _check_real(c, "sensitivity constant c") < math.inf:
-        raise ValueError(f"sensitivity constant must be finite and positive, got {c}")
+    c = _check_real(c, "sensitivity constant c")
     report = algorithm1(f, m, seed)
     variables = tuple(i for i in range(1, report.n + 1) if report.ones[i - 1] >= 1)
     return InfluentialList(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .boolfn import TruthTable, _check_index
 from .bvsim import _sampled_ones
 from .estimate import hoeffding_failure_bound
-from .rng import _check_int
+from .rng import _check_int, _check_real
 
 DEFAULT_RHO = 20
 DEFAULT_LAMBDA = 2000
@@ -86,10 +86,7 @@ def cubic_window(epsilon) -> tuple[Fraction, Fraction]:
 def _check_epsilon(epsilon) -> Fraction:
     # Fraction(float) is the float's exact binary value, so window
     # membership below is decided exactly, with no rounding fuzz.
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 8):
-        raise ValueError(f"window half-width must lie in (0, 1/8), got {epsilon}")
-    return eps
+    return Fraction(_check_real(epsilon, "window half-width epsilon", Fraction(1, 8)))
 
 
 def _in_window(value: Fraction, window: tuple[Fraction, Fraction]) -> bool:
@@ -129,7 +126,7 @@ def algorithm2(f: TruthTable, rho: int = DEFAULT_RHO, seed: int | None = None) -
     misread only when its rho fair-coin marginals all agree, so the
     per-variable error is 2 * (1/2)^rho.
     """
-    rho = _check_int(rho, "repetition count rho", 2, error="need at least {low} repetitions, got {value}")
+    rho = _check_int(rho, "repetition count rho", 2)
     ones, seed = _sampled_ones(f, rho, seed)
     mixed = (Fraction(0), Fraction(1))
     return LearnReport(
@@ -165,7 +162,7 @@ def algorithm3(
     least 1 - 2 exp(-2 lam eps^2); the linear rule's budget is inherited
     from the two-class analysis, not proved for this setting.
     """
-    lam = _check_int(lam, "repetition count lam", 4, error="need at least {low} repetitions, got {value}")
+    lam = _check_int(lam, "repetition count lam", 4)
     eps = _check_epsilon(epsilon)
     ones, seed = _sampled_ones(f, lam, seed)
     rules = ((TermClass.QUADRATIC, quadratic_window(eps)), (TermClass.CUBIC, cubic_window(eps)))

@@ -22,28 +22,42 @@ identical streams. ``test_raw_word_draws_match_integers`` and
 ``test_random_function_matches_integers`` pin the equivalence; they fail
 first if numpy changes its bounded-integer algorithm.
 
-The package's one integer rule, ``_check_int``, lives here too: every
-seed, count, index and outcome taken from a caller passes through it.
+The package's two number rules live here too, each with one message form:
+``_check_int`` for every seed, count, index and outcome, ``_check_real`` for every real.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
 
 
-def _check_int(value, name: str, low: int, high: int | None = None, error="{name} must be {bound}, got {value}") -> int:
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int in low..high (from low up if ``high`` is None), as by ``operator.index``.
 
-    A bool, a float or a str raises ``TypeError`` naming ``name``; out of range, ``ValueError`` from ``error``.
+    A bool, a float or a str raises ``TypeError`` naming ``name``; out of range, ``ValueError`` naming it.
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
     if value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(error.format(name=name, bound=bound, low=low, value=value))
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _check_real(value, name: str, high=math.inf):
+    """``value`` unchanged, if it is a real number in the open interval (0, high).
+
+    A non-``numbers.Real`` or a bool raises ``TypeError`` naming ``name``; NaN, inf or out of range, ``ValueError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value < high:
+        raise ValueError(f"{name} must be in (0, {high}), got {value}")
     return value
 
 
@@ -51,7 +65,7 @@ def resolve_seed(seed: int | None) -> int:
     """Return ``seed`` as a non-negative int by ``_check_int``, drawing a fresh entropy seed for None."""
     if seed is None:
         return int(np.random.SeedSequence().entropy)
-    return _check_int(seed, "seed", 0, error="seed must be non-negative, got {value}")
+    return _check_int(seed, "seed", 0)
 
 
 def make_generator(seed: int) -> np.random.Generator:

@@ -34,6 +34,11 @@ def test_from_anf_single_monomial():
 def test_from_anf_mixed_terms():
     f = from_anf("x1 + x2*x3", 3)
     assert f.monomials == frozenset({frozenset({1}), frozenset({2, 3})})
+    # an Anf is immutable and hashes by value, so term order does not matter
+    for name in ("n", "monomials", "other"):
+        with pytest.raises(AttributeError, match="^Anf is immutable$"):
+            setattr(f, name, None)
+    assert {f, from_anf("x3*x2 + x1", 3)} == {f} and f != from_anf("x1 + x2*x3", 4)
 
 
 def test_from_anf_self_cancellation():

@@ -59,7 +59,7 @@ def test_prob_rejects_outcomes_outside_the_cube():
     # an index wrap in the table would read prob(-15) at n=4 as Pr(1)
     d = bv_distribution_of(random_function(4, seed=2))
     for y in (-1, -16, 16):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^outcome must be in 0\.\.15, got {y}$"):
             d.prob(y)
 
 
@@ -160,7 +160,7 @@ def test_seed_must_be_a_non_negative_integer(draw):
     for seed in (1.5, True):
         with pytest.raises(TypeError):
             draw(seed=seed)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         draw(seed=-1)
     # numpy integers are integers
     result = draw(seed=np.int64(5))
@@ -325,6 +325,10 @@ def test_distribution_rejects_bad_weights():
     for empty in ([], np.array([], np.int64)):
         with pytest.raises(ValueError, match=r"^sample count must be >= 1, got 0$"):
             SampleBatch(2, empty, seed=0)
+    # a 0-d batch has no draws to count, and a 2-d one is not m draws
+    for outcomes, shape in ((5, r"\(\)"), ([[0, 1], [2, 3]], r"\(2, 2\)")):
+        with pytest.raises(ValueError, match=rf"^outcomes must be one-dimensional, got shape {shape}$"):
+            SampleBatch(3, outcomes, seed=0)
 
 
 @pytest.mark.parametrize("n, outcomes", [(2, [5]), (2, [-1]), (2, [4]), (2, [0, 3, 4]), (0, [0])])

@@ -332,6 +332,37 @@ def test_bad_epsilon_is_a_parse_error(capsys, epsilon):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--random", "3:1", "--m", "1_0"],
+        ["estimate", "--random", "3:1", "--m", "\u0661\u0660"],  # Arabic-Indic 10
+        ["estimate", "--random", "3:1", "--m", "+10"],
+        ["estimate", "--random", "3:1", "--seed", "\u0663"],
+        ["estimate", "--random", "3:1", "--seed", "-1"],
+        ["influence", "--anf", "x1", "--n", "\u0662"],
+        ["classical", "--random", "3:1", "--i", "\u0662"],
+    ],
+    ids=["m-separator", "m-arabic", "m-sign", "seed-arabic", "seed-negative", "n-arabic", "i-arabic"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # int() would read each of these; the CLI reads ASCII decimal digits only
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_no_option_reads_integers_with_int():
+    # every integer option goes through the one ASCII-digit reader
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = {a.type for sub in subparsers.choices.values() for a in sub._actions if a.type is not None}
+    assert int not in typed and cli._digits in typed
+
+
 def test_text_table_file_matches_the_documented_example(tmp_path):
     # majority of three, as in README's text-format example
     path = tmp_path / "maj3.tt"
@@ -455,6 +486,16 @@ def test_table_file_error_reporting(tmp_path):
     clean = tmp_path / "clean.ttb"
     clean.write_bytes(bytes([2, 0b0110]))
     assert read_table(str(clean)).bits.tolist() == [0, 1, 1, 0]
+
+    # an empty file, and a header byte outside 1..24
+    for name, raw, fault in (
+        ("empty.ttb", b"", "empty truth-table file"),
+        ("zero.ttb", bytes([0, 0]), "header byte n=0 out of range 1..24"),
+        ("big.ttb", bytes([25, 0]), "header byte n=25 out of range 1..24"),
+    ):
+        p = tmp_path / name
+        p.write_bytes(raw)
+        assert invoke(["influence", "--table", str(p)]) == (2, "", f"bvinfluence: error: {p}: {fault}\n"), name
 
     short = tmp_path / "short.ttb"
     short.write_bytes(bytes([4, 0xFF]))  # n=4 needs 2 payload bytes

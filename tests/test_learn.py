@@ -81,7 +81,7 @@ def test_algorithm2_determinism():
 
 
 def test_algorithm2_rejects_small_rho():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^repetition count rho must be >= 2, got 1$"):
         algorithm2(MIXED6, rho=1, seed=0)
 
 
@@ -131,10 +131,10 @@ def test_algorithm3_windows_recorded():
 
 
 def test_algorithm3_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^repetition count lam must be >= 4, got 3$"):
         algorithm3(MIXED_QC, lam=3, epsilon=Fraction(1, 10), seed=0)
     for eps in (0, Fraction(1, 8), 0.2, -0.01):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^window half-width epsilon must be in \(0, 1/8\), got {eps}$"):
             algorithm3(MIXED_QC, lam=100, epsilon=eps, seed=0)
 
 

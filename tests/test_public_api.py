@@ -1,5 +1,9 @@
 """The package's public surface, pinned so that every change to it is deliberate."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from bvinfluence import (
     bv_distribution_of,
     bv_sample,
     classical_estimate,
+    cubic_window,
     from_anf,
     hoeffding_failure_bound,
     hoeffding_radius,
@@ -23,6 +28,7 @@ from bvinfluence import (
     influence_vector,
     influential_list,
     lemma1_influence,
+    quadratic_window,
     random_function,
     resolve_seed,
     samples_needed,
@@ -101,21 +107,37 @@ def test_counts_indices_and_outcomes_take_integers_only(entry):
         assert type(kept(result)) is int and kept(result) == good
 
 
-# Per float parameter: the name its TypeError gives and the call with that value.
+# Per real parameter: the name its errors give, the call with that value, and the
+# open upper bound of its range (0 is always the lower one).
 FLOAT_ENTRIES = {
-    "influential_list-c": ("sensitivity constant c", lambda v: influential_list(T, 10, seed=0, c=v)),
-    "samples_needed-epsilon": ("radius epsilon", lambda v: samples_needed(v, 0.5)),
-    "samples_needed-delta": ("failure probability delta", lambda v: samples_needed(0.5, v)),
-    "hoeffding_radius-delta": ("failure probability delta", lambda v: hoeffding_radius(10, v)),
-    "hoeffding_failure_bound-epsilon": ("radius epsilon", lambda v: hoeffding_failure_bound(10, v)),
+    "influential_list-c": ("sensitivity constant c", lambda v: influential_list(T, 10, seed=0, c=v), math.inf),
+    "samples_needed-epsilon": ("radius epsilon", lambda v: samples_needed(v, 0.5), math.inf),
+    "samples_needed-delta": ("failure probability delta", lambda v: samples_needed(0.5, v), 1),
+    "hoeffding_radius-delta": ("failure probability delta", lambda v: hoeffding_radius(10, v), 1),
+    "hoeffding_failure_bound-epsilon": ("radius epsilon", lambda v: hoeffding_failure_bound(10, v), math.inf),
+    "algorithm3-epsilon": ("window half-width epsilon", lambda v: algorithm3(T, 4, v, seed=0), Fraction(1, 8)),
+    "quadratic_window-epsilon": ("window half-width epsilon", quadratic_window, Fraction(1, 8)),
+    "cubic_window-epsilon": ("window half-width epsilon", cubic_window, Fraction(1, 8)),
+    "epsilon_at-confidence": ("confidence", lambda v: algorithm1(T, 10, seed=0).epsilon_at(v), 1),
 }
 
 
 @pytest.mark.parametrize("entry", FLOAT_ENTRIES)
 def test_float_parameters_refuse_bools(entry):
-    # a bool is refused by name, never read as 1.0 or 0.0; a float is taken
-    name, call = FLOAT_ENTRIES[entry]
-    for value in (True, np.True_):
-        with pytest.raises(TypeError, match=name):
+    # a bool, a str or a Decimal is refused by name, never read as a number
+    name, call, _ = FLOAT_ENTRIES[entry]
+    for value in (True, np.True_, "0.5", Decimal("0.0625")):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
             call(value)
-    call(0.5)
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRIES)
+def test_float_parameters_take_reals_in_range(entry):
+    # NaN, an infinity, 0 and the upper bound are refused by name; a float,
+    # a numpy float and a Fraction in range are taken
+    name, call, high = FLOAT_ENTRIES[entry]
+    for value in (math.nan, math.inf, -math.inf, 0, 0.0, high):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \(0, {high}\), got {value}$"):
+            call(value)
+    for value in (0.0625, np.float64(0.0625), Fraction(1, 16)):
+        call(value)

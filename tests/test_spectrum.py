@@ -162,6 +162,10 @@ def test_correlation_transform_link_exact():
         size = 1 << t.n
         direct = spectrum._flip_counts_at(spectrum._packed(t), range(size))
         assert [size - 2 * d for d in direct] == c.tolist(), f"n={t.n}"
+    # the transform route divides by 2^n only where the division is exact
+    assert spectrum._divide_exactly(np.array([8, -4, 0, 12]), 2).tolist() == [2, -1, 0, 3]
+    with pytest.raises(AssertionError, match="not exactly divisible by 2\\^n"):
+        spectrum._divide_exactly(np.array([8, 6, 0, 4]), 2)
 
 
 def test_correlation_at_unit_vectors_decomposition():
@@ -341,6 +345,11 @@ def test_spectra_and_influence_vectors_come_only_from_a_table():
         InfluenceVector(2, [Fraction(1, 2), Fraction(1, 2)])
     for t in (AND2, random_function(7, seed=3)):
         assert InfluenceVector(walsh_spectrum(t)) == influence_vector(t)
+    # spectra compare by their coefficients, and with nothing but spectra
+    assert walsh_spectrum(AND2) == walsh_spectrum(to_truth_table(from_anf("x1*x2", 2)))
+    assert walsh_spectrum(AND2) != walsh_spectrum(to_truth_table(from_anf("x1 + x2", 2)))
+    assert walsh_spectrum(AND2) != walsh_spectrum(MAJ3)
+    assert walsh_spectrum(AND2).__eq__(AND2) is NotImplemented and walsh_spectrum(AND2) != AND2
 
 
 FUSED_TABLES = {
