@@ -9,9 +9,9 @@ Conventions used throughout the package:
 * Variables are 1-based: ``x1`` is bit 0 of the encoded integer.
 
 Values are immutable after construction and safe to share across
-threads. The caches filled lazily on a table (its spectrum, and the
-spectrum's masses) are pure functions of the table, so fills that race
-may compute twice but can only store equal values.
+threads. The caches filled lazily on a table (its spectrum and masses,
+and its core) are pure functions of the table, so fills that race may
+compute twice but can only store equal values.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ class TruthTable:
     The table's Walsh spectrum is cached on it on first use
     (``walsh_spectrum``) and lives as long as the table does; the output
     distribution is a view of it, built anew by ``bv_distribution_of``.
+    The sampler caches f's relevant variables and core in ``_core`` (``bvsim._core``).
     """
 
-    __slots__ = ("n", "packed", "_spectrum")
+    __slots__ = ("n", "packed", "_spectrum", "_core")
 
     def __init__(self, n: int, bits):
         n = _check_n(n)
@@ -90,6 +91,7 @@ class TruthTable:
         super().__setattr__("n", n)
         super().__setattr__("packed", packed)
         super().__setattr__("_spectrum", None)
+        super().__setattr__("_core", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruthTable is immutable")
@@ -112,6 +114,12 @@ class TruthTable:
     def signs(self) -> np.ndarray:
         """(-1)^f(x) for every x, as int64."""
         return 1 - 2 * self.bits.astype(np.int64)
+
+
+def _check_table(f) -> TruthTable:
+    if not isinstance(f, TruthTable):
+        raise TypeError(f"need a TruthTable (tabulate an Anf with to_truth_table), got {type(f).__name__}")
+    return f
 
 
 class Anf:

@@ -25,6 +25,13 @@ mapping). Only
 :func:`bv_sample` keeps them, in one int64 array of m entries; the
 estimators and learners read per-position one-counts, which the counting
 path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
+
+The counting path samples a junta on its core (Atici and Servedio, 2007).
+If f depends only on the k variables R, and g is its restriction to them,
+then W_f(y) = 2^(n-k) W_g(y_R) for y that is 0 off R, and 0 elsewhere.
+Placing g's outcomes at R keeps their order, and f's running sums there
+are 4^(n-k) times g's, so a key K in [0, 4^n) lands on the placement of
+the outcome that ``K >> 2(n-k)`` gets in g: f's spectrum is never built.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_n
+from .boolfn import TruthTable, _check_n, _check_table
 from .rng import _check_int, make_generator, resolve_seed
-from .spectrum import _BITS, WalshSpectrum, influence_by_spectrum, walsh_spectrum
+from .spectrum import _BITS, WalshSpectrum, _flip_count, _flips, _packed, influence_by_spectrum, walsh_spectrum
 
 STATEVECTOR_MAX_N = 12
 
@@ -219,24 +226,60 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     return SampleBatch(d.n, outcomes, seed)
 
 
+def _shows_flip(words: np.ndarray, i: int) -> bool:
+    """Whether the first 64 pairs of partner words of :func:`_packed` ``words`` hold a flip of variable i."""
+    step = 1 << max(0, i - 7)  # the partner word's distance, for i > 6
+    if step <= 64:  # whole pairs inside the first 128 words
+        return bool(_flips(words[:128], i).any())
+    return bool((words[:64] ^ words[step:step + 64]).any())
+
+
+def _core(f: TruthTable) -> tuple[tuple[int, ...], TruthTable]:
+    """The variables R that f depends on, ascending, and g, f restricted to them; cached on f.
+
+    g's variable j is R[j-1], and g is f itself when R holds every variable or
+    none. Only a variable with no flip in its first partner words is counted
+    in full. g gathers f at each z in [0, 2^k) deposited into R's positions.
+    """
+    if _check_table(f)._core is None:
+        words = _packed(f)
+        relevant = tuple(i for i in range(1, f.n + 1) if _shows_flip(words, i) or _flip_count(words, i))
+        g = None
+        if 0 < len(relevant) < f.n:
+            index = np.zeros(1, np.intp)
+            for r in relevant:
+                index = np.concatenate((index, index | 1 << (r - 1)))
+            bits = f.packed[index >> 3] >> (index & 7) & 1
+            g = TruthTable._of_packed(len(relevant), np.packbits(bits, bitorder="little"))
+        object.__setattr__(f, "_core", (relevant, g))  # g is None for f itself: no cycle holds f
+    relevant, g = f._core
+    return relevant, f if g is None else g
+
+
 def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, ...], int]:
     """Per-position one-counts of m draws from f's distribution, and the seed used.
 
     The counts are those of ``bv_sample(bv_distribution_of(f), m,
     seed).ones_counts()``. They do not depend on draw order, so each
     block of keys is sorted and located in place, and no m-sized array is
-    ever held.
+    ever held. The draws are f's 2n-bit keys, each shifted right by 2(n-k)
+    and located in the distribution of f's core g (:func:`_core`; module
+    docstring); g's counts go to R's positions, and every other count is 0.
     """
-    d = bv_distribution_of(f)
-    seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
+    relevant, g = _core(f)
+    d = bv_distribution_of(g)
+    shift = 2 * (f.n - g.n)
+    seed, blocks = _blocks(2 * f.n, m, seed, _KEY_BLOCK)
 
     def outcomes():
         for keys in blocks:
+            keys >>= shift
             keys.sort()
             _locate(d, keys)
             yield keys
 
-    return _ones_counts(d.n, outcomes()), seed
+    counts = dict(zip(relevant, _ones_counts(g.n, outcomes())))
+    return tuple(counts.get(i, 0) for i in range(1, f.n + 1)), seed
 
 
 def _apply_hadamard(psi: np.ndarray, qubit: int) -> None:

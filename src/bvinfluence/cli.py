@@ -112,12 +112,18 @@ def write_table(table: TruthTable, path: str) -> None:
             fh.write(b"\n")
 
 
-def _fraction(text: str) -> Fraction:
-    """argparse type for an exact rational; '1/0' is reported like 'nan', not raised."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
+# A real option's text: ASCII decimal digits with at most one point, or digits over digits (which float() refuses).
+_REAL = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+|[0-9]+/[0-9]+")
+
+
+def _real(parse, kind: str):
+    """An argparse type that reads ``_REAL`` text with ``parse``; '1/0' is reported like 'nan', not raised."""
+    def read(text: str):
+        if _REAL.fullmatch(text):
+            with contextlib.suppress(ValueError, ZeroDivisionError):  # ValueError: float("1/2"), or over 4300 digits
+                return parse(text)
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+    return read
 
 
 def _digits(text: str) -> int:
@@ -282,10 +288,10 @@ def _check_count_memory(args) -> None:
 
 _M = ("--m", {"type": _digits, "default": est.DEFAULT_SAMPLES, "help": "number of draws"})
 _SEED = ("--seed", {"type": _digits})
-_C = ("--c", {"type": float, "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"})
+_C = ("--c", {"type": _real(float, "float"), "default": 3.0, "help": "sensitivity constant in the 1-e^-c guarantee"})
 _RHO = ("--rho", {"type": _digits, "default": ln.DEFAULT_RHO, "help": "circuit repetitions"})
 _LAMBDA = ("--lambda", {"dest": "lam", "type": _digits, "default": ln.DEFAULT_LAMBDA})
-_EPSILON = ("--epsilon", {"type": _fraction, "default": ln.DEFAULT_EPSILON, "help": "window half-width, in (0, 1/8)"})
+_EPSILON = ("--epsilon", {"type": _real(Fraction, "fraction"), "default": ln.DEFAULT_EPSILON, "help": "window half-width, in (0, 1/8)"})
 _I = ("--i", {"type": _digits, "help": "variable index; all variables when omitted"})
 _LEARN_CSV = ("variable,class,observed_fraction,observed_decimal,window_low,window_high", _learn_rows)
 

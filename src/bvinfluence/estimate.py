@@ -78,8 +78,8 @@ class EstimateReport:
     oracle_calls: int
 
     def epsilon_at(self, confidence: float) -> float:
-        """Radius guaranteed at the given confidence level (e.g. 0.99)."""
-        return hoeffding_radius(self.m, 1.0 - _check_real(confidence, "confidence", 1))
+        """Radius guaranteed at the given confidence level (e.g. 0.99), with 1 - confidence taken exactly."""
+        return hoeffding_radius(self.m, 1 - Fraction(_check_real(confidence, "confidence", 1)))
 
 
 def algorithm1(f: TruthTable, m: int, seed: int | None = None) -> EstimateReport:

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_index
+from .boolfn import TruthTable, _check_index, _check_table
 from .rng import make_generator
 
 # Entries per tile (L2 is 2 MiB per core) and per column chunk, at least
@@ -239,9 +239,7 @@ def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
     Computed once per table and cached on it, so repeated calls on one
     table return the same object.
     """
-    if not isinstance(f, TruthTable):
-        raise TypeError(f"need a TruthTable (tabulate an Anf with to_truth_table), got {type(f).__name__}")
-    if f._spectrum is None:
+    if _check_table(f)._spectrum is None:
         w = np.empty(1 << f.n, np.int32)
         chunks = _hadamard(w, lambda tile, start, scratch: _load_signs(f.packed, tile, start, scratch))
         masses = _square_sums(chunks, w.size)
@@ -300,28 +298,32 @@ def _flip_counts_at(words: np.ndarray, gammas) -> list[int]:
     Word j of f(. xor gamma) is word j xor (gamma >> 6), with gamma's low 6
     bits applied as delta swaps inside it (Knuth, TAOCP 4A, 7.1.3). The
     gammas go through in chunks of at most ``_TILE`` words, and at least
-    one gamma.
+    one gamma, each over the words in chunks of at most ``_CHUNK``.
     """
     gammas = np.asarray(gammas, np.int64)
-    index = np.arange(words.size)
+    width = min(words.size, _CHUNK)
+    index = np.arange(width)
     per_chunk = max(1, _TILE // words.size)
     counts = []
     for start in range(0, gammas.size, per_chunk):
         g = gammas[start:start + per_chunk, None]
-        moved = words[index ^ (g >> 6)]
-        t = np.empty_like(moved)
-        for k, mask in enumerate(_LOW):
-            swap = g >> k & 1
-            if swap.any():
-                np.right_shift(moved, 1 << k, out=t)
-                t ^= moved
-                t &= np.where(swap, mask, 0)
-                moved ^= t
-                t <<= 1 << k
-                moved ^= t
-        moved ^= words
-        counts += np.bitwise_count(moved).sum(axis=1).tolist()
-        del moved, t  # before the next chunk's are built
+        sums = 0
+        for s in range(0, words.size, width):
+            moved = words[(index + s) ^ (g >> 6)]
+            t = np.empty_like(moved)
+            for k, mask in enumerate(_LOW):
+                swap = g >> k & 1
+                if swap.any():
+                    np.right_shift(moved, 1 << k, out=t)
+                    t ^= moved
+                    t &= np.where(swap, mask, 0)
+                    moved ^= t
+                    t <<= 1 << k
+                    moved ^= t
+            moved ^= words[s:s + width]
+            sums += np.bitwise_count(moved).sum(axis=1)
+            del moved, t  # before the next chunk's are built
+        counts += sums.tolist()
     return counts
 
 

@@ -10,6 +10,7 @@ from bvinfluence import (
     Anf,
     AnfSyntaxError,
     TruthTable,
+    algorithm1,
     bv_distribution_of,
     from_anf,
     random_function,
@@ -129,21 +130,24 @@ def test_truth_table_immutable():
 
 
 def test_truth_table_spectrum_cache_is_invisible():
-    # equality, immutability and repr ignore the lazily filled spectrum slot
-    warm = to_truth_table(from_anf("x1 + x2*x3", 3))
-    cold = to_truth_table(from_anf("x1 + x2*x3", 3))
+    # equality, immutability and repr ignore the lazily filled spectrum and
+    # core slots; x4 is irrelevant, so the core holds a 3-variable table
+    warm = to_truth_table(from_anf("x1 + x2*x3", 4))
+    cold = to_truth_table(from_anf("x1 + x2*x3", 4))
     before = repr(warm)
     bv_distribution_of(warm)
+    algorithm1(warm, 10, seed=0)
+    assert warm._spectrum is not None and warm._core[1].n == 3
     assert warm == cold and cold == warm
     assert repr(warm) == repr(cold) == before
-    for name in ("n", "bits", "_spectrum", "other"):
+    for name in ("n", "bits", "_spectrum", "_core", "other"):
         with pytest.raises(AttributeError):
             setattr(warm, name, None)
     with pytest.raises(ValueError):
         warm.bits[0] = 1
     with pytest.raises(ValueError):
         warm.packed[0] = 1
-    assert warm != to_truth_table(from_anf("x1", 3))
+    assert warm != to_truth_table(from_anf("x1", 4))
 
 
 def test_random_function_deterministic():

@@ -1,4 +1,6 @@
 import gc
+import io
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -9,6 +11,7 @@ import scipy.stats
 
 from bvinfluence import (
     STATEVECTOR_MAX_N,
+    Anf,
     SampleBatch,
     algorithm1,
     bv_distribution,
@@ -22,7 +25,8 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import bvsim
-from bvinfluence.bvsim import _BLOCK, _KEY_BLOCK, _sampled_ones
+from bvinfluence.bvsim import _BLOCK, _KEY_BLOCK, _core, _sampled_ones
+from bvinfluence.cli import run
 from bvinfluence.rng import make_generator
 from conftest import BENT24, PARITY24, corpus, lift
 
@@ -269,6 +273,76 @@ def test_tiled_walk_matches_the_full_table(monkeypatch, name):
     assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)
     naive = tuple(int(((reference >> pos) & 1).sum()) for pos in range(table.n))
     assert _sampled_ones(table, keys.size, seed=1) == (naive, 1)
+
+
+def _junta(n: int, relevant: tuple[int, ...], seed: int) -> Anf:
+    """A random ANF on exactly ``relevant``: f depends on a variable iff its ANF holds it."""
+    rng = make_generator(seed)
+    monomials = [[r for r in relevant if rng.integers(2)] for _ in range(3 * len(relevant))]
+    monomials += [[r] for r in relevant if not any(r in mono for mono in monomials)]
+    return Anf(monomials, n)
+
+
+# (n, the relevant variables): spread over the first table word and, where
+# n allows, above bit 16; k = 1, k = n and k = 0 too
+JUNTAS = {
+    "n7": (7, (1, 3, 4, 7)),
+    "n17": (17, (2, 5, 6, 9, 14, 17)),
+    "n24": (24, (1, 3, 6, 8, 12, 17, 19, 22, 24)),
+    "k1": (24, (20,)),
+    "k=n": (7, tuple(range(1, 8))),
+    "constant": (24, ()),
+}
+
+
+@pytest.mark.parametrize("name", JUNTAS)
+def test_junta_counts_come_off_its_core(name):
+    # The counting path locates shifted keys in the restriction g's
+    # distribution; its counts must be those of f's own full distribution.
+    n, relevant = JUNTAS[name]
+    anf = _junta(n, relevant, seed=n)
+    f = to_truth_table(anf)
+    core, g = _core(f)
+    assert core == relevant
+    if 0 < len(relevant) < n:
+        # g is f's ANF with variable R[j-1] renamed j
+        rename = {r: j for j, r in enumerate(relevant, 1)}
+        assert g == to_truth_table(Anf([[rename[v] for v in mono] for mono in anf.monomials], len(relevant)))
+    else:
+        assert g is f
+    assert _core(f)[1] is g  # cached on f
+    d = bv_distribution(walsh_spectrum(to_truth_table(anf)))  # f's own spectrum, on a fresh table
+    for seed in range(3):
+        for m in (1, 1000):
+            assert _sampled_ones(f, m, seed) == (bv_sample(d, m, seed).ones_counts(), seed), (m, seed)
+    if name == "n17":  # three key blocks, the last one partial
+        assert _sampled_ones(f, PAST_TWO_BLOCKS, 3) == (bv_sample(d, PAST_TWO_BLOCKS, 3).ones_counts(), 3)
+    assert f._spectrum is None or g is f  # f itself is never transformed on a junta
+
+
+def test_a_table_on_every_variable_keeps_the_full_path():
+    # k = n: the relevance test reads the first partner words only, holds
+    # nothing table-sized, and g is f itself
+    f = random_function(20, seed=4)
+    tracemalloc.start()
+    try:
+        core, g = _core(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert core == tuple(range(1, 21)) and g is f
+    assert peak < 1 << 14, peak
+
+
+def test_influence_and_verify_never_read_the_core(monkeypatch):
+    # both check or report f's own spectrum, so neither rests on the identity the core uses
+    def refuse(f):
+        raise AssertionError("the core was read")
+
+    monkeypatch.setattr(bvsim, "_core", refuse)
+    for command in ("influence", "verify"):
+        out, err = io.StringIO(), io.StringIO()
+        assert run([command, "--anf", "x1 + x2*x9", "--n", "9"], out=out, err=err) == 0, err.getvalue()
 
 
 def test_sampler_matches_exact_law_chisq():

@@ -280,8 +280,7 @@ def test_exit_code_2_on_bad_input(tmp_path):
         ["influence", "--random", "4:1", "--n", "7"],          # --n without --anf
         ["influence", "--table", table2, "--n", "9"],          # --n without --anf
         ["learn3", "--anf", "x1", "--n", "1", "--epsilon", "0.2"],    # eps domain
-        ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "nan"],
-        ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "inf"],
+        ["list-influential", "--random", "4:1", "--m", "10", "--seed", "1", "--c", "0"],  # c domain
     ]
     for argv in bad:
         code, out, err = invoke(argv)
@@ -329,6 +328,36 @@ def test_bad_epsilon_is_a_parse_error(capsys, epsilon):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --epsilon: invalid fraction value: '{epsilon}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--c", "\u0663"),  # Arabic-Indic 3
+        ("--c", "1_0"),
+        ("--c", " 3"),
+        ("--c", "+3"),
+        ("--c", "nan"),  # non-finite: no name is read
+        ("--c", "inf"),
+        ("--c", "1e3"),
+        ("--epsilon", " \u0661/\u0662\u0660 "),  # Arabic-Indic 1/20, with spaces
+        ("--epsilon", "1_0"),
+        ("--epsilon", " 0.1"),
+        ("--epsilon", "+1/20"),
+        ("--epsilon", "0.5/4"),
+    ],
+)
+def test_real_options_read_ascii_digits_only(capsys, flag, text):
+    # a real option is ASCII digits with at most one point, or for --epsilon
+    # digits over digits: never another script's digits, '_', a space or a sign
+    command = {"--c": ["list-influential", "--m", "10"], "--epsilon": ["learn3"]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--random", "4:1", "--seed", "1", flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    kind = {"--c": "float", "--epsilon": "fraction"}[flag]
+    assert f"argument {flag}: invalid {kind} value: {text!r}" in err
     assert "Traceback" not in err
 
 

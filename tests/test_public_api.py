@@ -131,6 +131,15 @@ def test_float_parameters_refuse_bools(entry):
             call(value)
 
 
+def test_epsilon_at_takes_confidences_at_either_end():
+    # 1 - confidence is exact: in float, 1.0 - 1e-300 is 1.0, which the
+    # radius then refused as a failure probability the caller never passed
+    _, call, _ = FLOAT_ENTRIES["epsilon_at-confidence"]
+    assert call(1e-300) == call(5e-324) == hoeffding_radius(10, 1 - Fraction(1e-300))
+    assert call(1 - 2 ** -53) == hoeffding_radius(10, 2 ** -53)
+    assert call(0.99) == hoeffding_radius(10, 1.0 - 0.99)  # the reports' confidence, as before
+
+
 @pytest.mark.parametrize("entry", FLOAT_ENTRIES)
 def test_float_parameters_take_reals_in_range(entry):
     # NaN, an infinity, 0 and the upper bound are refused by name; a float,

@@ -32,6 +32,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import spectrum
+from bvinfluence.rng import make_generator
 from conftest import BENT24, PARITY24, corpus, naive_correlation, naive_walsh, parity_signs, strided_half_mass
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
@@ -222,6 +223,15 @@ def test_batched_direct_correlation_matches_naive_summation():
         assert [size - 2 * d for d in direct] == naive_correlation(t).tolist(), f"n={n}"
 
 
+def test_direct_correlation_in_word_chunks_matches_the_transform_route():
+    # at n=22 each gamma's 2^16 words go through in two chunks of _CHUNK words
+    assert (1 << 22) // 64 == 2 * spectrum._CHUNK
+    t = random_function(22, seed=6)
+    gammas = [1, 63, 64, 1 << 15, 1 << 21, (1 << 22) - 1, *make_generator(6).integers(1, 1 << 22, 6).tolist()]
+    direct = spectrum._flip_counts_at(spectrum._packed(t), gammas)
+    assert [(1 << 22) - 2 * d for d in direct] == spectrum._correlation_at(walsh_spectrum(t), gammas).tolist()
+
+
 @pytest.mark.parametrize("n", [15, 16, 17])
 def test_tiled_masses_match_strided_sums(n):
     # below, at and above one _TILE of the spectrum
@@ -305,7 +315,7 @@ def test_transform_runs_once_per_table(monkeypatch):
     kernel = spectrum._hadamard
 
     def counted(out, load):
-        calls.append(out.dtype)
+        calls.append((out.dtype, out.size))
         return kernel(out, load)
 
     monkeypatch.setattr(spectrum, "_hadamard", counted)
@@ -320,11 +330,21 @@ def test_transform_runs_once_per_table(monkeypatch):
         algorithm2(t, 5, seed)
         algorithm3(t, 50, Fraction(1, 10), seed)
     assert influence_vector(t) == first
-    assert calls == [np.int32]
+    assert calls == [(np.int32, 512)]
     # verify reuses the cached spectrum; its one transform is the
     # autocorrelation check's
     verify_identities(t)
-    assert calls == [np.int32, np.int64]
+    assert calls == [(np.int32, 512), (np.int64, 512)]
+    # a junta on 3 of 9 variables is sampled on its core: one transform of
+    # the 8-entry restriction, cached with it on the table, and none of f
+    calls.clear()
+    junta = to_truth_table(from_anf("x1 + x2*x9", 9))
+    for seed in range(3):
+        algorithm1(junta, 50, seed)
+        influential_list(junta, 50, seed)
+        algorithm2(junta, 5, seed)
+        algorithm3(junta, 50, Fraction(1, 10), seed)
+    assert calls == [(np.int32, 8)]
 
 
 def test_arrays_handed_to_results_are_not_shared():
