@@ -16,13 +16,13 @@ are impossible, not merely improbable. The running sums are never held
 whole: a coarse table of per-tile sums finds each key's 2^16-entry tile,
 and each tile touched is squared and summed into one reused buffer (a
 two-level inverse CDF, after the guide tables of Chen and Asau, 1974).
-Draws come from one generator in blocks of ``_KEY_BLOCK``, and each block
-is sorted and looked up in one pass over the spectrum. :func:`_blocks`
-reads the draws off the generator's raw words; for the power-of-two
-bounds used here that is identical to ``Generator.integers``
-(``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
-mapping). Only
-:func:`bv_sample` keeps them, in one int64 array of m entries; the
+Draws come from one generator in blocks of ``_KEY_BLOCK``, read off its
+raw words by :func:`_blocks`; for the power-of-two bounds used here that
+is identical to ``Generator.integers`` (``test_raw_word_draws_match_integers``
+pins it; :mod:`.rng` gives the mapping). :func:`_locate` sorts each block
+in place and looks it up in one pass over the spectrum. Only
+:func:`bv_sample` keeps the outcomes, scattered back into draw order in
+one int64 array of m entries that its batch holds without a copy; the
 estimators and learners read per-position one-counts, which the counting
 path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
 
@@ -61,17 +61,14 @@ _KEY_BLOCK = 1 << 19
 class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
-    A view of ``spectrum``: probabilities and marginals are read off it.
-    The sampler's coarse table is the running sums of the spectrum's
-    per-tile squares, one entry per 2^16 outcomes, which the spectrum
-    takes with its masses and keeps; no 2^n array is held beside it.
+    A view of ``spectrum``: probabilities, marginals and the sampler's
+    coarse table (:func:`_locate`) are read off it; it holds no array.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
         self.spectrum = spectrum
         self.n = spectrum.n
         self.denominator = 1 << (2 * spectrum.n)
-        self._tile_ends = spectrum._tile_ends
 
     def prob(self, y: int) -> Fraction:
         y = _check_int(y, "outcome", 0, (1 << self.n) - 1)
@@ -101,7 +98,9 @@ class SampleBatch:
 
     Reproducible bit for bit from (distribution, m, seed); ``seed`` is
     the seed actually used, even when the caller left it to entropy.
-    ``outcomes`` is a read-only int64 copy, which no caller can change.
+    ``outcomes`` is a read-only int64 array that no caller can change: a
+    checked copy of what the constructor is given, or the fresh array
+    that :func:`bv_sample` filled, kept as it is (:meth:`_keep`).
     """
 
     def __init__(self, n: int, outcomes, seed: int):
@@ -109,18 +108,20 @@ class SampleBatch:
         arr = np.array(outcomes)
         if arr.ndim != 1:
             raise ValueError(f"outcomes must be one-dimensional, got shape {arr.shape}")
-        m = _check_int(arr.size, "sample count", 1)
+        _check_int(arr.size, "sample count", 1)
         # Refused before the cast could truncate them.
         if arr.dtype.kind not in "iub":
             raise ValueError(f"expected integer values, got dtype {arr.dtype}")
         arr = arr.astype(np.int64, copy=False)
-        arr.flags.writeable = False
         if not (0 <= arr.min() and arr.max() < 1 << n):
             raise ValueError(f"outcomes must lie in [0, 2^{n})")
-        self.n = n
-        self.m = m
-        self.outcomes = arr
-        self.seed = _check_int(seed, "seed", 0)
+        self._keep(n, arr, _check_int(seed, "seed", 0))
+
+    def _keep(self, n: int, outcomes: np.ndarray, seed: int) -> SampleBatch:
+        """This batch, holding the fresh, valid int64 ``outcomes`` read-only, without a copy or a check."""
+        outcomes.flags.writeable = False
+        self.n, self.m, self.outcomes, self.seed = n, outcomes.size, outcomes, seed
+        return self
 
     def ones_counts(self) -> tuple[int, ...]:
         """Per position i, how many outcomes have y_i = 1."""
@@ -176,20 +177,21 @@ def _draws(raw, bits: int, m: int, block: int):
         yield np.right_shift(halves[:k], 32 - bits, out=buf[:k])
 
 
-def _locate(d: BvDistribution, keys: np.ndarray) -> None:
-    """Replace each of the sorted keys in [0, 4^n) by its outcome, in place.
+def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
+    """Sort the keys in [0, 4^n) in place, then replace each by its outcome under s.
 
-    The outcome of a key is ``np.searchsorted(d.cumulative(), key,
-    side="right")``. The spectrum's per-tile sums give each tile's slice of
-    the keys; each tile holding a key is squared and summed into one reused
-    int64 buffer, and its keys are looked up there, less the sums before it.
-    A tile of zero weight holds no key.
+    A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
+    key, side="right")``. The spectrum's coarse table (its per-tile running
+    sums) gives each tile's slice of the sorted keys; each tile holding a
+    key is squared and summed into one reused int64 buffer, and its keys are
+    looked up there, less the sums before it. A tile of zero weight holds none.
     """
-    w = d.spectrum.w
-    tile = w.size // d._tile_ends.size
+    keys.sort()
+    w, ends = s.w, s._tile_ends
+    tile = w.size // ends.size
     sums = np.empty(tile, np.int64)
     start, before = 0, 0
-    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, d._tile_ends).tolist(), d._tile_ends.tolist())):
+    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, ends).tolist(), ends.tolist())):
         if stop > start:
             sums[...] = w[t * tile:(t + 1) * tile]
             np.cumsum(np.multiply(sums, sums, out=sums), out=sums)
@@ -210,20 +212,19 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
 
     Each draw maps a uniform integer in [0, 4^n) through the running sums
     of the integer weights, so the sample law matches d exactly. Each
-    block of keys is looked up in sorted order and its outcomes are
-    written back in draw order, so the outcome stream is the same as an
-    unsorted ``searchsorted`` of all keys: 8 bytes per draw, in one
-    m-sized array.
+    block of keys is located in sorted order, in place, and its outcomes
+    are scattered back by the keys' draw order, so the outcome stream is
+    the same as an unsorted ``searchsorted`` of all keys: 8 bytes per
+    draw, in one m-sized array, which the batch keeps.
     """
     m = _check_int(m, "sample count", 1)
     seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
     outcomes = np.empty(m, dtype=np.int64)
     for start, keys in zip(range(0, m, _KEY_BLOCK), blocks):
         order = np.argsort(keys)
-        ordered = keys[order]
-        _locate(d, ordered)
-        outcomes[start:start + keys.size][order] = ordered
-    return SampleBatch(d.n, outcomes, seed)
+        _locate(d.spectrum, keys)
+        outcomes[start:start + keys.size][order] = keys
+    return SampleBatch.__new__(SampleBatch)._keep(d.n, outcomes, seed)
 
 
 def _shows_flip(words: np.ndarray, i: int) -> bool:
@@ -261,21 +262,20 @@ def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, .
 
     The counts are those of ``bv_sample(bv_distribution_of(f), m,
     seed).ones_counts()``. They do not depend on draw order, so each
-    block of keys is sorted and located in place, and no m-sized array is
+    block of keys is located in place and counted, and no m-sized array is
     ever held. The draws are f's 2n-bit keys, each shifted right by 2(n-k)
     and located in the distribution of f's core g (:func:`_core`; module
     docstring); g's counts go to R's positions, and every other count is 0.
     """
     relevant, g = _core(f)
-    d = bv_distribution_of(g)
+    s = walsh_spectrum(g)
     shift = 2 * (f.n - g.n)
     seed, blocks = _blocks(2 * f.n, m, seed, _KEY_BLOCK)
 
     def outcomes():
         for keys in blocks:
             keys >>= shift
-            keys.sort()
-            _locate(d, keys)
+            _locate(s, keys)
             yield keys
 
     counts = dict(zip(relevant, _ones_counts(g.n, outcomes())))

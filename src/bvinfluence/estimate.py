@@ -56,9 +56,17 @@ def hoeffding_failure_bound(m: int, epsilon: float) -> float:
 
 
 def samples_needed(epsilon: float, delta: float) -> int:
-    """Smallest m (by the bound) with radius <= epsilon at failure prob delta."""
+    """Smallest m (by the bound) with radius <= epsilon at failure prob delta.
+
+    Taken in float; where the float quotient is not finite (a tiny epsilon
+    or delta), the log is taken in float and the quotient exactly.
+    """
     epsilon, delta = _check_real(epsilon, "radius epsilon"), _check_real(delta, "failure probability delta", 1)
-    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
+    e = float(epsilon)
+    log, denominator = math.log(2.0 / float(delta)), 2.0 * e * e
+    if denominator and math.isfinite(log / denominator):
+        return math.ceil(log / denominator)
+    return math.ceil(Fraction(math.log(2) - math.log(delta)) / (2 * Fraction(epsilon) ** 2))
 
 
 # Radius 0.05 at 99% confidence; surfaced as the CLI default sample count.

@@ -222,8 +222,9 @@ def test_ones_counts_bookkeeping(make_batch):
 PAST_TWO_BLOCKS = 2 * _KEY_BLOCK + 5
 BLOCK_TABLES = pytest.mark.parametrize(
     "table",
-    [random_function(12, seed=31), to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 16))],
-    ids=["random12", "planted16"],
+    # random17's 34-bit keys take _draws' whole-word branch
+    [random_function(12, seed=31), to_truth_table(from_anf("x1 + x2*x3 + x4*x5*x6", 16)), random_function(17, seed=33)],
+    ids=["random12", "planted16", "random17"],
 )
 
 
@@ -245,6 +246,21 @@ def test_counting_path_matches_the_kept_sample(table):
     assert algorithm1(table, m, seed=23).ones == expected
 
 
+def test_sample_holds_its_array_once():
+    # bv_sample fills one m-sized array and keeps it, with no copy; beyond
+    # it the peak holds a raw key block, the next block and the sort order
+    d = bv_distribution_of(random_function(20, seed=1))
+    m = 4_000_000
+    tracemalloc.start()
+    try:
+        batch = bv_sample(d, m, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.outcomes.nbytes == 8 * m
+    assert peak <= batch.outcomes.nbytes + (16 << 20), (peak - batch.outcomes.nbytes) / 2**20
+
+
 WALK_TABLES = {
     "random12": lambda: random_function(12, seed=31),
     "random20": lambda: random_function(20, seed=32),
@@ -264,7 +280,7 @@ def test_tiled_walk_matches_the_full_table(monkeypatch, name):
     table = WALK_TABLES[name]()
     d = bv_distribution_of(table)
     cum = d.cumulative()
-    ends = d._tile_ends
+    ends = d.spectrum._tile_ends
     keys = np.concatenate([[0, d.denominator - 1], ends - 1, ends, make_generator(7).integers(0, d.denominator, 1000)])
     keys = make_generator(8).permutation(keys[(keys >= 0) & (keys < d.denominator)])
     reference = np.searchsorted(cum, keys, side="right")
@@ -443,7 +459,6 @@ def test_distribution_cached_on_the_table():
     d = bv_distribution_of(t)
     for other in (bv_distribution_of(t), bv_distribution(walsh_spectrum(t))):
         assert other.spectrum is d.spectrum is walsh_spectrum(t)
-        assert other._tile_ends is d._tile_ends
     # the 2^n table is built on demand and never held
     assert d.cumulative() is not d.cumulative()
 

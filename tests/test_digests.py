@@ -3,9 +3,10 @@
 The goldens stop at n = 13. Each row here runs one CLI invocation and
 hashes its JSON ``results`` block (``json.dumps`` with sorted keys) or
 its whole CSV output. The rows cover every subcommand on a random table
-at n = 17, a planted 17-of-24 junta (the sampler's junta path), and a
-draw count at n = 24 that spans three sampler key blocks. A change that
-moves any digest has changed a seeded result.
+at n = 17, a ``bv-sample`` at n = 17 that spans two sampler key blocks,
+a planted 17-of-24 junta (the sampler's junta path), and a draw count at
+n = 24 that spans three key blocks. A change that moves any digest has
+changed a seeded result.
 
 To print the digests after a deliberate change of outputs, run this file
 as a script from the repository root and record the change in CHANGES.md::
@@ -35,6 +36,9 @@ DIGESTS = {
         "f48605b8657e65cc04d84ac59fa9084b4f29ef45cc7015b3ac88dc75e59c9866"),
     "bv-sample-random17": (["bv-sample", *RANDOM17, "--m", "3000", "--seed", "1"], "csv",
         "09c2346a56b6e6c3d26f954953c97faec5780fd66601474f6d4a0711456db792"),
+    # 2^19 + 3 draws: one whole key block and one of 3, kept in draw order
+    "bv-sample-random17-blocks": (["bv-sample", *RANDOM17, "--m", "524291", "--seed", "12"], "csv",
+        "04e9914a2941f3a93745780d5965a943fa8aaa4b4da68bd0f3865687bef71c0a"),
     "estimate-random17": (["estimate", *RANDOM17, "--m", "1060", "--seed", "2"], "json",
         "51129c7ac2a01ce3bc58209a33953da431fc22dab02a7790ebe371e2ca633b32"),
     "list-influential-random17": (["list-influential", *RANDOM17, "--m", "40", "--seed", "3"], "json",

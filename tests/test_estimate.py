@@ -88,6 +88,13 @@ def test_samples_needed_values():
     assert DEFAULT_SAMPLES == samples_needed(0.05, 0.01) == 1060
     # plugging the count back in gets the radius under the target
     assert hoeffding_radius(samples_needed(0.03, 0.05), 0.05) <= 0.03
+    # where 2 eps^2 underflows (1e-300) or the float quotient overflows
+    # (1e-160, or delta 1e-320), the count is the exact smallest m with
+    # 2 m eps^2 >= log(2/delta), not a ZeroDivisionError or OverflowError
+    for eps, delta in ((1e-300, 0.5), (np.float64(1e-300), 0.5), (1e-160, 0.5), (0.05, 1e-320)):
+        m = samples_needed(eps, delta)
+        bound = Fraction(math.log(2) - math.log(delta)) / (2 * Fraction(eps) ** 2)
+        assert m - 1 < bound <= m, (eps, delta)
 
 
 def test_hoeffding_domain_errors():
