@@ -4,8 +4,9 @@ The goldens stop at n = 13. Each row here runs one CLI invocation and
 hashes its JSON ``results`` block (``json.dumps`` with sorted keys) or
 its whole CSV output. The rows cover every subcommand on a random table
 at n = 17, a ``bv-sample`` at n = 17 that spans two sampler key blocks,
-a planted 17-of-24 junta (the sampler's junta path), and a draw count at
-n = 24 that spans three key blocks. A change that moves any digest has
+a planted 17-of-24 junta (the sampler's junta path), a draw count at
+n = 24 that spans three key blocks, the influences at n = 24, and a
+draw count at n = 24 small enough to leave most tiles without a key. A change that moves any digest has
 changed a seeded result.
 
 To print the digests after a deliberate change of outputs, run this file
@@ -61,6 +62,11 @@ DIGESTS = {
     # 2^20 + 1 draws: two whole key blocks and one of a single key
     "estimate-random24": (["estimate", "--random", "24:1", "--m", "1048577", "--seed", "9"], "json",
         "2c3b7f65f11481c2854660950f86b430d8ffaf76eb134025700302479745290c"),
+    # every variable's influence at the cap, and a small m that touches few tiles
+    "influence-random24": (["influence", "--random", "24:1"], "json",
+        "908a1d428dba43a6b39cad7738d46bc9513f02e997808afcc0e542ff20789804"),
+    "estimate-random24-sparse": (["estimate", "--random", "24:1", "--m", "1060", "--seed", "7"], "csv",
+        "135e84facff0d8e7877b748462bf9610b2042e6b15ce4bae37a82b4637962e2d"),
 }
 
 
