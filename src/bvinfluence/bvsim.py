@@ -13,14 +13,17 @@ materialized.
 exact: a draw is a uniform integer in [0, 4^n) located among the running
 sums of the integer weights W(y)^2, so outcomes with zero spectral weight
 are impossible, not merely improbable. The running sums are never held
-whole: a coarse table of per-tile sums finds each key's 2^16-entry tile,
-and each tile touched is squared and summed into one reused buffer (a
-two-level inverse CDF, after the guide tables of Chen and Asau, 1974).
-Draws come from one generator in blocks of ``_KEY_BLOCK``, read off its
-raw words by :func:`_blocks`; for the power-of-two bounds used here that
-is identical to ``Generator.integers`` (``test_raw_word_draws_match_integers``
-pins it; :mod:`.rng` gives the mapping). :func:`_locate` sorts each block
-in place and looks it up in one pass over the spectrum. Only
+whole: the spectrum keeps them at the end of each 2^10-entry segment, a
+guide table (Chen and Asau, 1974) that finds each key's 2^16-entry tile
+and segment. A tile holding at least as many keys as segments is squared
+and summed whole into one reused buffer; in a tile holding fewer, only
+the segments that hold a key are, so a few draws cost a few segments,
+not a pass over the spectrum. Draws come from one generator in blocks
+of ``_KEY_BLOCK``, read off its raw words by :func:`_blocks`; for the
+power-of-two bounds used here that is identical to ``Generator.integers``
+(``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
+mapping). :func:`_locate` sorts each block in place and looks it up in
+one walk over the tiles. Only
 :func:`bv_sample` keeps the outcomes, scattered back into draw order in
 one int64 array of m entries that its batch holds without a copy; the
 estimators and learners read per-position one-counts, which the counting
@@ -42,7 +45,9 @@ import numpy as np
 
 from .boolfn import TruthTable, _check_n, _check_table
 from .rng import _check_int, make_generator, resolve_seed
-from .spectrum import _BITS, WalshSpectrum, _flip_count, _flips, _packed, influence_by_spectrum, walsh_spectrum
+from .spectrum import (
+    _BITS, _TILE, WalshSpectrum, _flip_count, _flips, _packed, influence_by_spectrum, walsh_spectrum,
+)
 
 STATEVECTOR_MAX_N = 12
 
@@ -61,8 +66,9 @@ _KEY_BLOCK = 1 << 19
 class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
-    A view of ``spectrum``: probabilities, marginals and the sampler's
-    coarse table (:func:`_locate`) are read off it; it holds no array.
+    A view of ``spectrum``: probabilities, marginals and the running sums
+    per 2^10 entries that the sampler's lookup (:func:`_locate`) starts
+    from are read off it; it holds no array.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
@@ -181,24 +187,43 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
     """Sort the keys in [0, 4^n) in place, then replace each by its outcome under s.
 
     A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
-    key, side="right")``. The spectrum's coarse table (its per-tile running
-    sums) gives each tile's slice of the sorted keys; each tile holding a
-    key is squared and summed into one reused int64 buffer, and its keys are
-    looked up there, less the sums before it. A tile of zero weight holds none.
+    key, side="right")``. The spectrum's running sums per segment of
+    ``_SEGMENT`` entries, read at every tile's end, give each 2^16-entry
+    tile's slice of the sorted keys. A tile holding at least as many keys
+    as it has segments is squared and summed into one reused int64 buffer,
+    and its keys are looked up there, less the sums before it. A tile
+    holding fewer gathers only the segments that hold a key into the same
+    buffer, one row each, ascending, and squares them; each row is summed
+    on from the running sum before its segment, so the rows run on as one
+    sorted array, and each key's index in it maps back to its segment. A
+    tile or segment of zero weight holds no key.
     """
     keys.sort()
-    w, ends = s.w, s._tile_ends
-    tile = w.size // ends.size
+    w, ends = s.w, s._segment_ends
+    tile, segment = min(_TILE, w.size), w.size // ends.size
+    per_tile = tile // segment
+    tile_ends = ends[per_tile - 1::per_tile]
     sums = np.empty(tile, np.int64)
     start, before = 0, 0
-    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, ends).tolist(), ends.tolist())):
-        if stop > start:
+    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, tile_ends).tolist(), tile_ends.tolist())):
+        part = keys[start:stop]
+        if part.size >= per_tile:
             sums[...] = w[t * tile:(t + 1) * tile]
             np.cumsum(np.multiply(sums, sums, out=sums), out=sums)
-            part = keys[start:stop]
             part -= before
             part[...] = np.searchsorted(sums, part, side="right")
             part += t * tile
+        elif part.size:
+            e = ends[t * per_tile:(t + 1) * per_tile]
+            held = np.searchsorted(e, part, side="right")
+            held = held[np.diff(held, prepend=-1) > 0]  # each segment once (np.unique imports numpy.ma)
+            rows = sums[:held.size * segment].reshape(-1, segment)
+            rows[...] = w[t * tile:(t + 1) * tile].reshape(per_tile, segment)[held]
+            rows *= rows
+            rows[:, 0] += np.r_[before, e[:-1]][held]
+            np.cumsum(rows, axis=1, out=rows)
+            found = np.searchsorted(rows.reshape(-1), part, side="right")
+            part[...] = t * tile + held[found // segment] * segment + found % segment
         start, before = stop, end
 
 

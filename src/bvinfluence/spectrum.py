@@ -1,5 +1,10 @@
 """Exact Walsh spectra, influences via two independent routes, autocorrelation.
 
+:func:`influence_vector` counts every |V_1(i)| on the packed table, the
+paper's definition, and builds no spectrum; the spectral route
+(:func:`influence_by_spectrum`) reads the masses of the cached spectrum,
+and ``verify_identities`` checks the two against each other.
+
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
 returns it at every gamma, and ``verify_identities`` evaluates it only at the
 gammas it checks, against C(gamma) evaluated directly from f.
@@ -19,7 +24,8 @@ magnitude is at most the sum of the inputs' magnitudes. float32 holds
 every integer up to 2^24 and float64 every integer up to 2^53. The
 spectrum transforms the +-1 signs in float32 (the sum is 2^n <= 2^24),
 casts each chunk back to the int32 ``WalshSpectrum.w`` and sums its
-squares in float64 for the masses (the sum is 4^n <= 2^48, Parseval).
+squares in float64 for the masses and for the running sums the sampler
+reads, one per ``_SEGMENT`` entries (the sum is 4^n <= 2^48, Parseval).
 The autocorrelation transforms the squares in float64 into the int64
 array ``correlation_fast`` returns; ``verify_identities`` sums the same
 signed squares at its gammas in float64 products. ``fwht`` runs in
@@ -43,6 +49,10 @@ from .rng import make_generator
 _TILE = 1 << 16
 _CHUNK = 1 << 15
 _BLOCK = 256
+
+# Entries per running sum of the squares that a spectrum keeps: 2^(n-10)
+# int64, 128 KiB at n=24, and every 64th is a tile's end.
+_SEGMENT = 1 << 10
 
 # Index bits of y below the split in _correlation_at.
 _LOW_BITS = 12
@@ -138,13 +148,14 @@ def _bit_sums(sums: np.ndarray) -> list[int]:
 
 
 def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """Half-cube masses, total and per-tile running sums of the squares of a 2^n array's column chunks.
+    """Half-cube masses, total and running sums per ``_SEGMENT`` entries of the squares of a 2^n array's column chunks.
 
     Each chunk is squared into one float64 buffer. Products with ones sum it
     down its _BLOCK-entry segments, into the sums per offset, and along
     them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
     takes the masses on the bits inside a segment, above it and above the
-    tile. Every sum is of non-negative integers no larger than the total:
+    tile, and the grid, summed per ``_SEGMENT`` entries, gives the running
+    sums. Every sum is of non-negative integers no larger than the total:
     exact up to 2^53, and 2^53 or more above it.
     """
     rows, tile, width = _grid(size)
@@ -159,7 +170,8 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
         np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
     per_tile = segments.sum(axis=1)
     masses = (m for part in (per_offset, segments.sum(axis=0), per_tile) for m in _bit_sums(part))
-    return tuple(masses), int(per_tile.sum()), per_tile.astype(np.int64).cumsum()
+    ends = segments.reshape(-1, min(_SEGMENT, size) // q).sum(axis=1, dtype=np.int64)
+    return tuple(masses), int(per_tile.sum()), np.cumsum(ends, out=ends)
 
 
 def fwht(values) -> np.ndarray:
@@ -189,11 +201,13 @@ class WalshSpectrum:
 
     Built only by :func:`walsh_spectrum`, from the transform's read-only
     int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
-    so square it with :meth:`squares`.
+    so square it with :meth:`squares`. ``_segment_ends`` holds the running
+    sums of the squares at the end of each ``_SEGMENT`` entries (or of all
+    2^n, if fewer), for the sampler's lookup.
     """
 
     def __init__(self, n: int, w: np.ndarray, masses: tuple):
-        self.n, self.w, (self._ones, self._total, self._tile_ends) = n, w, masses
+        self.n, self.w, (self._ones, self._total, self._segment_ends) = n, w, masses
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""
@@ -342,11 +356,15 @@ def influence_by_spectrum(s: WalshSpectrum, i: int) -> Fraction:
 
 
 class InfluenceVector:
-    """All n influences read off a spectrum (built by :func:`influence_vector`), exact, plus their sum."""
+    """All n influences of a table by :func:`influence_by_definition`, exact, plus their sum.
 
-    def __init__(self, spectrum: WalshSpectrum):
-        self.n = spectrum.n
-        self.values = tuple(influence_by_spectrum(spectrum, i) for i in range(1, spectrum.n + 1))
+    Built from the table alone (:func:`influence_vector`): no spectrum is
+    built or read, and each value equals :func:`influence_by_spectrum`.
+    """
+
+    def __init__(self, f: TruthTable):
+        self.n = _check_table(f).n
+        self.values = tuple(influence_by_definition(f, i) for i in range(1, f.n + 1))
         self.total = sum(self.values, Fraction(0))
 
     def __getitem__(self, i: int) -> Fraction:
@@ -366,8 +384,8 @@ class InfluenceVector:
 
 
 def influence_vector(f: TruthTable) -> InfluenceVector:
-    """Every variable's influence from one spectrum pass."""
-    return InfluenceVector(walsh_spectrum(f))
+    """Every variable's influence by the definition: n flip counts on the packed table, no transform."""
+    return InfluenceVector(f)
 
 
 def correlation_fast(f: TruthTable) -> np.ndarray:

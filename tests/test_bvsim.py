@@ -272,23 +272,61 @@ WALK_TABLES = {
 }
 
 
+def _tiles(d) -> tuple[int, np.ndarray]:
+    """Segments per sampler tile of d's spectrum, and the running sums at each tile's end."""
+    ends = d.spectrum._segment_ends
+    per_tile = min(1 << 16, 1 << d.n) // ((1 << d.n) // ends.size)
+    return per_tile, ends[per_tile - 1::per_tile]
+
+
+def _walk_keys(d) -> list[np.ndarray]:
+    """Two key blocks for d, in draw order: one spread over [0, 4^n), and one of dense and sparse tiles.
+
+    Both hold 0, 4^n - 1 and the keys on either side of every tile boundary.
+    The first adds 1000 uniform keys. In the second, the tiles of nonzero
+    weight alternate: one holds a key on either side of some of its segment
+    boundaries, fewer keys than it has segments, and the next holds as many
+    uniform keys as it has segments.
+    """
+    ends = d.spectrum._segment_ends
+    per_tile, tile_ends = _tiles(d)
+    edges = np.concatenate([[0, d.denominator - 1], tile_ends - 1, tile_ends])
+    spread = np.concatenate([edges, make_generator(7).integers(0, d.denominator, 1000)])
+    mixed, rng = [edges], make_generator(9)
+    for k, t in enumerate(np.flatnonzero(np.diff(tile_ends, prepend=0))):
+        if k % 2:
+            mixed.append(rng.integers(tile_ends[t - 1], tile_ends[t], per_tile))
+        else:
+            # at most 8 boundaries, and with the tile's edges fewer keys than segments
+            inside = ends[t * per_tile:(t + 1) * per_tile - 1][::max(1, per_tile // 8)][:(per_tile - 3) // 2]
+            mixed += [inside - 1, inside]
+    mixed = np.unique(np.concatenate(mixed))
+    keys = (k[(k >= 0) & (k < d.denominator)] for k in (spread, mixed))
+    return [make_generator(8).permutation(k) for k in keys]
+
+
 @pytest.mark.parametrize("name", WALK_TABLES)
 def test_tiled_walk_matches_the_full_table(monkeypatch, name):
-    # The sampler locates keys tile by tile; keys on either side of every
-    # tile boundary, 0 and 4^n - 1 must land where a search of the whole
-    # table puts them, in bv_sample's draw order and in the counting path.
+    # The sampler locates keys tile by tile, squaring a whole tile that
+    # holds as many keys as it has segments, and otherwise only the
+    # segments that hold a key. Keys on either side of every tile and
+    # segment boundary, 0 and 4^n - 1 must land where a search of the whole
+    # table puts them, in bv_sample's draw order and in the counting path,
+    # with dense and sparse tiles in one block.
     table = WALK_TABLES[name]()
     d = bv_distribution_of(table)
     cum = d.cumulative()
-    ends = d.spectrum._tile_ends
-    keys = np.concatenate([[0, d.denominator - 1], ends - 1, ends, make_generator(7).integers(0, d.denominator, 1000)])
-    keys = make_generator(8).permutation(keys[(keys >= 0) & (keys < d.denominator)])
-    reference = np.searchsorted(cum, keys, side="right")
+    blocks = _walk_keys(d)
+    references = [np.searchsorted(cum, keys, side="right") for keys in blocks]
     del cum
-    monkeypatch.setattr(bvsim, "_blocks", lambda bits, m, seed, block: (seed, iter([keys.copy()])))
-    assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)
-    naive = tuple(int(((reference >> pos) & 1).sum()) for pos in range(table.n))
-    assert _sampled_ones(table, keys.size, seed=1) == (naive, 1)
+    per_tile, tile_ends = _tiles(d)
+    held = np.diff(np.searchsorted(np.sort(blocks[1]), tile_ends), prepend=0)[np.diff(tile_ends, prepend=0) > 0]
+    assert (held[::2] < per_tile).all() and (held[1::2] >= per_tile).all()
+    for keys, reference in zip(blocks, references):
+        monkeypatch.setattr(bvsim, "_blocks", lambda bits, m, seed, block: (seed, iter([keys.copy()])))
+        assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)
+        naive = tuple(int(((reference >> pos) & 1).sum()) for pos in range(table.n))
+        assert _sampled_ones(table, keys.size, seed=1) == (naive, 1)
 
 
 def _junta(n: int, relevant: tuple[int, ...], seed: int) -> Anf:

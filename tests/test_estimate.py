@@ -97,6 +97,26 @@ def test_samples_needed_values():
         assert m - 1 < bound <= m, (eps, delta)
 
 
+def test_hoeffding_helpers_take_counts_beyond_the_float_range():
+    # samples_needed returns exact counts above 1.8e308; fed back in, they
+    # give a radius and a bound through the log of the count, not an
+    # OverflowError
+    m = samples_needed(1e-300, 0.5)
+    assert m > 10 ** 308
+    assert hoeffding_radius(m, 0.5) == pytest.approx(1e-300, rel=1e-9)
+    assert hoeffding_radius(m, 0.5) <= 1e-300
+    assert hoeffding_failure_bound(10 ** 400, 0.1) == 0.0
+    # 2 m eps^2 = 2e-4: the bound is near 2, as the float formula gives below the range
+    assert hoeffding_failure_bound(10 ** 400, 1e-202) == pytest.approx(2 * math.exp(-2e-4), rel=1e-9)
+    assert hoeffding_failure_bound(10 ** 400, 1e-300) == 2.0
+    # on either side of the float range's end, the two forms agree; near
+    # its end, 2 m no longer overflows inside the float forms
+    top = int(np.finfo(float).max)
+    for m in (top, top + 2 ** 971):  # the largest float, and the smallest count that rounds past it
+        assert hoeffding_radius(m, 0.01) == pytest.approx(math.sqrt(math.log(200) / 2 / top), rel=1e-12, abs=0)
+        assert hoeffding_failure_bound(m, 1e-154) == pytest.approx(2 * math.exp(-2 * 1.7976931348623157), rel=1e-9)
+
+
 def test_hoeffding_domain_errors():
     for delta in (0.0, 1.0, -0.2, 2.0):
         with pytest.raises(ValueError):

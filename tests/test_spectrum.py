@@ -33,7 +33,7 @@ from bvinfluence import (
 )
 from bvinfluence import spectrum
 from bvinfluence.rng import make_generator
-from conftest import BENT24, PARITY24, corpus, naive_correlation, naive_walsh, parity_signs, strided_half_mass
+from conftest import BENT24, PARITY24, corpus, lift, naive_correlation, naive_walsh, parity_signs, strided_half_mass
 
 AND2 = to_truth_table(from_anf("x1*x2", 2))
 # majority of three bits, as ANF
@@ -320,9 +320,12 @@ def test_transform_runs_once_per_table(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_hadamard", counted)
     t = random_function(9, seed=5)
+    # influence_vector counts flips on the packed table: no transform, and
+    # nothing cached on the table
+    first = influence_vector(t)
+    assert calls == [] and t._spectrum is None
     s = walsh_spectrum(t)
     assert walsh_spectrum(t) is s
-    first = influence_vector(t)
     for seed in range(3):
         bv_distribution_of(t)
         algorithm1(t, 50, seed)
@@ -358,13 +361,19 @@ def test_arrays_handed_to_results_are_not_shared():
 
 def test_spectra_and_influence_vectors_come_only_from_a_table():
     # walsh_spectrum is the only way to build a spectrum, and an influence
-    # vector is read off one: an (n, w) or (n, values) call builds nothing
+    # vector is counted on a table: an (n, w) or (n, values) call, or a
+    # spectrum, builds nothing
     with pytest.raises(TypeError):
         WalshSpectrum(2, [2, 2, 2, -2])
     with pytest.raises(TypeError):
         InfluenceVector(2, [Fraction(1, 2), Fraction(1, 2)])
-    for t in (AND2, random_function(7, seed=3)):
-        assert InfluenceVector(walsh_spectrum(t)) == influence_vector(t)
+    with pytest.raises(TypeError):
+        InfluenceVector(walsh_spectrum(AND2))
+    for t in (AND2, MAJ3, random_function(7, seed=3), random_function(17, seed=4), lift(MAJ3, 9, shift=2)):
+        vec = InfluenceVector(t)
+        assert vec == influence_vector(t)
+        assert vec.values == tuple(influence_by_spectrum(walsh_spectrum(t), i) for i in range(1, t.n + 1))
+        assert vec.total == sum(vec.values)
     # spectra compare by their coefficients, and with nothing but spectra
     assert walsh_spectrum(AND2) == walsh_spectrum(to_truth_table(from_anf("x1*x2", 2)))
     assert walsh_spectrum(AND2) != walsh_spectrum(to_truth_table(from_anf("x1 + x2", 2)))
@@ -383,27 +392,31 @@ FUSED_TABLES = {
 @pytest.mark.parametrize("name", FUSED_TABLES)
 def test_fused_masses_match_the_squares(name):
     # The transform's second sweep squares and sums each chunk on its way
-    # out: its masses, total and per-tile running sums must equal those of
-    # the squares. The sizes cover one row (n <= 16), a last mode of fewer
-    # than 4 bits, and at n=24 a single square of 2^48.
+    # out: its masses, total and running sums per 2^10 entries (all 2^n
+    # below n = 10) must equal those of the squares. The sizes cover one
+    # row (n <= 16), a last mode of fewer than 4 bits, and at n=24 a single
+    # square of 2^48.
     t = FUSED_TABLES[name]()
     s = walsh_spectrum(t)
     squares = s.squares()
     ones, total = [strided_half_mass(squares, i) for i in range(1, t.n + 1)], int(squares.sum())
-    tile_ends = np.cumsum(squares.reshape(-1, min(1 << 16, squares.size)).sum(axis=1))
+    segment_ends = np.cumsum(squares.reshape(-1, min(1 << 10, squares.size)).sum(axis=1))
     del squares
     assert total == 1 << (2 * t.n)
     assert [s.ones_square_sum(i) for i in range(1, t.n + 1)] == ones
     assert s.square_sum() == total
-    assert s._tile_ends.dtype == np.int64
-    assert np.array_equal(s._tile_ends, tile_ends)
+    assert s._segment_ends.dtype == np.int64
+    assert s._segment_ends.size == 1 << max(0, t.n - 10)
+    assert np.array_equal(s._segment_ends, segment_ends)
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
     # Traced bytes per table entry at n=20. The int32 spectrum is 4; beside
     # it every exact job holds only tile-sized buffers, so one 2^n int64
     # array (8), or a widened spectrum, exceeds 6. A warmed table keeps the
-    # spectrum and the distribution's per-tile sums: about 4.
+    # spectrum and its running sums per 2^10 entries: about 4.
+    # influence_vector builds no spectrum: it counts flips on the 1/8-byte
+    # packed table, one shifted copy of it at a time.
     size = 1 << 20
     jobs = {
         "influence_vector": influence_vector,
@@ -421,10 +434,25 @@ def test_exact_jobs_stay_within_their_memory_budget():
             tracemalloc.stop()
         assert peak <= 6 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "influence_vector":
-            # the spectrum (4) and one tile of squares
-            assert peak <= 5 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+            assert peak <= 0.5 * size, f"{name}: peak {peak / size:.2f} bytes per entry"
         if name == "bv_distribution_of":
             assert retained <= 4.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
+
+
+def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
+    # verify_identities at n=20, with the spectrum cached: the flip counts
+    # and direct correlations run over the packed words in chunks, and the
+    # transform route at the checked gammas over tiles of squares. Before
+    # the chunked direct counts it peaked at 6.3 MiB at n=24.
+    t = random_function(20, 5)
+    walsh_spectrum(t)
+    tracemalloc.start()
+    try:
+        verify_identities(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_transforms_cast_in_place():
