@@ -13,17 +13,15 @@ materialized.
 exact: a draw is a uniform integer in [0, 4^n) located among the running
 sums of the integer weights W(y)^2, so outcomes with zero spectral weight
 are impossible, not merely improbable. The running sums are never held
-whole: the spectrum keeps them at the end of each 2^10-entry segment, a
-guide table (Chen and Asau, 1974) that finds each key's 2^16-entry tile
-and segment. A tile holding at least as many keys as segments is squared
-and summed whole into one reused buffer; in a tile holding fewer, only
-the segments that hold a key are, so a few draws cost a few segments,
-not a pass over the spectrum. Draws come from one generator in blocks
-of ``_KEY_BLOCK``, read off its raw words by :func:`_blocks`; for the
-power-of-two bounds used here that is identical to ``Generator.integers``
-(``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
-mapping). :func:`_locate` sorts each block in place and looks it up in
-one walk over the tiles. Only
+whole: the spectrum keeps them per 2^10-entry segment, a guide table
+(after Chen and Asau, 1974) that finds each key's tile and segment, and
+the lookup squares only the 2^16-entry tiles, or in a tile with few keys
+only the segments, that hold a key. Draws come from one generator in
+blocks of ``_KEY_BLOCK``, read off its raw words by :func:`_blocks`; for
+the power-of-two bounds used here that is identical to
+``Generator.integers`` (``test_raw_word_draws_match_integers`` pins it;
+:mod:`.rng` gives the mapping). :func:`_locate` sorts each block in
+place and looks it up in one walk over the tiles. Only
 :func:`bv_sample` keeps the outcomes, scattered back into draw order in
 one int64 array of m entries that its batch holds without a copy; the
 estimators and learners read per-position one-counts, which the counting
@@ -66,9 +64,9 @@ _KEY_BLOCK = 1 << 19
 class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
-    A view of ``spectrum``: probabilities, marginals and the running sums
-    per 2^10 entries that the sampler's lookup (:func:`_locate`) starts
-    from are read off it; it holds no array.
+    A view of ``spectrum``: probabilities, marginals and the sampler's
+    guide table, its running sums per 2^10 entries (:func:`_locate`), are
+    read off it; it holds no array.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
@@ -187,16 +185,15 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
     """Sort the keys in [0, 4^n) in place, then replace each by its outcome under s.
 
     A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
-    key, side="right")``. The spectrum's running sums per segment of
-    ``_SEGMENT`` entries, read at every tile's end, give each 2^16-entry
-    tile's slice of the sorted keys. A tile holding at least as many keys
-    as it has segments is squared and summed into one reused int64 buffer,
-    and its keys are looked up there, less the sums before it. A tile
-    holding fewer gathers only the segments that hold a key into the same
-    buffer, one row each, ascending, and squares them; each row is summed
-    on from the running sum before its segment, so the rows run on as one
-    sorted array, and each key's index in it maps back to its segment. A
-    tile or segment of zero weight holds no key.
+    key, side="right")``. The spectrum's running sums per 2^10-entry
+    segment, read at every tile's end, give each 2^16-entry tile's slice of
+    the sorted keys. A tile holding at least as many keys as segments is
+    squared and summed into one reused int64 buffer, and its keys are
+    looked up there, less the sums before it. A tile holding fewer gathers
+    the segments that hold a key into rows of that buffer, each summed on
+    from the running sum before it: the rows run on as one sorted array,
+    and a key's index in it maps back through its row's segment. A tile or
+    segment of zero weight holds no key.
     """
     keys.sort()
     w, ends = s.w, s._segment_ends

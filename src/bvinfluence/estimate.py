@@ -44,28 +44,21 @@ class BlackBoxOracle:
 
 
 def hoeffding_radius(m: int, delta: float) -> float:
-    """Accuracy radius eps with Pr(|I - p_i| < eps) > 1 - delta at m samples.
-
-    For an m beyond the float range, the quotient goes through the log of m.
-    """
+    """Accuracy radius eps with Pr(|I - p_i| < eps) > 1 - delta at m samples; through log m past the float range."""
     m, delta = _check_int(m, "sample count", 1), _check_real(delta, "failure probability delta", 1)
     log = math.log(2.0 / delta)
     try:
-        return math.sqrt(log / 2.0 / m)
+        return math.sqrt(log / 2.0 / m)  # not log / (2.0 * m): 2.0 * m overflows above 2^1023
     except OverflowError:
         return math.exp((math.log(log / 2.0) - math.log(m)) / 2.0)
 
 
 def hoeffding_failure_bound(m: int, epsilon: float) -> float:
-    """The two-sided tail bound 2 exp(-2 m eps^2).
-
-    For an m beyond the float range, the exponent goes through the log of
-    m; above e^7 it leaves a bound of 0.0 in float.
-    """
+    """The two-sided tail bound 2 exp(-2 m eps^2); past the float range, the exponent through log m."""
     m, epsilon = _check_int(m, "sample count", 1), _check_real(epsilon, "radius epsilon")
     try:
-        return 2.0 * math.exp(-2.0 * (m * epsilon * epsilon))
-    except OverflowError:
+        return 2.0 * math.exp(-2.0 * (m * epsilon * epsilon))  # the same bits as -2.0 * m * ..., without 2.0 * m
+    except OverflowError:  # an exponent above e^7 leaves 0.0
         return 2.0 * math.exp(-math.exp(min(7.0, math.log(2 * m) + 2.0 * math.log(epsilon))))
 
 

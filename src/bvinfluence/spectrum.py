@@ -1,10 +1,7 @@
 """Exact Walsh spectra, influences via two independent routes, autocorrelation.
 
-:func:`influence_vector` counts every |V_1(i)| on the packed table, the
-paper's definition, and builds no spectrum; the spectral route
-(:func:`influence_by_spectrum`) reads the masses of the cached spectrum,
-and ``verify_identities`` checks the two against each other.
-
+The definitional route (:func:`influence_vector`) builds no spectrum;
+``verify_identities`` checks it against the spectral masses.
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
 returns it at every gamma, and ``verify_identities`` evaluates it only at the
 gammas it checks, against C(gamma) evaluated directly from f.
@@ -50,8 +47,7 @@ _TILE = 1 << 16
 _CHUNK = 1 << 15
 _BLOCK = 256
 
-# Entries per running sum of the squares that a spectrum keeps: 2^(n-10)
-# int64, 128 KiB at n=24, and every 64th is a tile's end.
+# Entries per running sum of the squares that a spectrum keeps: 128 KiB at n=24.
 _SEGMENT = 1 << 10
 
 # Index bits of y below the split in _correlation_at.
@@ -202,8 +198,7 @@ class WalshSpectrum:
     Built only by :func:`walsh_spectrum`, from the transform's read-only
     int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
     so square it with :meth:`squares`. ``_segment_ends`` holds the running
-    sums of the squares at the end of each ``_SEGMENT`` entries (or of all
-    2^n, if fewer), for the sampler's lookup.
+    sums of the squares per ``_SEGMENT`` entries (or all 2^n, if fewer).
     """
 
     def __init__(self, n: int, w: np.ndarray, masses: tuple):
@@ -438,6 +433,7 @@ def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
         for r in range(0, rows.shape[0], k):
             np.matmul(np.multiply(rows[r:r + k], rows[r:r + k], out=squares, dtype=np.float64), low_signs,
                       out=per_row[r:r + k])
+        del squares, low_signs  # before the high-bit signs: verify's peak, 1 MiB lower at n=24
         per_row *= _signs(rows.shape[0], gammas >> _LOW_BITS)
         sums = per_row.sum(axis=0)
     return _divide_exactly(sums.astype(np.int64), s.n)
