@@ -213,11 +213,11 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
         elif part.size:
             e = ends[t * per_tile:(t + 1) * per_tile]
             held = np.searchsorted(e, part, side="right")
-            held = held[np.diff(held, prepend=-1) > 0]  # each segment once (np.unique imports numpy.ma)
+            held = held[np.concatenate(([True], held[1:] != held[:-1]))]  # each once (np.unique imports numpy.ma)
             rows = sums[:held.size * segment].reshape(-1, segment)
             rows[...] = w[t * tile:(t + 1) * tile].reshape(per_tile, segment)[held]
             rows *= rows
-            rows[:, 0] += np.r_[before, e[:-1]][held]
+            rows[:, 0] += np.concatenate(([before], e[:-1]))[held]
             np.cumsum(rows, axis=1, out=rows)
             found = np.searchsorted(rows.reshape(-1), part, side="right")
             part[...] = t * tile + held[found // segment] * segment + found % segment
