@@ -5,9 +5,10 @@ hashes its JSON ``results`` block (``json.dumps`` with sorted keys) or
 its whole CSV output. The rows cover every subcommand on a random table
 at n = 17, a ``bv-sample`` at n = 17 that spans two sampler key blocks,
 a planted 17-of-24 junta (the sampler's junta path), a draw count at
-n = 24 that spans three key blocks, the influences at n = 24, and a
-draw count at n = 24 small enough to leave most tiles without a key. A change that moves any digest has
-changed a seeded result.
+n = 24 that spans three key blocks, the influences at n = 24, a draw
+count at n = 24 small enough to leave most segments without a key, and
+two kept samples at n = 24, on the junta's own spectrum and on a random
+table. A change that moves any digest has changed a seeded result.
 
 To print the digests after a deliberate change of outputs, run this file
 as a script from the repository root and record the change in CHANGES.md::
@@ -62,11 +63,17 @@ DIGESTS = {
     # 2^20 + 1 draws: two whole key blocks and one of a single key
     "estimate-random24": (["estimate", "--random", "24:1", "--m", "1048577", "--seed", "9"], "json",
         "2c3b7f65f11481c2854660950f86b430d8ffaf76eb134025700302479745290c"),
-    # every variable's influence at the cap, and a small m that touches few tiles
+    # every variable's influence at the cap, and a small m that touches few segments
     "influence-random24": (["influence", "--random", "24:1"], "json",
         "908a1d428dba43a6b39cad7738d46bc9513f02e997808afcc0e542ff20789804"),
     "estimate-random24-sparse": (["estimate", "--random", "24:1", "--m", "1060", "--seed", "7"], "csv",
         "135e84facff0d8e7877b748462bf9610b2042e6b15ce4bae37a82b4637962e2d"),
+    # kept draws at the cap on f's own spectrum, most of whose segments hold no weight
+    "bv-sample-junta24": (["bv-sample", *JUNTA24, "--m", "1000", "--seed", "13"], "csv",
+        "32551bc2089296daa3e59c8c23e49b659e501a10c642654a0a68b48275ea6366"),
+    # kept draws at the cap in draw order, with lookups that run across tiles
+    "bv-sample-random24": (["bv-sample", "--random", "24:1", "--m", "20000", "--seed", "14"], "csv",
+        "ec3f0ca8e24d7a9b5aea4adaa8f206b050ff8b123e459e34b74ece6d51f1d367"),
 }
 
 
