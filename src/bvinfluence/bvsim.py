@@ -13,16 +13,15 @@ materialized.
 exact: a draw is a uniform integer in [0, 4^n) located among the running
 sums of the integer weights W(y)^2, so outcomes with zero spectral weight
 are impossible, not merely improbable. The running sums are never held
-whole: the spectrum keeps them per 2^10-entry segment, a guide table
-(after Chen and Asau, 1974) that finds each key's tile and segment, and
-the lookup squares only the 2^16-entry tiles, or in a tile with few keys
-only the segments, that hold a key. Draws come from one generator in
-blocks of ``_KEY_BLOCK``, read off its raw words by :func:`_blocks`; for
-the power-of-two bounds used here that is identical to
-``Generator.integers`` (``test_raw_word_draws_match_integers`` pins it;
-:mod:`.rng` gives the mapping). :func:`_locate` sorts each block in
-place and looks it up in one walk over the tiles. Only
-:func:`bv_sample` keeps the outcomes, scattered back into draw order in
+whole: the spectrum keeps them at every 2^10-entry segment boundary, a
+guide table (after Chen and Asau, 1974) that finds each key's segment,
+and the lookup squares only the segments that hold a key. Draws come
+from one generator in blocks of ``_KEY_BLOCK``, read off its raw words
+by :func:`_blocks`; for the power-of-two bounds used here that is
+identical to ``Generator.integers`` (``test_raw_word_draws_match_integers``
+pins it; :mod:`.rng` gives the mapping). :func:`_locate` sorts each
+block in place and looks it up in one walk over the segments that hold
+its keys. Only :func:`bv_sample` keeps the outcomes, scattered back into draw order in
 one int64 array of m entries that its batch holds without a copy; the
 estimators and learners read per-position one-counts, which the counting
 path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
@@ -65,8 +64,8 @@ class BvDistribution:
     """Exact measurement distribution of a spectrum: Pr(y) = W(y)^2 / 4^n.
 
     A view of ``spectrum``: probabilities, marginals and the sampler's
-    guide table, its running sums per 2^10 entries (:func:`_locate`), are
-    read off it; it holds no array.
+    guide table, its running sums at every 2^10-entry segment boundary
+    (:func:`_locate`), are read off it; it holds no array.
     """
 
     def __init__(self, spectrum: WalshSpectrum):
@@ -185,43 +184,31 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
     """Sort the keys in [0, 4^n) in place, then replace each by its outcome under s.
 
     A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
-    key, side="right")``. The spectrum's running sums per 2^10-entry
-    segment, read at every tile's end, give each 2^16-entry tile's slice of
-    the sorted keys. A tile holding at least as many keys as segments is
-    squared and summed into one reused int64 buffer, and its keys are
-    looked up there, less the sums before it. A tile holding fewer gathers
-    the segments that hold a key into rows of that buffer, each summed on
-    from the running sum before it: the rows run on as one sorted array,
-    and a key's index in it maps back through its row's segment. A tile or
-    segment of zero weight holds no key.
+    key, side="right")``. The spectrum's running sums at its 2^10-entry
+    segment boundaries give each segment's slice of the sorted keys; a
+    segment of zero weight holds none. The segments that hold a key are
+    gathered, up to 2^16 entries at a time, into rows of one reused int64
+    buffer, squared and summed on from the running sum before each: the
+    rows run on as one sorted array, a key's index in it falls in its own
+    segment's row, and that row's place in the spectrum maps it back.
     """
     keys.sort()
-    w, ends = s.w, s._segment_ends
-    tile, segment = min(_TILE, w.size), w.size // ends.size
-    per_tile = tile // segment
-    tile_ends = ends[per_tile - 1::per_tile]
-    sums = np.empty(tile, np.int64)
-    start, before = 0, 0
-    for t, (stop, end) in enumerate(zip(np.searchsorted(keys, tile_ends).tolist(), tile_ends.tolist())):
-        part = keys[start:stop]
-        if part.size >= per_tile:
-            sums[...] = w[t * tile:(t + 1) * tile]
-            np.cumsum(np.multiply(sums, sums, out=sums), out=sums)
-            part -= before
-            part[...] = np.searchsorted(sums, part, side="right")
-            part += t * tile
-        elif part.size:
-            e = ends[t * per_tile:(t + 1) * per_tile]
-            held = np.searchsorted(e, part, side="right")
-            held = held[np.concatenate(([True], held[1:] != held[:-1]))]  # each once (np.unique imports numpy.ma)
-            rows = sums[:held.size * segment].reshape(-1, segment)
-            rows[...] = w[t * tile:(t + 1) * tile].reshape(per_tile, segment)[held]
-            rows *= rows
-            rows[:, 0] += np.concatenate(([before], e[:-1]))[held]
-            np.cumsum(rows, axis=1, out=rows)
-            found = np.searchsorted(rows.reshape(-1), part, side="right")
-            part[...] = t * tile + held[found // segment] * segment + found % segment
-        start, before = stop, end
+    w, bounds = s.w, s._segment_sums
+    width = w.size // (bounds.size - 1)
+    stops = np.searchsorted(keys, bounds)
+    held = np.flatnonzero(np.diff(stops))
+    per = _TILE // width
+    sums = np.empty(min(held.size, per) * width, np.int64)
+    for c in range(0, held.size, per):
+        h = held[c:c + per]
+        rows = sums[:h.size * width].reshape(-1, width)
+        rows[...] = w.reshape(-1, width)[h]
+        rows *= rows
+        rows[:, 0] += bounds[h]
+        np.cumsum(rows, axis=1, out=rows)
+        part = keys[stops[h[0]]:stops[h[-1] + 1]]
+        part[...] = np.searchsorted(sums[:rows.size], part, side="right")
+        part += np.repeat((h - np.arange(h.size)) * width, stops[h + 1] - stops[h])
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:

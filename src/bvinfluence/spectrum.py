@@ -22,7 +22,7 @@ every integer up to 2^24 and float64 every integer up to 2^53. The
 spectrum transforms the +-1 signs in float32 (the sum is 2^n <= 2^24),
 casts each chunk back to the int32 ``WalshSpectrum.w`` and sums its
 squares in float64 for the masses and for the running sums the sampler
-reads, one per ``_SEGMENT`` entries (the sum is 4^n <= 2^48, Parseval).
+reads, one at each ``_SEGMENT`` boundary (at most 4^n <= 2^48, Parseval).
 The autocorrelation transforms the squares in float64 into the int64
 array ``correlation_fast`` returns; ``verify_identities`` sums the same
 signed squares at its gammas in float64 products. ``fwht`` runs in
@@ -144,14 +144,14 @@ def _bit_sums(sums: np.ndarray) -> list[int]:
 
 
 def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """Half-cube masses, total and running sums per ``_SEGMENT`` entries of the squares of a 2^n array's column chunks.
+    """Half-cube masses, total and running sums at each ``_SEGMENT`` boundary of the squares of a 2^n array's chunks.
 
     Each chunk is squared into one float64 buffer. Products with ones sum it
     down its _BLOCK-entry segments, into the sums per offset, and along
     them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
     takes the masses on the bits inside a segment, above it and above the
-    tile, and the grid, summed per ``_SEGMENT`` entries, gives the running
-    sums. Every sum is of non-negative integers no larger than the total:
+    tile, and the grid, summed per ``_SEGMENT`` entries and run on in place
+    from 0, gives the running sums. Every sum is of non-negative integers no larger than the total:
     exact up to 2^53, and 2^53 or more above it.
     """
     rows, tile, width = _grid(size)
@@ -166,8 +166,9 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
         np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
     per_tile = segments.sum(axis=1)
     masses = (m for part in (per_offset, segments.sum(axis=0), per_tile) for m in _bit_sums(part))
-    ends = segments.reshape(-1, min(_SEGMENT, size) // q).sum(axis=1, dtype=np.int64)
-    return tuple(masses), int(per_tile.sum()), np.cumsum(ends, out=ends)
+    sums = np.zeros(size // min(_SEGMENT, size) + 1, np.int64)
+    np.cumsum(segments.reshape(sums.size - 1, -1).sum(axis=1, dtype=np.int64, out=sums[1:]), out=sums[1:])
+    return tuple(masses), int(per_tile.sum()), sums
 
 
 def fwht(values) -> np.ndarray:
@@ -197,12 +198,12 @@ class WalshSpectrum:
 
     Built only by :func:`walsh_spectrum`, from the transform's read-only
     int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
-    so square it with :meth:`squares`. ``_segment_ends`` holds the running
-    sums of the squares per ``_SEGMENT`` entries (or all 2^n, if fewer).
+    so square it with :meth:`squares`. ``_segment_sums`` holds the running
+    sums of the squares at every ``_SEGMENT`` boundary, 0 to 4^n (only those two below n = 10).
     """
 
     def __init__(self, n: int, w: np.ndarray, masses: tuple):
-        self.n, self.w, (self._ones, self._total, self._segment_ends) = n, w, masses
+        self.n, self.w, (self._ones, self._total, self._segment_sums) = n, w, masses
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""

@@ -261,67 +261,92 @@ def test_sample_holds_its_array_once():
     assert peak <= batch.outcomes.nbytes + (16 << 20), (peak - batch.outcomes.nbytes) / 2**20
 
 
+@pytest.mark.parametrize("m, bound_mib", [(4_000_000, 9.27), (1060, 1.18)])
+def test_counting_path_stays_within_its_memory_budget(m, bound_mib):
+    # On a warm n=20 table the counting path holds a key block, the one
+    # counted before it and one 2^16-entry buffer of running sums. Squaring
+    # each 2^16-entry tile whole, or its key-holding segments, peaked at
+    # 8.77 MiB at m = 4*10^6 and 0.68 MiB at m = 1060; gathering only the
+    # key-holding segments, at 8.78 and 0.78 MiB (tracemalloc, numpy 2.4).
+    # The bounds are the first two figures plus 0.5 MiB.
+    t = random_function(20, seed=1)
+    _sampled_ones(t, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        _sampled_ones(t, m, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
+
+
 WALK_TABLES = {
+    # one segment: all 2^6 entries, and exactly 2^10
+    "random6": lambda: random_function(6, seed=33),
+    "random10": lambda: random_function(10, seed=34),
     "random12": lambda: random_function(12, seed=31),
     "random20": lambda: random_function(20, seed=32),
-    # all the weight in one 2^16 tile, at y = e1 + e20; every other tile is empty
+    # all the weight in one segment, at y = e1 + e20; every other segment is empty
     "x1+x20": lambda: to_truth_table(from_anf("x1 + x20", 20)),
     "constant20": lambda: to_truth_table(from_anf("1", 20)),
+    # weight only where y is 0 off six variables: 16 segments, with empty ones between them
+    "junta20": lambda: to_truth_table(_junta(20, (2, 5, 11, 13, 16, 20), seed=35)),
     "bent24": lambda: to_truth_table(from_anf(BENT24, 24)),
     "parity24": lambda: to_truth_table(from_anf(PARITY24, 24)),
 }
 
+# One key in each of this many segments, where a table has that many of nonzero weight.
+SCATTERED = 150
 
-def _tiles(d) -> tuple[int, np.ndarray]:
-    """Segments per sampler tile of d's spectrum, and the running sums at each tile's end."""
-    ends = d.spectrum._segment_ends
-    per_tile = min(1 << 16, 1 << d.n) // ((1 << d.n) // ends.size)
-    return per_tile, ends[per_tile - 1::per_tile]
+
+def _segments(d) -> tuple[int, np.ndarray]:
+    """Entries per sampler segment of d's spectrum, and the running sums at every segment boundary."""
+    bounds = d.spectrum._segment_sums
+    return (1 << d.n) // (bounds.size - 1), bounds
 
 
 def _walk_keys(d) -> list[np.ndarray]:
-    """Two key blocks for d, in draw order: one spread over [0, 4^n), and one of dense and sparse tiles.
+    """Three key blocks for d, in draw order: spread, mixed and scattered over the segments of nonzero weight.
 
-    Both hold 0, 4^n - 1 and the keys on either side of every tile boundary.
-    The first adds 1000 uniform keys. In the second, the tiles of nonzero
-    weight alternate: one holds a key on either side of some of its segment
-    boundaries, fewer keys than it has segments, and the next holds as many
-    uniform keys as it has segments.
+    The first two hold 0, 4^n - 1 and the keys on either side of every
+    segment boundary. The first adds 1000 uniform keys. In the second,
+    every fourth segment of nonzero weight holds 64 more uniform keys, and
+    the second of every four one more. The third holds one uniform key in
+    each of ``SCATTERED`` segments of nonzero weight spread over the
+    spectrum, or in each of them if there are fewer.
     """
-    ends = d.spectrum._segment_ends
-    per_tile, tile_ends = _tiles(d)
-    edges = np.concatenate([[0, d.denominator - 1], tile_ends - 1, tile_ends])
+    _, bounds = _segments(d)
+    edges = np.concatenate([[0, d.denominator - 1], bounds[1:-1] - 1, bounds[1:-1]])
     spread = np.concatenate([edges, make_generator(7).integers(0, d.denominator, 1000)])
-    mixed, rng = [edges], make_generator(9)
-    for k, t in enumerate(np.flatnonzero(np.diff(tile_ends, prepend=0))):
-        if k % 2:
-            mixed.append(rng.integers(tile_ends[t - 1], tile_ends[t], per_tile))
-        else:
-            # at most 8 boundaries, and with the tile's edges fewer keys than segments
-            inside = ends[t * per_tile:(t + 1) * per_tile - 1][::max(1, per_tile // 8)][:(per_tile - 3) // 2]
-            mixed += [inside - 1, inside]
-    mixed = np.unique(np.concatenate(mixed))
-    keys = (k[(k >= 0) & (k < d.denominator)] for k in (spread, mixed))
+    nonzero, rng = np.flatnonzero(np.diff(bounds)), make_generator(9)
+    mixed = [edges] + [rng.integers(bounds[j], bounds[j + 1], (64, 0, 1, 0)[k % 4])
+                       for k, j in enumerate(nonzero)]
+    picked = nonzero[np.linspace(0, nonzero.size - 1, min(SCATTERED, nonzero.size)).astype(int)]
+    scattered = rng.integers(bounds[picked], bounds[picked + 1])
+    keys = (k[(k >= 0) & (k < d.denominator)] for k in (spread, np.unique(np.concatenate(mixed)), scattered))
     return [make_generator(8).permutation(k) for k in keys]
 
 
 @pytest.mark.parametrize("name", WALK_TABLES)
 def test_tiled_walk_matches_the_full_table(monkeypatch, name):
-    # The sampler locates keys tile by tile, squaring a whole tile that
-    # holds as many keys as it has segments, and otherwise only the
-    # segments that hold a key. Keys on either side of every tile and
-    # segment boundary, 0 and 4^n - 1 must land where a search of the whole
-    # table puts them, in bv_sample's draw order and in the counting path,
-    # with dense and sparse tiles in one block.
+    # The sampler squares only the segments that hold a key, 64 of them
+    # at a time. Keys on either side of every segment boundary, 0 and
+    # 4^n - 1, rows of 1 to 65 keys, and one key in each of 150 segments
+    # spread over the spectrum (three lots of rows, the last partial, each
+    # spanning many 2^16-entry tiles) must land where a search of the whole
+    # table puts them, in bv_sample's draw order and in the counting path.
     table = WALK_TABLES[name]()
     d = bv_distribution_of(table)
     cum = d.cumulative()
     blocks = _walk_keys(d)
     references = [np.searchsorted(cum, keys, side="right") for keys in blocks]
     del cum
-    per_tile, tile_ends = _tiles(d)
-    held = np.diff(np.searchsorted(np.sort(blocks[1]), tile_ends), prepend=0)[np.diff(tile_ends, prepend=0) > 0]
-    assert (held[::2] < per_tile).all() and (held[1::2] >= per_tile).all()
+    width, bounds = _segments(d)
+    assert width == min(1 << 10, 1 << table.n)
+    segments = np.searchsorted(bounds, blocks[2], side="right") - 1
+    assert np.unique(segments).size == blocks[2].size == min(SCATTERED, np.count_nonzero(np.diff(bounds)))
+    if name in ("random20", "bent24"):  # no two adjacent: a lot of 64 rows spans several tiles
+        assert np.diff(np.sort(segments)).min() > 1
     for keys, reference in zip(blocks, references):
         monkeypatch.setattr(bvsim, "_blocks", lambda bits, m, seed, block: (seed, iter([keys.copy()])))
         assert np.array_equal(bv_sample(d, keys.size, seed=1).outcomes, reference)

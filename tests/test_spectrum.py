@@ -392,22 +392,22 @@ FUSED_TABLES = {
 @pytest.mark.parametrize("name", FUSED_TABLES)
 def test_fused_masses_match_the_squares(name):
     # The transform's second sweep squares and sums each chunk on its way
-    # out: its masses, total and running sums per 2^10 entries (all 2^n
-    # below n = 10) must equal those of the squares. The sizes cover one
-    # row (n <= 16), a last mode of fewer than 4 bits, and at n=24 a single
-    # square of 2^48.
+    # out: its masses, total and running sums at every 2^10-entry boundary
+    # from 0 (at 0 and 2^n below n = 10) must equal those of the squares.
+    # The sizes cover one row (n <= 16), a last mode of fewer than 4 bits,
+    # and at n=24 a single square of 2^48.
     t = FUSED_TABLES[name]()
     s = walsh_spectrum(t)
     squares = s.squares()
     ones, total = [strided_half_mass(squares, i) for i in range(1, t.n + 1)], int(squares.sum())
-    segment_ends = np.cumsum(squares.reshape(-1, min(1 << 10, squares.size)).sum(axis=1))
+    segment_sums = np.cumsum(squares.reshape(-1, min(1 << 10, squares.size)).sum(axis=1))
     del squares
     assert total == 1 << (2 * t.n)
     assert [s.ones_square_sum(i) for i in range(1, t.n + 1)] == ones
     assert s.square_sum() == total
-    assert s._segment_ends.dtype == np.int64
-    assert s._segment_ends.size == 1 << max(0, t.n - 10)
-    assert np.array_equal(s._segment_ends, segment_ends)
+    assert s._segment_sums.dtype == np.int64
+    assert s._segment_sums.size == (1 << max(0, t.n - 10)) + 1
+    assert s._segment_sums[0] == 0 and np.array_equal(s._segment_sums[1:], segment_sums)
 
 
 def test_exact_jobs_stay_within_their_memory_budget():
