@@ -21,10 +21,11 @@ by :func:`_blocks`; for the power-of-two bounds used here that is
 identical to ``Generator.integers`` (``test_raw_word_draws_match_integers``
 pins it; :mod:`.rng` gives the mapping). :func:`_locate` sorts each
 block in place and looks it up in one walk over the segments that hold
-its keys. Only :func:`bv_sample` keeps the outcomes, scattered back into draw order in
-one int64 array of m entries that its batch holds without a copy; the
-estimators and learners read per-position one-counts, which the counting
-path adds up per block in O(``_KEY_BLOCK``) memory, whatever m.
+its keys. Only :func:`bv_sample` keeps the outcomes, scattered back into
+draw order in one int64 array of m entries that its batch holds without
+a copy; the estimators and learners read per-position one-counts, which
+the counting path adds up per block in O(``_KEY_BLOCK``) memory,
+whatever m.
 
 The counting path samples a junta on its core (Atici and Servedio, 2007).
 If f depends only on the k variables R, and g is its restriction to them,

@@ -151,8 +151,8 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
     them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
     takes the masses on the bits inside a segment, above it and above the
     tile, and the grid, summed per ``_SEGMENT`` entries and run on in place
-    from 0, gives the running sums. Every sum is of non-negative integers no larger than the total:
-    exact up to 2^53, and 2^53 or more above it.
+    from 0, gives the running sums. Every sum is of non-negative integers
+    no larger than the total: exact up to 2^53, and 2^53 or more above it.
     """
     rows, tile, width = _grid(size)
     q = min(_BLOCK, width)
@@ -199,7 +199,8 @@ class WalshSpectrum:
     Built only by :func:`walsh_spectrum`, from the transform's read-only
     int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
     so square it with :meth:`squares`. ``_segment_sums`` holds the running
-    sums of the squares at every ``_SEGMENT`` boundary, 0 to 4^n (only those two below n = 10).
+    sums of the squares at every ``_SEGMENT`` boundary, 0 to 4^n (only
+    those two below n = 10).
     """
 
     def __init__(self, n: int, w: np.ndarray, masses: tuple):

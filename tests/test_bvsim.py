@@ -331,7 +331,7 @@ def _walk_keys(d) -> list[np.ndarray]:
 def test_tiled_walk_matches_the_full_table(monkeypatch, name):
     # The sampler squares only the segments that hold a key, 64 of them
     # at a time. Keys on either side of every segment boundary, 0 and
-    # 4^n - 1, rows of 1 to 65 keys, and one key in each of 150 segments
+    # 4^n - 1, rows of 1 to 66 keys, and one key in each of 150 segments
     # spread over the spectrum (three lots of rows, the last partial, each
     # spanning many 2^16-entry tiles) must land where a search of the whole
     # table puts them, in bv_sample's draw order and in the counting path.
