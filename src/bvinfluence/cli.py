@@ -2,9 +2,10 @@
 
 Reports are deterministic given their parameters: every stochastic
 subcommand resolves its seed up front (drawing one from entropy when the
-flag is omitted) and records it in the ``parameters`` block, so any
-emitted report can be reproduced exactly. Output is plain JSON (default)
-or CSV; nothing is colorized, so NO_COLOR needs no special handling.
+flag is omitted) and records it in the ``parameters`` block, which a CSV
+run writes to stderr as one line, so any run can be reproduced exactly.
+Output is plain JSON (default) or CSV; nothing is colorized, so NO_COLOR
+needs no special handling.
 
 Truth-table file formats (also see README):
 
@@ -372,7 +373,8 @@ def run(argv=None, out=None, err=None) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    if args.format == "csv":
+    if args.format == "csv":  # v1 names no seed: the parameters that replay the run go to stderr
+        print("# bvinfluence parameters", json.dumps(_parameters(args, source, options)), file=err)
         out.write(f"# bvinfluence-csv v{CSV_SCHEMA_VERSION} command={args.command}\n{header}\n")
         csv.writer(out, lineterminator="\n").writerows(rows(results))
     else:

@@ -16,6 +16,7 @@ degree-4 variable sitting at influence 1/8).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -84,8 +85,9 @@ def cubic_window(epsilon) -> tuple[Fraction, Fraction]:
 
 
 def _check_epsilon(epsilon) -> Fraction:
-    # Fraction(float) is the float's exact binary value, so window
-    # membership below is decided exactly, with no rounding fuzz.
+    # Refused as a float seed is: Fraction(0.1) would be the float's binary value, not 1/10.
+    if isinstance(epsilon, numbers.Real) and not isinstance(epsilon, numbers.Rational):
+        raise TypeError(f"window half-width epsilon must be a Fraction, not a float, got {epsilon!r}")
     return Fraction(_check_real(epsilon, "window half-width epsilon", Fraction(1, 8)))
 
 

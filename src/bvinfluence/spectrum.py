@@ -3,8 +3,9 @@
 The definitional route (:func:`influence_vector`) builds no spectrum;
 ``verify_identities`` checks it against the spectral masses.
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
-returns it at every gamma, and ``verify_identities`` evaluates it only at the
-gammas it checks, against C(gamma) evaluated directly from f.
+returns it at every gamma, and ``verify_identities`` evaluates it, by one
+split of y at every n, at the gammas it checks alone, against C(gamma) taken
+directly from f; it checks Parseval on the sampler's last running sum.
 The definitional counts, the flips behind each influence and the direct
 C(gamma), are taken with XOR and popcount on f packed into 64-bit words.
 
@@ -49,9 +50,6 @@ _BLOCK = 256
 
 # Entries per running sum of the squares that a spectrum keeps: 128 KiB at n=24.
 _SEGMENT = 1 << 10
-
-# Index bits of y below the split in _correlation_at.
-_LOW_BITS = 12
 
 
 def _signs(count: int, cols: np.ndarray) -> np.ndarray:
@@ -143,16 +141,16 @@ def _bit_sums(sums: np.ndarray) -> list[int]:
     return [int(m) for m in (sums @ _BITS[:sums.size, :sums.size.bit_length() - 1].astype(np.float64)).tolist()]
 
 
-def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """Half-cube masses, total and running sums at each ``_SEGMENT`` boundary of the squares of a 2^n array's chunks.
+def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Half-cube masses and running sums at each ``_SEGMENT`` boundary of the squares of a 2^n array's chunks.
 
     Each chunk is squared into one float64 buffer. Products with ones sum it
     down its _BLOCK-entry segments, into the sums per offset, and along
     them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
     takes the masses on the bits inside a segment, above it and above the
     tile, and the grid, summed per ``_SEGMENT`` entries and run on in place
-    from 0, gives the running sums. Every sum is of non-negative integers
-    no larger than the total: exact up to 2^53, and 2^53 or more above it.
+    from 0, gives the running sums, the last the total. Every sum is of non-negative
+    integers no larger than the total: exact up to 2^53, and 2^53 or more above it.
     """
     rows, tile, width = _grid(size)
     q = min(_BLOCK, width)
@@ -164,11 +162,10 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], int, np.ndarray]:
         flat *= flat
         per_offset += ones @ squares.reshape(-1, q)
         np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
-    per_tile = segments.sum(axis=1)
-    masses = (m for part in (per_offset, segments.sum(axis=0), per_tile) for m in _bit_sums(part))
+    masses = (m for part in (per_offset, segments.sum(axis=0), segments.sum(axis=1)) for m in _bit_sums(part))
     sums = np.zeros(size // min(_SEGMENT, size) + 1, np.int64)
     np.cumsum(segments.reshape(sums.size - 1, -1).sum(axis=1, dtype=np.int64, out=sums[1:]), out=sums[1:])
-    return tuple(masses), int(per_tile.sum()), sums
+    return tuple(masses), sums
 
 
 def fwht(values) -> np.ndarray:
@@ -200,18 +197,18 @@ class WalshSpectrum:
     int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
     so square it with :meth:`squares`. ``_segment_sums`` holds the running
     sums of the squares at every ``_SEGMENT`` boundary, 0 to 4^n (only
-    those two below n = 10).
+    those two below n = 10), which the sampler and :meth:`square_sum` read.
     """
 
     def __init__(self, n: int, w: np.ndarray, masses: tuple):
-        self.n, self.w, (self._ones, self._total, self._segment_sums) = n, w, masses
+        self.n, self.w, (self._ones, self._segment_sums) = n, w, masses
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""
         return np.multiply(self.w, self.w, dtype=np.int64)
 
     def square_sum(self) -> int:
-        return self._total
+        return int(self._segment_sums[-1])
 
     def ones_square_sum(self, i: int) -> int:
         """Sum of W(y)^2 over y with y_i = 1."""
@@ -415,30 +412,25 @@ def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
 def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
     """C(gamma) at each of ``gammas`` by the transform route, 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y); int64.
 
-    Up to n = 12 this is FWHT(W^2) of 32 KiB of squares. Above it, y splits
-    into its low 12 bits and the rest, and so does the sign: each tile of
-    ``w`` rows is squared into one reused float64 buffer and multiplied by
-    the 2^12 x G low-bit sign matrix, and the per-row sums are folded with
-    the high-bit signs. Every partial sum is a signed subset sum of squares,
-    so it is exact (module docstring).
+    y splits into its low ceil(n/2) bits and the rest, and so does the
+    sign: each tile of ``w`` rows is squared into one reused float64 buffer
+    and multiplied by the low-bit sign matrix (2^12 x G at n = 23 and 24),
+    and the per-row sums are folded with the high-bit signs. Every partial
+    sum is a signed subset sum of squares, so it is exact (module docstring).
     """
     gammas = np.asarray(gammas, np.int64)
-    if s.n <= _LOW_BITS:
-        sums = fwht(s.squares())[gammas]
-    else:
-        low = 1 << _LOW_BITS
-        rows = s.w.reshape(-1, low)
-        k = min(_TILE // low, rows.shape[0])
-        squares = np.empty((k, low))
-        low_signs = _signs(low, gammas & (low - 1))
-        per_row = np.empty((rows.shape[0], gammas.size))
-        for r in range(0, rows.shape[0], k):
-            np.matmul(np.multiply(rows[r:r + k], rows[r:r + k], out=squares, dtype=np.float64), low_signs,
-                      out=per_row[r:r + k])
-        del squares, low_signs  # before the high-bit signs: verify's peak, 1 MiB lower at n=24
-        per_row *= _signs(rows.shape[0], gammas >> _LOW_BITS)
-        sums = per_row.sum(axis=0)
-    return _divide_exactly(sums.astype(np.int64), s.n)
+    bits = (s.n + 1) // 2
+    rows = s.w.reshape(-1, 1 << bits)
+    k = min(_TILE >> bits, rows.shape[0])
+    squares = np.empty((k, 1 << bits))
+    low_signs = _signs(1 << bits, gammas & ((1 << bits) - 1))
+    per_row = np.empty((rows.shape[0], gammas.size))
+    for r in range(0, rows.shape[0], k):
+        np.matmul(np.multiply(rows[r:r + k], rows[r:r + k], out=squares, dtype=np.float64), low_signs,
+                  out=per_row[r:r + k])
+    del squares, low_signs  # before the high-bit signs: verify's peak, 1 MiB lower at n=24
+    per_row *= _signs(rows.shape[0], gammas >> bits)
+    return _divide_exactly(per_row.sum(axis=0).astype(np.int64), s.n)
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
@@ -446,7 +438,7 @@ def verify_identities(f: TruthTable) -> list[dict]:
 
     Checks, all in exact integer arithmetic:
       * per-variable equality of the definitional and spectral influences,
-      * Parseval: sum of squared coefficients equals 4^n,
+      * Parseval: the sampler's last running sum of W^2 equals 4^n,
       * the autocorrelation transform identity C = FWHT(W^2) / 2^n: the
         transform-route C is compared with C(gamma) evaluated directly from
         f at every gamma up to n = 12, and above that at the unit vectors,

@@ -254,11 +254,41 @@ def test_each_format_builds_only_its_own_output(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "spectrum", (*cli._COMMANDS["spectrum"][:3], fail))
     assert invoke_json(["spectrum", "--random", "5:1"])["results"]["n"] == 5
     monkeypatch.undo()
+    # a CSV run encodes its parameters for stderr as JSON, and nothing else
+    dumped = []
     monkeypatch.setattr(cli.json, "dump", fail)
-    monkeypatch.setattr(cli.json, "dumps", fail)
+    monkeypatch.setattr(cli.json, "dumps", lambda obj: dumped.append(obj) or "{}")
     code, out, err = invoke(["spectrum", "--random", "5:1", "--format", "csv"])
     assert code == 0, err
     assert out.splitlines()[1] == "y,coefficient"
+    assert dumped == [{"source": "random", "n": 5, "function_seed": 1}]
+
+
+def _replay_argv(command, err):
+    """The argv that replays a CSV run on a random function, read off its stderr parameters line."""
+    prefix, line = "# bvinfluence parameters ", err.removesuffix("\n")
+    assert line.startswith(prefix) and "\n" not in line, err
+    params = json.loads(line[len(prefix):])
+    assert params.pop("source") == "random"
+    argv = [command, "--random", f"{params.pop('n')}:{params.pop('function_seed')}", "--format", "csv"]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [["bv-sample", "--m", "3"], ["classical", "--m", "5"]])
+def test_seedless_csv_runs_replay_from_their_parameters_line(argv):
+    # CSV v1 on stdout names no seed; every CSV run writes the report's
+    # parameters block to stderr as one line, which replays it byte for byte
+    code, out, err = invoke([*argv, "--random", "6", "--format", "csv"])
+    assert code == 0
+    replay = _replay_argv(argv[0], err)
+    assert "--seed" in replay
+    assert invoke(replay) == (0, out, err)
+    # the line holds the JSON report's parameters block; a JSON run writes nothing to stderr
+    code, report, json_err = invoke(replay[:3] + replay[5:])
+    assert code == 0 and json_err == ""
+    assert err == f"# bvinfluence parameters {json.dumps(json.loads(report)['parameters'])}\n"
 
 
 def test_exit_code_2_on_bad_input(tmp_path):

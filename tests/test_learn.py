@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,9 +134,22 @@ def test_algorithm3_windows_recorded():
 def test_algorithm3_parameter_validation():
     with pytest.raises(ValueError, match=r"^repetition count lam must be >= 4, got 3$"):
         algorithm3(MIXED_QC, lam=3, epsilon=Fraction(1, 10), seed=0)
-    for eps in (0, Fraction(1, 8), 0.2, -0.01):
+    for eps in (0, Fraction(1, 8), Fraction(1, 5), Fraction(-1, 100)):
         with pytest.raises(ValueError, match=rf"^window half-width epsilon must be in \(0, 1/8\), got {eps}$"):
             algorithm3(MIXED_QC, lam=100, epsilon=eps, seed=0)
+
+
+def test_window_half_width_refuses_floats():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a float
+    # epsilon, a numpy one included, is refused by name, as a float seed is
+    t = to_truth_table(from_anf("x1 + x2*x3", 4))
+    for call in (lambda e: algorithm3(t, 50, e, 3), quadratic_window, cubic_window):
+        for eps in (0.1, np.float64(0.1), np.float32(0.1), 0.0625, math.nan):
+            with pytest.raises(TypeError, match=r"^window half-width epsilon must be a Fraction, not a float, got "):
+                call(eps)
+    assert algorithm3(t, 50, Fraction(1, 10), 3).epsilon == Fraction(1, 10)
+    assert quadratic_window(Fraction(1, 16)) == (Fraction(7, 16), Fraction(9, 16))
+    assert cubic_window(Fraction(1, 16)) == (Fraction(3, 16), Fraction(5, 16))
 
 
 def test_algorithm3_determinism():

@@ -108,7 +108,8 @@ def test_counts_indices_and_outcomes_take_integers_only(entry):
 
 
 # Per real parameter: the name its errors give, the call with that value, and the
-# open upper bound of its range (0 is always the lower one).
+# open upper bound of its range (0 is always the lower one). A window half-width
+# takes no float (test_learn.py), so its entries are tried with Fractions alone.
 FLOAT_ENTRIES = {
     "influential_list-c": ("sensitivity constant c", lambda v: influential_list(T, 10, seed=0, c=v), math.inf),
     "samples_needed-epsilon": ("radius epsilon", lambda v: samples_needed(v, 0.5), math.inf),
@@ -120,6 +121,7 @@ FLOAT_ENTRIES = {
     "cubic_window-epsilon": ("window half-width epsilon", cubic_window, Fraction(1, 8)),
     "epsilon_at-confidence": ("confidence", lambda v: algorithm1(T, 10, seed=0).epsilon_at(v), 1),
 }
+FRACTION_ENTRIES = {"algorithm3-epsilon", "quadratic_window-epsilon", "cubic_window-epsilon"}
 
 
 @pytest.mark.parametrize("entry", FLOAT_ENTRIES)
@@ -143,10 +145,13 @@ def test_epsilon_at_takes_confidences_at_either_end():
 @pytest.mark.parametrize("entry", FLOAT_ENTRIES)
 def test_float_parameters_take_reals_in_range(entry):
     # NaN, an infinity, 0 and the upper bound are refused by name; a float,
-    # a numpy float and a Fraction in range are taken
+    # a numpy float and a Fraction in range are taken (a window half-width:
+    # 0, -1/16, the bound and 1/16, with no float)
     name, call, high = FLOAT_ENTRIES[entry]
-    for value in (math.nan, math.inf, -math.inf, 0, 0.0, high):
+    floats = entry not in FRACTION_ENTRIES
+    refused = (math.nan, math.inf, -math.inf, 0, 0.0, high) if floats else (0, Fraction(-1, 16), high)
+    for value in refused:
         with pytest.raises(ValueError, match=rf"^{name} must be in \(0, {high}\), got {value}$"):
             call(value)
-    for value in (0.0625, np.float64(0.0625), Fraction(1, 16)):
+    for value in (0.0625, np.float64(0.0625), Fraction(1, 16)) if floats else (Fraction(1, 16),):
         call(value)

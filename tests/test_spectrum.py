@@ -334,10 +334,10 @@ def test_transform_runs_once_per_table(monkeypatch):
         algorithm3(t, 50, Fraction(1, 10), seed)
     assert influence_vector(t) == first
     assert calls == [(np.int32, 512)]
-    # verify reuses the cached spectrum; its one transform is the
-    # autocorrelation check's
+    # verify reuses the cached spectrum and its running sums, and runs no
+    # transform of its own: the autocorrelation check sums signed squares
     verify_identities(t)
-    assert calls == [(np.int32, 512), (np.int64, 512)]
+    assert calls == [(np.int32, 512)]
     # a junta on 3 of 9 variables is sampled on its core: one transform of
     # the 8-entry restriction, cached with it on the table, and none of f
     calls.clear()
@@ -440,19 +440,23 @@ def test_exact_jobs_stay_within_their_memory_budget():
 
 
 def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
-    # verify_identities at n=20, with the spectrum cached: the flip counts
-    # and direct correlations run over the packed words in chunks, and the
-    # transform route at the checked gammas over tiles of squares. Before
-    # the chunked direct counts it peaked at 6.3 MiB at n=24.
-    t = random_function(20, 5)
-    walsh_spectrum(t)
-    tracemalloc.start()
-    try:
-        verify_identities(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 << 20, f"peak {peak / 2**20:.2f} MiB"
+    # verify_identities with the spectrum cached: the flip counts and direct
+    # correlations run over the packed words in chunks, and the transform
+    # route at the checked gammas over tiles of squares, with y split at bit
+    # ceil(n/2). At n=12 it checks all 4096 gammas, and holds two 64 x 4096
+    # float64 sign matrices and the per-row sums (4.8 MiB measured); at n=20
+    # 1.26 MiB was measured. Before the chunked direct counts it peaked at
+    # 6.3 MiB at n=24, and with the split fixed at bit 12, at 1.59 MiB at n=20.
+    for n, bound in ((12, 5.5), (20, 1.5)):
+        t = random_function(n, 5)
+        walsh_spectrum(t)
+        tracemalloc.start()
+        try:
+            verify_identities(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, f"n={n}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_transforms_cast_in_place():
@@ -537,8 +541,8 @@ def test_verify_identities_all_pass():
 
 @pytest.mark.parametrize("n", [5, 12, 13, 16, 20])
 def test_correlation_at_checked_gammas_matches_all_gammas(n):
-    # verify's kernel splits y at bit 12 above n = 12; gammas with only low,
-    # only high or all bits set, and seeded ones, must read the all-gamma C
+    # verify's kernel splits y at bit ceil(n/2); gammas with only low, only
+    # high or all bits set, and seeded ones, must read the all-gamma C
     t = random_function(n, seed=40 + n)
     size = 1 << n
     gammas = [0, size - 1, *(1 << b for b in range(n)), *(g << 12 for g in (1, 3, 5) if g << 12 < size)]
@@ -546,6 +550,40 @@ def test_correlation_at_checked_gammas_matches_all_gammas(n):
     c = spectrum._correlation_at(walsh_spectrum(t), gammas)
     assert c.tolist() == correlation_fast(t)[gammas].tolist()
     assert c[0] == size
+
+
+CORRELATION_TABLES = {
+    **{f"random{n}": partial(random_function, n, 50 + n) for n in (*range(1, 15), 17, 20)},
+    "junta14": lambda: to_truth_table(from_anf("x1 + x2*x7 + x3*x9*x14", 14)),
+    "zero12": lambda: to_truth_table(from_anf("0", 12)),
+    "one13": lambda: to_truth_table(from_anf("1", 13)),
+}
+
+
+@pytest.mark.parametrize("name", CORRELATION_TABLES)
+def test_correlation_at_matches_the_full_transform(name):
+    # verify's transform route at the gammas it checks reads C = FWHT(W^2) / 2^n
+    # off the whole-array transform: at every gamma up to n = 12, and above it
+    # at verify's kind of set (0, the unit vectors, all-ones, 8 seeded gammas)
+    t = CORRELATION_TABLES[name]()
+    size = 1 << t.n
+    if t.n <= 12:
+        gammas = list(range(size))
+    else:
+        gammas = [0, *(1 << b for b in range(t.n)), size - 1, *make_generator(t.n).integers(1, size, 8).tolist()]
+    assert spectrum._correlation_at(walsh_spectrum(t), gammas).tolist() == correlation_fast(t)[gammas].tolist()
+
+
+def test_parseval_reads_the_samplers_running_sums():
+    # verify's Parseval check is taken on the last running sum, the total
+    # the sampler draws its keys against: raising it fails the check alone
+    t = random_function(11, 3)
+    walsh_spectrum(t)._segment_sums[-1] += 1
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert checks["parseval"] == {
+        "identity": "parseval", "passed": False, "detail": f"sum W^2 = {4**11 + 1}, 4^n = {4**11}",
+    }
+    assert checks["influence_definition_equals_spectral"]["passed"] and checks["autocorrelation_transform"]["passed"]
 
 
 @pytest.mark.parametrize("n", [10, 12, 13])
