@@ -5,7 +5,8 @@ The definitional route (:func:`influence_vector`) builds no spectrum;
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
 returns it at every gamma, and ``verify_identities`` evaluates it, by one
 split of y at every n, at the gammas it checks alone, against C(gamma) taken
-directly from f; it checks Parseval on the sampler's last running sum.
+directly from f; it checks Parseval on the sampler's last running sum. With
+the influence check, that decides C at the unit vectors: 2^n C(e_i) = 4^n - 2 M_i.
 The definitional counts, the flips behind each influence and the direct
 C(gamma), are taken with XOR and popcount on f packed into 64-bit words.
 
@@ -38,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import TruthTable, _check_index, _check_table
-from .rng import make_generator
 
 # Entries per tile (L2 is 2 MiB per core) and per column chunk, at least
 # _BLOCK wide; products go in pieces of _BLOCK rows or columns, in L1. At
@@ -412,25 +412,27 @@ def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
 def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
     """C(gamma) at each of ``gammas`` by the transform route, 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y); int64.
 
-    y splits into its low ceil(n/2) bits and the rest, and so does the
-    sign: each tile of ``w`` rows is squared into one reused float64 buffer
-    and multiplied by the low-bit sign matrix (2^12 x G at n = 23 and 24),
-    and the per-row sums are folded with the high-bit signs. Every partial
-    sum is a signed subset sum of squares, so it is exact (module docstring).
+    y splits at its low ceil(n/2) bits; gammas and rows of ``w`` go in chunks of
+    2^16 >> ceil(n/2): each tile of rows is cast to float64, squared in place and
+    multiplied by the chunk's low-bit signs, and its row sums are folded with the
+    high-bit signs. Every partial sum is a signed subset sum of squares: exact.
     """
     gammas = np.asarray(gammas, np.int64)
     bits = (s.n + 1) // 2
-    rows = s.w.reshape(-1, 1 << bits)
-    k = min(_TILE >> bits, rows.shape[0])
-    squares = np.empty((k, 1 << bits))
-    low_signs = _signs(1 << bits, gammas & ((1 << bits) - 1))
-    per_row = np.empty((rows.shape[0], gammas.size))
-    for r in range(0, rows.shape[0], k):
-        np.matmul(np.multiply(rows[r:r + k], rows[r:r + k], out=squares, dtype=np.float64), low_signs,
-                  out=per_row[r:r + k])
-    del squares, low_signs  # before the high-bit signs: verify's peak, 1 MiB lower at n=24
-    per_row *= _signs(rows.shape[0], gammas >> bits)
-    return _divide_exactly(per_row.sum(axis=0).astype(np.int64), s.n)
+    rows, step = s.w.reshape(-1, 1 << bits), _TILE >> bits
+    c = np.empty(gammas.size, np.int64)
+    for g in range(0, gammas.size, step):
+        squares, low_signs = np.empty(rows[:step].shape), _signs(1 << bits, gammas[g:g + step] & ((1 << bits) - 1))
+        per_row = np.empty((rows.shape[0], low_signs.shape[1]))
+        for r in range(0, rows.shape[0], step):
+            squares[...] = rows[r:r + step]
+            squares *= squares
+            np.matmul(squares, low_signs, out=per_row[r:r + step])
+        del squares, low_signs  # before the high-bit signs
+        per_row *= _signs(rows.shape[0], gammas[g:g + step] >> bits)
+        c[g:g + step] = per_row.sum(axis=0)
+        del per_row
+    return _divide_exactly(c, s.n)
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
@@ -441,12 +443,12 @@ def verify_identities(f: TruthTable) -> list[dict]:
       * Parseval: the sampler's last running sum of W^2 equals 4^n,
       * the autocorrelation transform identity C = FWHT(W^2) / 2^n: the
         transform-route C is compared with C(gamma) evaluated directly from
-        f at every gamma up to n = 12, and above that at the unit vectors,
-        all-ones and 8 gammas drawn from seed 0, so the report stays
-        deterministic. C(e_i) = 2^n - 2|V_1(i)| comes off the first check's
-        flip counts; the other gammas go through one batched pass over the
-        packed words of f. The transform route is evaluated at the checked
-        gammas alone (``_correlation_at``), never at all 2^n.
+        f at every gamma up to n = 12, and above that at all-ones and the top
+        n bits of k * 0x9E3779B97F4A7C15 mod 2^64, k = 1..8 (no generator); the
+        unit vectors are left to the first check and Parseval (module docstring).
+        Up to n = 12 direct C(e_i) = 2^n - 2|V_1(i)| comes off the first check's
+        flip counts, other gammas from one batched pass over the packed words of
+        f; the transform route runs at the checked gammas alone, never at all 2^n.
 
     Returns one {identity, passed, detail} record per check.
     """
@@ -477,13 +479,11 @@ def verify_identities(f: TruthTable) -> list[dict]:
     direct = {1 << b: size - 2 * v1 for b, v1 in enumerate(changed)}
     if f.n <= 12:
         gammas = range(size)
-    else:
-        gammas = set(direct) | {size - 1}
-        gammas |= set(make_generator(0).integers(1, size, size=8).tolist())
+    else:  # check 1 and Parseval decide the unit vectors: 2^n C(e_i) = S - 2 M_i
+        gammas = sorted({size - 1, *(k * 0x9E3779B97F4A7C15 % (1 << 64) >> (64 - f.n) for k in range(1, 9))})
     rest = sorted(set(gammas) - set(direct))
     direct.update((g, size - 2 * d) for g, d in zip(rest, _flip_counts_at(words, rest)))
     del words
-    gammas = sorted(gammas)
     wrong = [g for g, c in zip(gammas, _correlation_at(s, gammas).tolist()) if c != direct[g]]
     ok = not wrong
     detail = (f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f" if ok

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -79,6 +80,24 @@ def test_verify_command_passes_on_random_function():
         "parseval",
         "autocorrelation_transform",
     }
+
+
+def test_verify_on_a_table_file_imports_no_numpy_random(tmp_path):
+    # above n = 12 verify checks fixed gammas, so a table file needs no
+    # generator; a fresh interpreter shows what the CLI path imports
+    path = tmp_path / "f.ttb"
+    write_table(random_function(13, seed=2), str(path))
+    code = (
+        "import io, sys\n"
+        "from bvinfluence import cli\n"
+        f"assert cli.run(['verify', '--table', {str(path)!r}], out=io.StringIO()) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_verify_exit_code_on_identity_failure(monkeypatch):

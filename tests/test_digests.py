@@ -35,7 +35,7 @@ DIGESTS = {
     "spectrum-random17": (["spectrum", *RANDOM17], "csv",
         "4291811e4ce155574e6181782e564215590414025e3ab1b8ef227269a013c0ef"),
     "verify-random17": (["verify", *RANDOM17], "json",
-        "f48605b8657e65cc04d84ac59fa9084b4f29ef45cc7015b3ac88dc75e59c9866"),
+        "67d0b0f0c4096fad9daa9c1ab125e475c6a090e1e8e2830fa2e4a5282c4cb02a"),
     "bv-sample-random17": (["bv-sample", *RANDOM17, "--m", "3000", "--seed", "1"], "csv",
         "09c2346a56b6e6c3d26f954953c97faec5780fd66601474f6d4a0711456db792"),
     # 2^19 + 3 draws: one whole key block and one of 3, kept in draw order

@@ -43,8 +43,9 @@ CASES = {
     for label, source in FUNCTIONS.items()
     for command, options in COMMANDS.items()
 }
-# Above n=12 verify checks the autocorrelation at n + 9 seeded gammas
-# rather than at every gamma.
+# Above n=12 verify checks the autocorrelation at 9 fixed gammas (all-ones
+# and 8 from an integer rule) rather than at every gamma; the unit vectors
+# are decided by the influence check and Parseval.
 CASES["verify-random13"] = ["verify", "--random", "13:4"]
 
 

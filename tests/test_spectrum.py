@@ -443,11 +443,12 @@ def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
     # verify_identities with the spectrum cached: the flip counts and direct
     # correlations run over the packed words in chunks, and the transform
     # route at the checked gammas over tiles of squares, with y split at bit
-    # ceil(n/2). At n=12 it checks all 4096 gammas, and holds two 64 x 4096
-    # float64 sign matrices and the per-row sums (4.8 MiB measured); at n=20
-    # 1.26 MiB was measured. Before the chunked direct counts it peaked at
+    # ceil(n/2), and the gammas in chunks of 2^16 >> ceil(n/2). At n=12 it
+    # checks all 4096 gammas, 1024 at a time (1.64 MiB measured; 4.8 MiB with
+    # two 64 x 4096 float64 sign matrices and the per-row sums at once); at
+    # n=20 1.26 MiB was measured. Before the chunked direct counts it peaked at
     # 6.3 MiB at n=24, and with the split fixed at bit 12, at 1.59 MiB at n=20.
-    for n, bound in ((12, 5.5), (20, 1.5)):
+    for n, bound in ((12, 2.0), (20, 1.5)):
         t = random_function(n, 5)
         walsh_spectrum(t)
         tracemalloc.start()
@@ -564,7 +565,7 @@ CORRELATION_TABLES = {
 def test_correlation_at_matches_the_full_transform(name):
     # verify's transform route at the gammas it checks reads C = FWHT(W^2) / 2^n
     # off the whole-array transform: at every gamma up to n = 12, and above it
-    # at verify's kind of set (0, the unit vectors, all-ones, 8 seeded gammas)
+    # at 0, the unit vectors, all-ones and 8 seeded gammas
     t = CORRELATION_TABLES[name]()
     size = 1 << t.n
     if t.n <= 12:
@@ -572,6 +573,58 @@ def test_correlation_at_matches_the_full_transform(name):
     else:
         gammas = [0, *(1 << b for b in range(t.n)), size - 1, *make_generator(t.n).integers(1, size, 8).tolist()]
     assert spectrum._correlation_at(walsh_spectrum(t), gammas).tolist() == correlation_fast(t)[gammas].tolist()
+
+
+@pytest.mark.parametrize("name", CORRELATION_TABLES)
+def test_correlation_at_unit_vectors_is_decided_by_the_masses(name):
+    # 2^n C(e_i) = S - 2 M_i: with Parseval (S = 4^n) and check 1
+    # (M_i = 2^n |V_1(i)|), the transform route at a unit vector adds no check
+    t = CORRELATION_TABLES[name]()
+    s = walsh_spectrum(t)
+    units = [1 << b for b in range(t.n)]
+    assert spectrum._correlation_at(s, units).tolist() == [
+        (s.square_sum() - 2 * s.ones_square_sum(i)) >> t.n for i in range(1, t.n + 1)
+    ]
+
+
+def _fixed_gammas(n):
+    """The 8 gammas verify adds to all-ones above n = 12: the top n bits of k * 0x9E3779B97F4A7C15 mod 2^64."""
+    return [k * 0x9E3779B97F4A7C15 % (1 << 64) >> (64 - n) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", range(13, 25))
+def test_fixed_gammas_are_distinct_and_reach_both_halves_of_y(n):
+    # none is 0, a unit vector or all-ones, and each has bits both below and
+    # at or above bit ceil(n/2), where _correlation_at splits y
+    half = (n + 1) // 2
+    gammas = _fixed_gammas(n)
+    assert len(set(gammas)) == 8
+    for g in gammas:
+        assert 0 < g < (1 << n) - 1 and g & (g - 1)
+        assert g & ((1 << half) - 1) and g >> half
+
+
+@pytest.mark.parametrize("n", [13, 17])
+def test_verify_checks_all_ones_and_the_fixed_gammas_above_n12(monkeypatch, n):
+    t = random_function(n, 8)
+    real, seen = spectrum._correlation_at, []
+    monkeypatch.setattr(spectrum, "_correlation_at", lambda s, gammas: seen.append(gammas) or real(s, gammas))
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert seen == [sorted({(1 << n) - 1, *_fixed_gammas(n)})]
+    assert checks["autocorrelation_transform"]["detail"] == "FWHT(W^2) / 2^n == C at 9 gammas evaluated directly from f"
+
+
+def test_one_wrong_mass_above_n12_fails_check_1():
+    # a wrong transform value at e_i would come with a wrong mass M_i, which
+    # check 1 catches; the autocorrelation check no longer reads e_i
+    t = random_function(13, 3)
+    s = walsh_spectrum(t)
+    s._ones = (*s._ones[:4], s._ones[4] + (1 << 14), *s._ones[5:])  # C(e_5) as S - 2 M_5 moves by -4
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert checks["influence_definition_equals_spectral"] == {
+        "identity": "influence_definition_equals_spectral", "passed": False, "detail": "mismatch at variables [5]",
+    }
+    assert checks["parseval"]["passed"] and checks["autocorrelation_transform"]["passed"]
 
 
 def test_parseval_reads_the_samplers_running_sums():
@@ -600,21 +653,23 @@ def test_verify_transform_route_tests_the_function(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [10, 13])
-def test_verify_transform_route_fails_one_wrong_unit_vector(monkeypatch, n):
-    # C(e_i) is read off the flip counts; one transform-route entry off
-    # by 2 at a unit vector fails the check there
+def test_verify_transform_route_fails_one_wrong_gamma(monkeypatch, n):
+    # one transform-route entry off by 2 fails the check there: at e_5, whose
+    # C is read off the flip counts, at n = 10; at all-ones at n = 13, where
+    # the unit vectors are left to check 1 and Parseval
     t = corpus(1, ns=[n])[0]
     real = spectrum._correlation_at
+    wrong = 1 << 4 if n == 10 else (1 << n) - 1
 
     def corrupted(s, gammas):
         c = real(s, gammas)
-        c[np.asarray(gammas) == 1 << 4] += 2
+        c[np.asarray(gammas) == wrong] += 2
         return c
 
     monkeypatch.setattr(spectrum, "_correlation_at", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
     assert checks["autocorrelation_transform"]["detail"] == (
-        f"FWHT(W^2) / 2^n != C at 1 of {1024 if n == 10 else n + 9} gammas: [16]"
+        f"FWHT(W^2) / 2^n != C at 1 of {1024 if n == 10 else 9} gammas: [{wrong}]"
     )
     assert checks["parseval"]["passed"] and checks["influence_definition_equals_spectral"]["passed"]
