@@ -16,16 +16,16 @@ are impossible, not merely improbable. The running sums are never held
 whole: the spectrum keeps them at every 2^10-entry segment boundary, a
 guide table (after Chen and Asau, 1974) that finds each key's segment,
 and the lookup squares only the segments that hold a key. Draws come
-from one generator in blocks of ``_KEY_BLOCK``, read off its raw words
-by :func:`_blocks`; for the power-of-two bounds used here that is
-identical to ``Generator.integers`` (``test_raw_word_draws_match_integers``
-pins it; :mod:`.rng` gives the mapping). :func:`_locate` sorts each
-block in place and looks it up in one walk over the segments that hold
-its keys. Only :func:`bv_sample` keeps the outcomes, scattered back into
-draw order in one int64 array of m entries that its batch holds without
-a copy; the estimators and learners read per-position one-counts, which
-the counting path adds up per block in O(``_KEY_BLOCK``) memory,
-whatever m.
+from one generator in blocks of :func:`_key_block` keys, read off its raw
+words into one reused buffer by :func:`_blocks`; for the power-of-two
+bounds used here that is identical to ``Generator.integers``
+(``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
+mapping). :func:`_locate` sorts each block in place and looks it up in
+one walk over the segments that hold its keys. Only :func:`bv_sample`
+keeps the outcomes, in draw order in one int64 array of m entries that
+its batch holds without a copy; the estimators and learners read
+per-position one-counts, which the counting path takes in place from
+each located block, holding one block and no other of its size, whatever m.
 
 The counting path samples a junta on its core (Atici and Servedio, 2007).
 If f depends only on the k variables R, and g is its restriction to them,
@@ -44,21 +44,22 @@ import numpy as np
 from .boolfn import TruthTable, _check_n, _check_table
 from .rng import _check_int, make_generator, resolve_seed
 from .spectrum import (
-    _BITS, _TILE, WalshSpectrum, _flip_count, _flips, _packed, influence_by_spectrum, walsh_spectrum,
+    _CHUNK, _SEGMENT, _TILE, WalshSpectrum, _bit_sums, _flip_count, _flips, _packed, influence_by_spectrum,
+    walsh_spectrum,
 )
 
 STATEVECTOR_MAX_N = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Draws per block for the classical baseline and for counting a kept sample.
+# Draws per block for the classical baseline.
 _BLOCK = 1 << 18
 
-# Keys per sampler block; each block costs one pass over the spectrum.
-# Measured at n=20, m=4*10^6 as CLI subprocesses on a 2-vCPU host: 2^18
-# ran 4-9% slower than 2^19, and 2^20 was no faster and peaked 9 MiB
-# (17%) higher.
-_KEY_BLOCK = 1 << 19
+
+# Keys per sampler block: 2^19 (at n=20, m=4*10^6, 2^18 ran 4-9% slower and 2^20 peaked 9 MiB
+# higher, as CLI subprocesses), or 2^(n-3) above n=22, where every block touches every segment.
+def _key_block(n: int) -> int:
+    return 1 << max(19, n - 3)
 
 
 class BvDistribution:
@@ -128,26 +129,32 @@ class SampleBatch:
         return self
 
     def ones_counts(self) -> tuple[int, ...]:
-        """Per position i, how many outcomes have y_i = 1."""
-        return _ones_counts(self.n, (self.outcomes[s:s + _BLOCK] for s in range(0, self.m, _BLOCK)))
+        """Per position i, how many outcomes have y_i = 1, counted in copies of slices of 2^15."""
+        bits = min(self.n, _SEGMENT.bit_length() - 1)  # 2^bits outcomes per segment
+        parts = [self.outcomes[s:s + _CHUNK] for s in range(0, self.m, _CHUNK)]
+        ends = (np.cumsum(np.bincount(p >> bits, minlength=1 << (self.n - bits))) for p in parts)
+        return _ones_counts(self.n, ((p.copy(), e) for p, e in zip(parts, ends)))
 
     def __repr__(self):
         return f"SampleBatch(n={self.n}, m={self.m}, seed={self.seed})"
 
 
-def _ones_counts(n: int, blocks) -> tuple[int, ...]:
-    """Per position i, how many of the int64 outcomes in ``blocks`` have y_i = 1.
+def _ones_counts(n: int, located) -> tuple[int, ...]:
+    """Per position i, how many outcomes y in [0, 2^n) have y_i = 1, from the pairs in ``located``.
 
-    A 256-bin histogram of each of the ceil(n/8) low bytes, added up
-    block by block, then one product with the per-byte bit table. The
-    cost is O(m * ceil(n/8)), whatever 2^n.
+    A pair is an int64 block of outcomes, overwritten here, and its segment
+    ends (:func:`_locate`): ``ends[h]`` outcomes lie below the end of the
+    h-th run of 2^n / ends.size outcomes. Added up in place, the ends give
+    the bits above a segment; the blocks, masked in place to the offsets
+    inside one and each counted by one ``bincount``, the bits inside.
     """
-    hist = np.zeros(((n + 7) // 8, 256), dtype=np.int64)
-    for outcomes in blocks:
-        raw = outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-        for b, row in enumerate(hist):
-            row += np.bincount(raw[:, b], minlength=256)
-    return tuple(int(c) for c in (hist @ _BITS).ravel()[:n])
+    low, total = 0, None
+    for outcomes, ends in located:
+        width = (1 << n) // ends.size
+        outcomes &= width - 1
+        low = low + np.bincount(outcomes, minlength=width)
+        total = ends if total is None else np.add(total, ends, out=total)
+    return tuple(_bit_sums(low) + _bit_sums(np.diff(total, prepend=0)))
 
 
 def _blocks(bits: int, m: int, seed: int | None, block: int):
@@ -157,8 +164,7 @@ def _blocks(bits: int, m: int, seed: int | None, block: int):
     describes, so the blocks join into exactly the array that one
     ``rng.integers(0, 2**bits, m, dtype=np.int64)`` returns, whatever the
     block size. The block size is even, so no block ends inside a raw
-    word. A block is valid only until the next one is drawn: at
-    ``bits <= 32`` every block is the same reused buffer.
+    word. Every block is the same reused buffer, valid until the next.
     """
     if block < 2 or block % 2 or not 0 < bits < 64:
         raise ValueError(f"need an even block and 0 < bits < 64, got block={block}, bits={bits}")
@@ -167,22 +173,21 @@ def _blocks(bits: int, m: int, seed: int | None, block: int):
 
 
 def _draws(raw, bits: int, m: int, block: int):
-    """The blocks of :func:`_blocks`, from the raw-word source ``raw``."""
-    if bits > 32:  # the top bits of whole words, shifted in place
-        for start in range(0, m, block):
-            keys = raw(min(block, m - start))
-            keys >>= 64 - bits
-            yield keys.view(np.int64)
-        return
-    buf = np.empty(min(block, m), np.int64)  # the top bits of half-words, low half first
+    """The blocks of :func:`_blocks`, from the raw-word source ``raw``, in one buffer, ``_CHUNK`` words at a time."""
+    half = bits <= 32  # the top bits of half-words, low half first, or of whole words
+    buf = np.empty(min(block, m), np.int64)
     for start in range(0, m, block):
-        k = min(block, m - start)
-        halves = raw((k + 1) // 2).astype("<u8", copy=False).view("<u4")
-        yield np.right_shift(halves[:k], 32 - bits, out=buf[:k])
+        keys = buf[:min(block, m - start)]
+        for s in range(0, keys.size, _CHUNK << half):
+            part = keys[s:s + (_CHUNK << half)].view(np.uint64)
+            words = raw((part.size + half) >> half).astype("<u8", copy=False).view(f"<u{8 >> half}")
+            np.right_shift(words[:part.size], (64 >> half) - bits, out=part)
+        del words  # before the block is read
+        yield keys
 
 
-def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
-    """Sort the keys in [0, 4^n) in place, then replace each by its outcome under s.
+def _locate(s: WalshSpectrum, keys: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Sort the keys, shifted right by ``shift`` into [0, 4^n), and replace each by its outcome under s, in place.
 
     A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
     key, side="right")``. The spectrum's running sums at its 2^10-entry
@@ -192,7 +197,9 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
     buffer, squared and summed on from the running sum before each: the
     rows run on as one sorted array, a key's index in it falls in its own
     segment's row, and that row's place in the spectrum maps it back.
+    Returns the segment ends: ``ends[h]`` keys lie below the end of segment h.
     """
+    keys >>= shift
     keys.sort()
     w, bounds = s.w, s._segment_sums
     width = w.size // (bounds.size - 1)
@@ -210,6 +217,7 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> None:
         part = keys[stops[h[0]]:stops[h[-1] + 1]]
         part[...] = np.searchsorted(sums[:rows.size], part, side="right")
         part += np.repeat((h - np.arange(h.size)) * width, stops[h + 1] - stops[h])
+    return stops[1:]
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
@@ -227,10 +235,10 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     the same as an unsorted ``searchsorted`` of all keys: 8 bytes per
     draw, in one m-sized array, which the batch keeps.
     """
-    m = _check_int(m, "sample count", 1)
-    seed, blocks = _blocks(2 * d.n, m, seed, _KEY_BLOCK)
+    m, block = _check_int(m, "sample count", 1), _key_block(d.n)
+    seed, blocks = _blocks(2 * d.n, m, seed, block)
     outcomes = np.empty(m, dtype=np.int64)
-    for start, keys in zip(range(0, m, _KEY_BLOCK), blocks):
+    for start, keys in zip(range(0, m, block), blocks):
         order = np.argsort(keys)
         _locate(d.spectrum, keys)
         outcomes[start:start + keys.size][order] = keys
@@ -278,17 +286,9 @@ def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, .
     docstring); g's counts go to R's positions, and every other count is 0.
     """
     relevant, g = _core(f)
-    s = walsh_spectrum(g)
-    shift = 2 * (f.n - g.n)
-    seed, blocks = _blocks(2 * f.n, m, seed, _KEY_BLOCK)
-
-    def outcomes():
-        for keys in blocks:
-            keys >>= shift
-            _locate(s, keys)
-            yield keys
-
-    counts = dict(zip(relevant, _ones_counts(g.n, outcomes())))
+    s, shift = walsh_spectrum(g), 2 * (f.n - g.n)
+    seed, blocks = _blocks(2 * f.n, m, seed, _key_block(f.n))
+    counts = dict(zip(relevant, _ones_counts(g.n, ((keys, _locate(s, keys, shift)) for keys in blocks))))
     return tuple(counts.get(i, 0) for i in range(1, f.n + 1)), seed
 
 

@@ -16,11 +16,11 @@ rejects, so each draw is the top b bits of the next piece of the raw
 * a 32-bit half-word, low half first, for int64 draws with b <= 32;
 * a byte, low byte first, for uint8 draws.
 
-``bvsim._blocks`` and ``boolfn.random_function`` read their draws off
-the raw words this way, which is faster than ``integers`` and gives
-identical streams. ``test_raw_word_draws_match_integers`` and
-``test_random_function_matches_integers`` pin the equivalence; they fail
-first if numpy changes its bounded-integer algorithm.
+``bvsim._blocks``, into one reused int64 buffer at every width, and
+``boolfn.random_function`` read their draws off the raw words this way:
+faster than ``integers``, with identical streams, which
+``test_raw_word_draws_match_integers`` and ``test_random_function_matches_integers``
+pin; they fail first if numpy changes its bounded-integer algorithm.
 
 The package's two number rules live here too, each with one message form:
 ``_check_int`` for every seed, count, index and outcome, ``_check_real`` for every real.

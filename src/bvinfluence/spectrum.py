@@ -129,16 +129,12 @@ def _columns(out: np.ndarray, values: np.ndarray, rows: int, tile: int, width: i
         yield grid[..., c:c + width]
 
 
-# _BITS[v, k] is bit k of the byte value v.
-_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
 _ONES = np.ones(_BLOCK)  # no ones vector below is longer
 
 
 def _bit_sums(sums: np.ndarray) -> list[int]:
-    """For 2^k float sums indexed by k <= 8 bits: per bit, the sum of those whose index has it set."""
-    # Cast inside the product: an int64 operand, or the cast held in a local, raised the peak RSS
-    # of the n=20 sampling jobs by 1.2 MiB (heap placement; as CLI subprocesses, by os.wait4).
-    return [int(m) for m in (sums @ _BITS[:sums.size, :sums.size.bit_length() - 1].astype(np.float64)).tolist()]
+    """For 2^k sums indexed by k bits: per bit j, the sum of those whose index has bit j set."""
+    return [int(sums.reshape(-1, 2, 1 << j)[:, 1].sum()) for j in range(sums.size.bit_length() - 1)]
 
 
 def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -224,7 +220,7 @@ class WalshSpectrum:
 
 
 # _BYTE_SIGNS[v] holds (-1)^b for the 8 bits b of the byte v, low bit first.
-_BYTE_SIGNS = (1 - 2 * _BITS).astype(np.float32)
+_BYTE_SIGNS = (1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1)).astype(np.float32)
 
 
 def _load_signs(packed: np.ndarray, tile: np.ndarray, start: int, scratch: np.ndarray) -> None:
@@ -296,8 +292,12 @@ def _flips(words: np.ndarray, i: int, both: bool = False) -> np.ndarray:
 
 
 def _flip_count(words: np.ndarray, i: int) -> int:
-    """|V_1(i)|, the inputs x with f(x) != f(x xor e_i), on :func:`_packed` words."""
-    return 2 * int(np.bitwise_count(_flips(words, i)).sum())
+    """|V_1(i)|, the inputs x with f(x) != f(x xor e_i), on :func:`_packed` words, a chunk at a time."""
+    if 2 << max(0, i - 7) <= _CHUNK:  # whole pairs in every chunk; partner words are 2^(i-7) apart for i > 6
+        parts = (_flips(words[s:s + _CHUNK], i) for s in range(0, words.size, _CHUNK))
+    else:  # the two halves of each pair, a chunk at a time
+        parts = (a ^ b for pair in words.reshape(-1, 2, (1 << (i - 7)) // _CHUNK, _CHUNK) for a, b in zip(*pair))
+    return 2 * sum(int(np.bitwise_count(p).sum()) for p in parts)
 
 
 def _flip_counts_at(words: np.ndarray, gammas) -> list[int]:
@@ -305,13 +305,13 @@ def _flip_counts_at(words: np.ndarray, gammas) -> list[int]:
 
     Word j of f(. xor gamma) is word j xor (gamma >> 6), with gamma's low 6
     bits applied as delta swaps inside it (Knuth, TAOCP 4A, 7.1.3). The
-    gammas go through in chunks of at most ``_TILE`` words, and at least
+    gammas go through in chunks of at most 2^14 words in all, and at least
     one gamma, each over the words in chunks of at most ``_CHUNK``.
     """
     gammas = np.asarray(gammas, np.int64)
     width = min(words.size, _CHUNK)
     index = np.arange(width)
-    per_chunk = max(1, _TILE // words.size)
+    per_chunk = max(1, (1 << 14) // words.size)
     counts = []
     for start in range(0, gammas.size, per_chunk):
         g = gammas[start:start + per_chunk, None]

@@ -25,7 +25,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import bvsim
-from bvinfluence.bvsim import _BLOCK, _KEY_BLOCK, _core, _sampled_ones
+from bvinfluence.bvsim import _BLOCK, _core, _key_block, _sampled_ones
 from bvinfluence.cli import run
 from bvinfluence.rng import make_generator
 from conftest import BENT24, PARITY24, corpus, lift
@@ -188,6 +188,21 @@ def test_raw_word_draws_match_integers(bits):
         assert np.array_equal(np.concatenate([b.copy() for b in blocks]), expected)
 
 
+@pytest.mark.parametrize("bits", [40, 20])
+def test_blocks_reuse_one_buffer(bits):
+    # whole-word and half-word draws alike fill one int64 buffer: every block
+    # is a view of the first one's memory, so a block must be copied to be kept
+    m, block = 3 * (1 << 16) + 7, 1 << 17
+    blocks = bvsim._blocks(bits, m, 9, block)[1]
+    first = next(blocks)
+    kept = [first.copy()]
+    for b in blocks:
+        assert np.shares_memory(b, first) and b.ctypes.data == first.ctypes.data
+        kept.append(b.copy())
+    assert [b.size for b in kept] == [block, m - block]
+    assert np.array_equal(np.concatenate(kept), make_generator(9).integers(0, 2**bits, m, dtype=np.int64))
+
+
 @pytest.mark.parametrize("block, bits", [(3, 10), (1, 40), (0, 10), (4, 0), (4, 64)])
 def test_blocks_reject_odd_blocks_and_bad_widths(block, bits):
     # an odd block would drop the high half of its last word mid-stream
@@ -196,20 +211,21 @@ def test_blocks_reject_odd_blocks_and_bad_widths(block, bits):
 
 
 def _near_the_top(n):
-    """Seeded outcomes past one block, plus 0 and the values next to 2^n - 1."""
+    """Seeded unsorted outcomes over several 2^15-outcome slices, plus 0 and the values next to 2^n - 1."""
     top = (1 << n) - 1
     drawn = np.random.default_rng(n).integers(0, top + 1, _BLOCK + 3)
     return SampleBatch(n, np.concatenate([drawn, [0, top, top - 1, top >> 1]]), seed=n)
 
 
-BYTE_EDGE_NS = (1, 8, 9, 16, 17, 24)
+# byte edges, and below, at and above one 2^10-outcome segment
+EDGE_NS = (1, 3, 8, 9, 10, 16, 17, 24)
 
 
 @pytest.mark.parametrize(
     "make_batch",
     [lambda: bv_sample(bv_distribution_of(AND2), 500, seed=3)]
-    + [partial(_near_the_top, n) for n in BYTE_EDGE_NS],
-    ids=["and2", *(f"n{n}" for n in BYTE_EDGE_NS)],
+    + [partial(_near_the_top, n) for n in EDGE_NS],
+    ids=["and2", *(f"n{n}" for n in EDGE_NS)],
 )
 def test_ones_counts_bookkeeping(make_batch):
     batch = make_batch()
@@ -217,9 +233,28 @@ def test_ones_counts_bookkeeping(make_batch):
     assert batch.ones_counts() == naive
 
 
+def test_ones_counts_of_a_kept_sample_hold_no_block():
+    # slices of 2^15 outcomes: one copy, its segment indices and its counts at
+    # a time, 0.54 MiB at n=20 (tracemalloc, numpy 2.4); three byte
+    # histograms of 2^18-outcome blocks peaked at 2.01 MiB
+    batch = bv_sample(bv_distribution_of(random_function(20, seed=1)), 4_000_000, seed=3)
+    tracemalloc.start()
+    try:
+        batch.ones_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.04 * 2**20, peak / 2**20
+
+
+def test_key_blocks_grow_only_above_n22():
+    # 2^(n-3) keys above n = 22, where every block touches every segment
+    assert [_key_block(n) for n in (1, 20, 22, 23, 24)] == [1 << 19] * 3 + [1 << 20, 1 << 21]
+
+
 # three sampler blocks, the last one partial: a fault at a block boundary
 # changes draws that no single-block golden report covers
-PAST_TWO_BLOCKS = 2 * _KEY_BLOCK + 5
+PAST_TWO_BLOCKS = 2 * _key_block(17) + 5
 BLOCK_TABLES = pytest.mark.parametrize(
     "table",
     # random17's 34-bit keys take _draws' whole-word branch
@@ -261,14 +296,15 @@ def test_sample_holds_its_array_once():
     assert peak <= batch.outcomes.nbytes + (16 << 20), (peak - batch.outcomes.nbytes) / 2**20
 
 
-@pytest.mark.parametrize("m, bound_mib", [(4_000_000, 9.27), (1060, 1.18)])
+@pytest.mark.parametrize("m, bound_mib", [(4_000_000, 5.3), (1060, 1.18)])
 def test_counting_path_stays_within_its_memory_budget(m, bound_mib):
-    # On a warm n=20 table the counting path holds a key block, the one
-    # counted before it and one 2^16-entry buffer of running sums. Squaring
-    # each 2^16-entry tile whole, or its key-holding segments, peaked at
-    # 8.77 MiB at m = 4*10^6 and 0.68 MiB at m = 1060; gathering only the
-    # key-holding segments, at 8.78 and 0.78 MiB (tracemalloc, numpy 2.4).
-    # The bounds are the first two figures plus 0.5 MiB.
+    # On a warm n=20 table the counting path holds one key block, drawn into
+    # one reused buffer and counted in place, and one 2^16-entry buffer of
+    # running sums: 4.80 MiB at m = 4*10^6 and 0.78 MiB at m = 1060
+    # (tracemalloc, numpy 2.4). A fresh array per block, with the one
+    # counted before it still held, and byte histograms peaked at 8.78 MiB;
+    # squaring whole tiles, at 0.68 MiB at m = 1060. The bounds are 4.80
+    # and 0.68 MiB plus 0.5 MiB.
     t = random_function(20, seed=1)
     _sampled_ones(t, 1000, seed=0)
     tracemalloc.start()

@@ -5,7 +5,9 @@ hashes its JSON ``results`` block (``json.dumps`` with sorted keys) or
 its whole CSV output. The rows cover every subcommand on a random table
 at n = 17, a ``bv-sample`` at n = 17 that spans two sampler key blocks,
 a planted 17-of-24 junta (the sampler's junta path), a draw count at
-n = 24 that spans three key blocks, the influences at n = 24, a draw
+n = 24 that fills half of its one 2^21-key block (it spanned three
+blocks of 2^19, and replays: the draws do not depend on the block
+size), the influences at n = 24, a draw
 count at n = 24 small enough to leave most segments without a key, and
 two kept samples at n = 24, on the junta's own spectrum and on a random
 table. A change that moves any digest has changed a seeded result.
@@ -60,7 +62,7 @@ DIGESTS = {
         "98775bb987e5e69552df7b27013bd5954b15f396e92ef8724a52cfb9dffbc41b"),
     "learn3-junta24": (["learn3", *JUNTA24, "--lambda", "2000", "--seed", "11"], "json",
         "138afe0aa0d80f980b1f70f30a957bd13849a6fc592f1f2464041d8691dd7a7b"),
-    # 2^20 + 1 draws: two whole key blocks and one of a single key
+    # 2^20 + 1 draws: one key block of 2^21 at n = 24 (three of 2^19 before blocks grew with n)
     "estimate-random24": (["estimate", "--random", "24:1", "--m", "1048577", "--seed", "9"], "json",
         "2c3b7f65f11481c2854660950f86b430d8ffaf76eb134025700302479745290c"),
     # every variable's influence at the cap, and a small m that touches few segments

@@ -416,7 +416,7 @@ def test_exact_jobs_stay_within_their_memory_budget():
     # array (8), or a widened spectrum, exceeds 6. A warmed table keeps the
     # spectrum and its running sums per 2^10 entries: about 4.
     # influence_vector builds no spectrum: it counts flips on the 1/8-byte
-    # packed table, one shifted copy of it at a time.
+    # packed table, one 2^15-word chunk of flips at a time.
     size = 1 << 20
     jobs = {
         "influence_vector": influence_vector,
@@ -439,16 +439,32 @@ def test_exact_jobs_stay_within_their_memory_budget():
             assert retained <= 4.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
 
+def test_influence_vector_counts_flips_in_word_chunks():
+    # one chunk of 2^15 words of differences and its popcounts at a time:
+    # 0.51 MiB on a random n=24 table, against 2.25 MiB for one 2^17-word
+    # difference array per variable (tracemalloc, numpy 2.4)
+    t = random_function(24, 7)
+    tracemalloc.start()
+    try:
+        influence_vector(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * 2**20, peak / 2**20
+
+
 def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
     # verify_identities with the spectrum cached: the flip counts and direct
     # correlations run over the packed words in chunks, and the transform
     # route at the checked gammas over tiles of squares, with y split at bit
     # ceil(n/2), and the gammas in chunks of 2^16 >> ceil(n/2). At n=12 it
-    # checks all 4096 gammas, 1024 at a time (1.64 MiB measured; 4.8 MiB with
-    # two 64 x 4096 float64 sign matrices and the per-row sums at once); at
-    # n=20 1.26 MiB was measured. Before the chunked direct counts it peaked at
-    # 6.3 MiB at n=24, and with the split fixed at bit 12, at 1.59 MiB at n=20.
-    for n, bound in ((12, 2.0), (20, 1.5)):
+    # checks all 4096 gammas, 1024 at a time, and the direct counts take 256
+    # (1.49 MiB measured, set by the transform route; 4.8 MiB with two
+    # 64 x 4096 float64 sign matrices and the per-row sums at once); at n=20
+    # 0.65 MiB was measured, and 1.26 MiB with whole difference arrays per
+    # variable. Before the chunked direct counts it peaked at 6.3 MiB at
+    # n=24, and with the split fixed at bit 12, at 1.59 MiB at n=20.
+    for n, bound in ((12, 1.75), (20, 1.0)):
         t = random_function(n, 5)
         walsh_spectrum(t)
         tracemalloc.start()
