@@ -21,9 +21,10 @@ words into one reused buffer by :func:`_blocks`; for the power-of-two
 bounds used here that is identical to ``Generator.integers``
 (``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
 mapping). :func:`_locate` sorts each block in place and looks it up in
-one walk over the segments that hold its keys. Only :func:`bv_sample`
-keeps the outcomes, in draw order in one int64 array of m entries that
-its batch holds without a copy; the estimators and learners read
+one walk over the segments that hold its keys. Only a
+:class:`SampleBatch`, drawn by :func:`bv_sample` or ``SampleBatch(d, m,
+seed)`` and never built from outcomes handed in, keeps the outcomes, in
+draw order in one int64 array of m entries; the estimators and learners read
 per-position one-counts, which the counting path takes in place from
 each located block, holding one block and no other of its size, whatever m.
 
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_n, _check_table
+from .boolfn import TruthTable, _check_table
 from .rng import _check_int, make_generator, resolve_seed
 from .spectrum import (
     _CHUNK, _SEGMENT, _TILE, WalshSpectrum, _bit_sums, _flip_count, _flips, _packed, influence_by_spectrum,
@@ -51,10 +52,6 @@ from .spectrum import (
 STATEVECTOR_MAX_N = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-# Draws per block for the classical baseline.
-_BLOCK = 1 << 18
-
 
 # Keys per sampler block: 2^19 (at n=20, m=4*10^6, 2^18 ran 4-9% slower and 2^20 peaked 9 MiB
 # higher, as CLI subprocesses), or 2^(n-3) above n=22, where every block touches every segment.
@@ -99,34 +96,27 @@ class BvDistribution:
 
 
 class SampleBatch:
-    """m measured outputs y^1..y^m, each an encoded n-bit value.
+    """m measured outputs y^1..y^m of d's circuit, each an encoded n-bit value.
 
-    Reproducible bit for bit from (distribution, m, seed); ``seed`` is
-    the seed actually used, even when the caller left it to entropy.
-    ``outcomes`` is a read-only int64 array that no caller can change: a
-    checked copy of what the constructor is given, or the fresh array
-    that :func:`bv_sample` filled, kept as it is (:meth:`_keep`).
+    A batch is drawn, never assembled: ``SampleBatch(d, m, seed)``, which
+    :func:`bv_sample` calls, is its one constructor, and no caller can
+    hand in outcomes. Reproducible bit for bit from (d, m, seed); ``seed``
+    is the seed actually used, even when the caller left it to entropy.
+    ``outcomes`` is the read-only int64 array the draw filled, in draw
+    order, kept without a copy.
     """
 
-    def __init__(self, n: int, outcomes, seed: int):
-        n = _check_n(n)
-        arr = np.array(outcomes)
-        if arr.ndim != 1:
-            raise ValueError(f"outcomes must be one-dimensional, got shape {arr.shape}")
-        _check_int(arr.size, "sample count", 1)
-        # Refused before the cast could truncate them.
-        if arr.dtype.kind not in "iub":
-            raise ValueError(f"expected integer values, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
-        if not (0 <= arr.min() and arr.max() < 1 << n):
-            raise ValueError(f"outcomes must lie in [0, 2^{n})")
-        self._keep(n, arr, _check_int(seed, "seed", 0))
-
-    def _keep(self, n: int, outcomes: np.ndarray, seed: int) -> SampleBatch:
-        """This batch, holding the fresh, valid int64 ``outcomes`` read-only, without a copy or a check."""
-        outcomes.flags.writeable = False
-        self.n, self.m, self.outcomes, self.seed = n, outcomes.size, outcomes, seed
-        return self
+    def __init__(self, d: BvDistribution, m: int, seed: int | None = None):
+        if not isinstance(d, BvDistribution):
+            raise TypeError(f"need a BvDistribution, got {type(d).__name__}")
+        m, block = _check_int(m, "sample count", 1), _key_block(d.n)
+        self.seed, blocks = _blocks(2 * d.n, m, seed, block)
+        self.n, self.m, self.outcomes = d.n, m, np.empty(m, dtype=np.int64)
+        for start, keys in zip(range(0, m, block), blocks):
+            order = np.argsort(keys)
+            _locate(d.spectrum, keys)
+            self.outcomes[start:start + keys.size][order] = keys
+        self.outcomes.flags.writeable = False
 
     def ones_counts(self) -> tuple[int, ...]:
         """Per position i, how many outcomes have y_i = 1, counted in copies of slices of 2^15."""
@@ -235,14 +225,7 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     the same as an unsorted ``searchsorted`` of all keys: 8 bytes per
     draw, in one m-sized array, which the batch keeps.
     """
-    m, block = _check_int(m, "sample count", 1), _key_block(d.n)
-    seed, blocks = _blocks(2 * d.n, m, seed, block)
-    outcomes = np.empty(m, dtype=np.int64)
-    for start, keys in zip(range(0, m, block), blocks):
-        order = np.argsort(keys)
-        _locate(d.spectrum, keys)
-        outcomes[start:start + keys.size][order] = keys
-    return SampleBatch.__new__(SampleBatch)._keep(d.n, outcomes, seed)
+    return SampleBatch(d, m, seed)
 
 
 def _shows_flip(words: np.ndarray, i: int) -> bool:

@@ -21,9 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .boolfn import TruthTable, _check_index, _check_n
-from .bvsim import _BLOCK, _blocks, _sampled_ones
+from .bvsim import _blocks, _sampled_ones
 from .rng import _check_int, _check_real
 from .spectrum import _flips, _packed
+
+# Inputs per block for the classical baseline.
+_CLASSICAL_BLOCK = 1 << 18
 
 
 class BlackBoxOracle:
@@ -174,7 +177,7 @@ def classical_estimate(f: TruthTable | BlackBoxOracle, i: int, m: int, seed: int
     if not isinstance(f, (TruthTable, BlackBoxOracle)):
         raise TypeError(f"need a TruthTable or a BlackBoxOracle, got {type(f).__name__}")
     i, m = _check_index(i, f.n), _check_int(m, "sample count", 1)
-    seed, blocks = _blocks(f.n, m, seed, _BLOCK)
+    seed, blocks = _blocks(f.n, m, seed, _CLASSICAL_BLOCK)
     changed = 0
     if isinstance(f, TruthTable):
         differs = np.unpackbits(_flips(_packed(f), i, both=True).view(np.uint8), count=1 << f.n, bitorder="little")

@@ -25,7 +25,7 @@ from bvinfluence import (
     walsh_spectrum,
 )
 from bvinfluence import bvsim
-from bvinfluence.bvsim import _BLOCK, _core, _key_block, _sampled_ones
+from bvinfluence.bvsim import _core, _key_block, _sampled_ones
 from bvinfluence.cli import run
 from bvinfluence.rng import make_generator
 from conftest import BENT24, PARITY24, corpus, lift
@@ -211,10 +211,19 @@ def test_blocks_reject_odd_blocks_and_bad_widths(block, bits):
 
 
 def _near_the_top(n):
-    """Seeded unsorted outcomes over several 2^15-outcome slices, plus 0 and the values next to 2^n - 1."""
-    top = (1 << n) - 1
-    drawn = np.random.default_rng(n).integers(0, top + 1, _BLOCK + 3)
-    return SampleBatch(n, np.concatenate([drawn, [0, top, top - 1, top >> 1]]), seed=n)
+    """Batches over several 2^15-outcome slices, each with its one outcome or None.
+
+    First a spread from a random table, then the linear functions 0,
+    x1 + ... + xn, x2 + ... + xn and x1 + ... + x(n-1), whose every draw
+    is 0, 2^n - 1, 2^n - 2 and 2^(n-1) - 1.
+    """
+    spread = bv_sample(bv_distribution_of(random_function(n, seed=n)), (1 << 18) + 3, seed=n)
+    terms, top = [f"x{i}" for i in range(1, n + 1)], (1 << n) - 1
+    edges = [([], 0), (terms, top), (terms[1:], top - 1), (terms[:-1], top >> 1)]
+    return [(spread, None)] + [
+        (bv_sample(bv_distribution_of(to_truth_table(from_anf(" + ".join(t) or "0", n))), (1 << 15) + 3, seed=n), y)
+        for t, y in edges
+    ]
 
 
 # byte edges, and below, at and above one 2^10-outcome segment
@@ -222,15 +231,17 @@ EDGE_NS = (1, 3, 8, 9, 10, 16, 17, 24)
 
 
 @pytest.mark.parametrize(
-    "make_batch",
-    [lambda: bv_sample(bv_distribution_of(AND2), 500, seed=3)]
+    "make_batches",
+    [lambda: [(bv_sample(bv_distribution_of(AND2), 500, seed=3), None)]]
     + [partial(_near_the_top, n) for n in EDGE_NS],
     ids=["and2", *(f"n{n}" for n in EDGE_NS)],
 )
-def test_ones_counts_bookkeeping(make_batch):
-    batch = make_batch()
-    naive = tuple(int(((batch.outcomes >> pos) & 1).sum()) for pos in range(batch.n))
-    assert batch.ones_counts() == naive
+def test_ones_counts_bookkeeping(make_batches):
+    for batch, only in make_batches():
+        if only is not None:
+            assert np.all(batch.outcomes == only)
+        naive = tuple(int(((batch.outcomes >> pos) & 1).sum()) for pos in range(batch.n))
+        assert batch.ones_counts() == naive
 
 
 def test_ones_counts_of_a_kept_sample_hold_no_block():
@@ -506,49 +517,36 @@ def test_statevector_cap():
         statevector_bv(random_function(STATEVECTOR_MAX_N + 1, seed=0))
 
 
-def test_distribution_rejects_bad_weights():
-    # refused on the input's own dtype: an int64 cast would read [1, 3]
-    with pytest.raises(ValueError):
-        SampleBatch(2, [1.7, 3.2], seed=0)
-    # no outcomes, of any dtype, is refused by the rule bv_sample's m meets
-    for empty in ([], np.array([], np.int64)):
-        with pytest.raises(ValueError, match=r"^sample count must be >= 1, got 0$"):
-            SampleBatch(2, empty, seed=0)
-    # a 0-d batch has no draws to count, and a 2-d one is not m draws
-    for outcomes, shape in ((5, r"\(\)"), ([[0, 1], [2, 3]], r"\(2, 2\)")):
-        with pytest.raises(ValueError, match=rf"^outcomes must be one-dimensional, got shape {shape}$"):
-            SampleBatch(3, outcomes, seed=0)
-
-
-@pytest.mark.parametrize("n, outcomes", [(2, [5]), (2, [-1]), (2, [4]), (2, [0, 3, 4]), (0, [0])])
-def test_sample_batch_rejects_outcomes_outside_the_cube(n, outcomes):
-    # ones_counts reads only the low n bits: [5, 4] at n=2 would count (1, 0)
-    with pytest.raises(ValueError):
-        SampleBatch(n, outcomes, seed=0)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SampleBatch(2, [1, 3], seed=0),
+        lambda: SampleBatch(2, np.array([1, 3]), 0),
+        lambda: SampleBatch(3, 5, seed=0),
+        lambda: bv_sample(3, 10),
+    ],
+    ids=["list", "array", "int", "bv_sample"],
+)
+def test_a_batch_is_drawn_never_handed_its_outcomes(call):
+    # the one constructor draws from a distribution: outcomes handed in, or
+    # a variable count in its place, are refused before anything is built
+    with pytest.raises(TypeError, match=r"^need a BvDistribution, got int$"):
+        call()
 
 
 def test_arrays_handed_to_results_are_not_shared():
     d = bv_distribution_of(AND2)
-    outcomes = np.array([3, 1, 0])
-    batch = SampleBatch(2, outcomes, seed=1)
-    outcomes[0] = 0
+    batch = bv_sample(d, 3, seed=1)
+    kept = batch.outcomes.tolist()
     d.spectrum.squares()[0] = 0
     assert d.spectrum.squares().tolist() == [4, 4, 4, 4]
     assert [d.prob(y) for y in range(4)] == [Fraction(1, 4)] * 4
-    assert batch.outcomes.tolist() == [3, 1, 0]
-    assert batch.ones_counts() == (2, 1)
     with pytest.raises(ValueError):
         batch.outcomes[0] = 0
     with pytest.raises(ValueError):
         d.cumulative()[0] = 0
-    # a read-only array its caller can make writable again is copied too
-    a = np.array([3, 1, 0])
-    a.flags.writeable = False
-    b = SampleBatch(2, a, 0)
-    a.flags.writeable = True
-    a[0] = 0
-    assert b.outcomes.tolist() == [3, 1, 0]
-    assert b.ones_counts() == (2, 1)
+    assert batch.outcomes.tolist() == kept
+    assert batch.ones_counts() == tuple(sum(y >> pos & 1 for y in kept) for pos in range(2))
 
 
 def test_distribution_cached_on_the_table():

@@ -25,7 +25,7 @@ from bvinfluence import (
     verify_identities,
     walsh_spectrum,
 )
-from bvinfluence.bvsim import _BLOCK
+from bvinfluence.estimate import _CLASSICAL_BLOCK
 from bvinfluence.rng import make_generator
 from conftest import lift
 
@@ -201,7 +201,7 @@ def test_classical_blocks_match_one_draw_call(n):
     # all m inputs, for every variable: the difference table is built on
     # words zero-padded to 64 bits below n = 6, with partners inside a word
     # for i <= 6 and in another word above that.
-    f, m = random_function(n, seed=61), _BLOCK + 5
+    f, m = random_function(n, seed=61), _CLASSICAL_BLOCK + 5
     xs = make_generator(62).integers(0, 2**n, m)
     bits = f.bits
     for i in range(1, n + 1):

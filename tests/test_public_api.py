@@ -67,8 +67,8 @@ INTEGER_ENTRIES = {
     "Anf-index": ("variable index", lambda v: Anf([[v]], 3), 3, lambda r: min(*r.monomials)),
     "from_anf-n": ("variable count", lambda v: from_anf("x1", v), 3, lambda r: r.n),
     "random_function-n": ("variable count", lambda v: random_function(v, 1), 3, lambda r: r.n),
-    "SampleBatch-n": ("variable count", lambda v: SampleBatch(v, [0], 0), 3, lambda r: r.n),
-    "SampleBatch-seed": ("seed", lambda v: SampleBatch(3, [0], v), 3, lambda r: r.seed),
+    "SampleBatch-m": ("sample count", lambda v: SampleBatch(bv_distribution_of(T), v, 0), 3, lambda r: r.m),
+    "SampleBatch-seed": ("seed", lambda v: SampleBatch(bv_distribution_of(T), 3, v), 3, lambda r: r.seed),
     "BlackBoxOracle-n": ("variable count", lambda v: BlackBoxOracle(lambda x: x & 1, v), 3, lambda r: r.n),
     "influence_by_definition-i": ("variable index", lambda v: influence_by_definition(T, v), 3, None),
     "influence_by_spectrum-i": ("variable index", lambda v: influence_by_spectrum(walsh_spectrum(T), v), 3, None),

@@ -15,9 +15,11 @@ cache (``PYTHONPYCACHEPREFIX`` in a temporary directory, written even
 under ``PYTHONDONTWRITEBYTECODE``). One untimed warm-up run per side and
 job fills that cache, so neither side pays for compiling stale or missing
 ``.pyc`` files. Then each job runs ``--pairs`` times per side, the two
-sides alternating and the first side flipping each pair. Wall time is
-taken around each child, and peak RSS from ``os.wait4``. This script
-imports nothing large, so a child's peak is its own.
+sides alternating and the first side flipping each pair. Each side's
+children are started by its own ``bench/spawner.py`` process, which takes
+wall time around each child and peak RSS from ``os.wait4``; that file
+says why a child's peak would otherwise read this script's own, which
+grows as it parses large reports.
 
 Each child must exit with status 0, and both sides must print the same
 ``results`` (a JSON report's, or a CSV report's whole text). The last
@@ -30,15 +32,18 @@ sides' results differed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
 import shlex
 import statistics
+import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
+SPAWNER = Path(__file__).resolve().parents[1] / "bench" / "spawner.py"
 SIDES = ("parent", "change")  # names of equal length: each is a cache directory
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -51,24 +56,27 @@ def _env(root: Path, cache: Path) -> dict:
     return env
 
 
-def _run(argv: list[str], env: dict, scratch: Path) -> tuple[float, float, str]:
-    """Wall seconds, peak RSS in MiB and the results of one CLI child."""
+def _spawner(env: dict) -> subprocess.Popen:
+    """A ``bench/spawner.py`` process with ``env``, which its children inherit."""
+    return subprocess.Popen([sys.executable, str(SPAWNER)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True, env=env)
+
+
+def _run(argv: list[str], spawner: subprocess.Popen, scratch: Path) -> tuple[float, float, str]:
+    """Wall seconds, peak RSS in MiB and a digest of the results of one CLI child."""
     out, err = scratch / "out", scratch / "err"
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    actions = [(os.POSIX_SPAWN_OPEN, 1, str(out), flags, 0o644), (os.POSIX_SPAWN_OPEN, 2, str(err), flags, 0o644)]
-    started = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bvinfluence.cli", *argv], env, file_actions=actions)
-    _, status, usage = os.wait4(pid, 0)
-    wall = time.perf_counter() - started
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"exit status {code}: {err.read_text().strip()[-500:]}")
+    request = {"argv": [sys.executable, "-m", "bvinfluence.cli", *argv], "stdout": str(out), "stderr": str(err)}
+    spawner.stdin.write(json.dumps(request) + "\n")
+    spawner.stdin.flush()
+    got = json.loads(spawner.stdout.readline())
+    if got["code"] != 0:
+        raise RuntimeError(f"exit status {got['code']}: {err.read_text().strip()[-500:]}")
     text = out.read_text()
     try:
         results = json.dumps(json.loads(text)["results"], sort_keys=True)
     except ValueError:  # a CSV report carries no timing: its whole text is its results
         results = text
-    return wall, usage.ru_maxrss / 1024, results
+    return got["wall"], got["maxrss_kib"] / 1024, hashlib.sha256(results.encode()).hexdigest()
 
 
 def _summary(values: list[float]) -> dict:
@@ -84,18 +92,18 @@ def compare(parent: Path, change: Path, jobs: list[str], pairs: int) -> dict:
         if not (root / "src" / "bvinfluence").is_dir():
             raise ValueError(f"no src/bvinfluence under {root}")
     report = {"parent": str(roots["parent"]), "change": str(roots["change"]), "pairs": pairs, "jobs": [], "errors": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp, contextlib.ExitStack() as stack:
         scratch = Path(tmp)
-        envs = {side: _env(roots[side], scratch / side) for side in SIDES}
+        spawners = {side: stack.enter_context(_spawner(_env(roots[side], scratch / side))) for side in SIDES}
         for job in jobs:
             argv = shlex.split(job)
             runs = {side: [] for side in SIDES}
             try:
                 for side in SIDES:
-                    _run(argv, envs[side], scratch)  # warm-up: fills the side's bytecode cache
+                    _run(argv, spawners[side], scratch)  # warm-up: fills the side's bytecode cache
                 for k in range(pairs):
                     for side in SIDES[::-1] if k % 2 else SIDES:
-                        runs[side].append(_run(argv, envs[side], scratch))
+                        runs[side].append(_run(argv, spawners[side], scratch))
             except RuntimeError as exc:
                 report["errors"].append(f"{job}: {exc}")
                 continue
