@@ -174,16 +174,34 @@ def _cmd_influence(args, table):
     }
 
 
+class _Column(list):
+    """An array read as the list a report renders: 2^16 values at a time, each chunk through ``render``.
+
+    Only len() and iteration read the array, which is all json.dump and csv do; indexing and == see an empty list.
+    """
+
+    def __init__(self, values, render=None):
+        super().__init__()
+        self.values, self.render = values, render
+
+    def __len__(self):
+        return self.values.size
+
+    def __iter__(self):
+        chunks = (self.values[i:i + (1 << 16)].tolist() for i in range(0, len(self), 1 << 16))
+        return itertools.chain.from_iterable(map(self.render, chunks) if self.render else chunks)
+
+
 def _cmd_spectrum(args, table):
-    return {"n": table.n, "coefficients": walsh_spectrum(table).w.tolist()}
+    return {"n": table.n, "coefficients": _Column(walsh_spectrum(table).w)}
 
 
 def _cmd_bv_sample(args, table):
-    outcomes = bv_sample(bv_distribution_of(table), args.m, args.seed).outcomes.tolist()
+    outcomes, n = bv_sample(bv_distribution_of(table), args.m, args.seed).outcomes, table.n
     return {
-        "outcomes": outcomes,
+        "outcomes": _Column(outcomes),
         # y rendered as y_1 y_2 ... y_n, left to right
-        "bits": [format(y, f"0{table.n}b")[::-1] for y in outcomes],
+        "bits": _Column(outcomes, lambda chunk: [format(y, f"0{n}b")[::-1] for y in chunk]),
     }
 
 
@@ -268,21 +286,12 @@ def _learn_rows(results):
         yield [e["variable"], e["class"], *e["observed"].values(), low, high]
 
 
-# Bytes bv-sample holds per draw: one int64 outcome, and while the report
-# renders each outcome as a Python int and as a bit string: peak RSS grew by
-# 121-137 bytes per draw between m = 10^6, 2*10^6 and 4*10^6 at n=24 (the
-# longest bit strings; n is not known when the check runs), in either
-# format. Rounded up to 160. Every other subcommand counts its draws block
-# by block and holds none of them, whatever its count.
-_BV_SAMPLE_BYTES_PER_DRAW = 160
-
-
 def _check_count_memory(args) -> None:
-    """Reject a bv-sample draw count whose outcomes would exceed physical memory."""
+    """Reject a bv-sample --m whose int64 outcomes would exceed physical memory; no other command holds its draws."""
     if args.command != "bv-sample":
         return
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    need = args.m * _BV_SAMPLE_BYTES_PER_DRAW
+    need = args.m * 8
     if need > have:
         raise CliError(f"--m {args.m} needs {need} bytes of draws, more than the {have} bytes of physical memory")
 
@@ -366,8 +375,6 @@ def run(argv=None, out=None, err=None) -> int:
         if "seed" in args:
             args.seed = resolve_seed(args.seed)
         results = handler(args, table)
-        # The table holds its cached spectrum; free it before rendering.
-        del table
     except (ValueError, OSError) as exc:
         print(f"bvinfluence: error: {exc}", file=err)
         return 2

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from bvinfluence import cli
 from bvinfluence.boolfn import TruthTable, from_anf, random_function, to_truth_table
+from bvinfluence.bvsim import bv_distribution_of, bv_sample
 from bvinfluence.cli import main, read_table, run, write_table
 from bvinfluence.rng import spawn_seeds
 
@@ -226,9 +228,11 @@ PHYSICAL_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 @pytest.mark.parametrize(
     "command, flag, count",
-    [pytest.param("bv-sample", "--m", 10**15, id="bv-sample---m")]
-    # passes a bound of 8 bytes per draw, but the rendered outcomes would not fit
-    + [pytest.param("bv-sample", "--m", PHYSICAL_BYTES // 16, id="bv-sample-rendered")],
+    [
+        pytest.param("bv-sample", "--m", 10**15, id="bv-sample---m"),
+        # one int64 outcome per draw, one draw more than physical memory holds
+        pytest.param("bv-sample", "--m", PHYSICAL_BYTES // 8 + 1, id="bv-sample-boundary"),
+    ],
 )
 def test_huge_draw_count_exits_2_before_allocating(command, flag, count, monkeypatch):
     def no_table(args):
@@ -239,6 +243,19 @@ def test_huge_draw_count_exits_2_before_allocating(command, flag, count, monkeyp
     assert code == 2
     assert out == ""
     assert "physical memory" in err
+
+
+def test_draw_count_that_fits_physical_memory_passes_the_check(monkeypatch):
+    # the report renders its outcomes a chunk at a time, so the batch's
+    # 8 bytes per draw is all the count is held to
+    def sentinel(args):
+        raise cli.CliError("count accepted")
+
+    monkeypatch.setattr(cli, "_resolve_function", sentinel)
+    code, out, err = invoke(["bv-sample", "--random", "4:1", "--m", str(PHYSICAL_BYTES // 8)])
+    assert code == 2
+    assert out == ""
+    assert err == "bvinfluence: error: count accepted\n"
 
 
 def test_counting_commands_have_no_draw_count_bound():
@@ -264,6 +281,57 @@ def test_csv_output_spectrum():
     lines = out.splitlines()
     assert lines[1] == "y,coefficient"
     assert lines[2:] == ["0,2", "1,2", "2,2", "3,-2"]
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("size", [1, 1 << 16, (1 << 16) + 1])
+def test_columns_render_as_their_lists(size):
+    # json.dump and the CSV row readers see a list: the same bytes as the
+    # array's own tolist(), chunk boundaries included
+    values = np.random.default_rng(size).integers(-(1 << 31), 1 << 31, size, dtype=np.int64).astype(np.int32)
+    values[0] = -(1 << 31)
+    column = cli._Column(values)
+    assert json.dumps({"c": column}, indent=2) == json.dumps({"c": values.tolist()}, indent=2)
+    assert _csv_text(enumerate(column)) == _csv_text(enumerate(values.tolist()))
+    # bv-sample's two columns over one batch, the bit strings rendered per chunk
+    n, seed = 13, size
+    args = argparse.Namespace(m=size, seed=seed)
+    table = random_function(n, seed=4)
+    results = cli._cmd_bv_sample(args, table)
+    outcomes = bv_sample(bv_distribution_of(table), size, seed).outcomes.tolist()
+    as_lists = {"outcomes": outcomes, "bits": [format(y, f"0{n}b")[::-1] for y in outcomes]}
+    assert json.dumps(results, indent=2) == json.dumps(as_lists, indent=2)
+    rows = cli._COMMANDS["bv-sample"][3]
+    assert _csv_text(rows(results)) == _csv_text(rows(as_lists))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, bound_mib",
+    [
+        # a list of the 2^18 coefficients as Python ints took it to 9.6-10.4
+        # MiB; rendered 2^16 at a time it peaks at 3.4-4.2 MiB
+        (["spectrum", "--random", "18:1"], 7),
+        # lists of every outcome and every bit string took it to 25.0 MiB; the
+        # batch's 2 MiB of outcomes, rendered 2^16 at a time, 8.3-10.4 MiB
+        (["bv-sample", "--random", "10:1", "--m", "262144", "--seed", "3"], 17),
+    ],
+)
+def test_large_reports_render_without_a_whole_report_list(argv, bound_mib, fmt):
+    with open(os.devnull, "w") as out:
+        tracemalloc.start()
+        try:
+            code = run([*argv, "--format", fmt], out=out, err=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= bound_mib, f"peak {peak:.1f} MiB"
 
 
 def test_each_format_builds_only_its_own_output(monkeypatch):
