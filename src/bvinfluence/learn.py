@@ -91,11 +91,6 @@ def _check_epsilon(epsilon) -> Fraction:
     return Fraction(_check_real(epsilon, "window half-width epsilon", Fraction(1, 8)))
 
 
-def _in_window(value: Fraction, window: tuple[Fraction, Fraction]) -> bool:
-    lo, hi = window
-    return lo < value < hi
-
-
 def _classify(ones_counts: tuple[int, ...], m: int, rules) -> tuple[VariableClass, ...]:
     """Label every variable from its one-count over m runs.
 
@@ -112,7 +107,7 @@ def _classify(ones_counts: tuple[int, ...], m: int, rules) -> tuple[VariableClas
             label, window = TermClass.ABSENT, None
         else:
             label, window = next(
-                (rule for rule in rules if _in_window(observed, rule[1])),
+                ((label, (lo, hi)) for label, (lo, hi) in rules if lo < observed < hi),
                 (TermClass.UNCLASSIFIED, None),
             )
         classes.append(VariableClass(index, label, observed, window))

@@ -5,8 +5,9 @@ The definitional route (:func:`influence_vector`) builds no spectrum;
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
 returns it at every gamma, and ``verify_identities`` evaluates it, by one
 split of y at every n, at the gammas it checks alone, against C(gamma) taken
-directly from f; it checks Parseval on the sampler's last running sum. With
-the influence check, that decides C at the unit vectors: 2^n C(e_i) = 4^n - 2 M_i.
+directly from f in one batched pass; it checks Parseval on the sampler's
+last running sum. With the influence check, that decides C at the unit
+vectors: 2^n C(e_i) = 4^n - 2 M_i.
 The definitional counts, the flips behind each influence and the direct
 C(gamma), are taken with XOR and popcount on f packed into 64-bit words.
 
@@ -142,10 +143,11 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], np.ndarray]:
 
     Each chunk is squared into one float64 buffer. Products with ones sum it
     down its _BLOCK-entry segments, into the sums per offset, and along
-    them, into the (rows x segments) grid of segment sums; :func:`_bit_sums`
-    takes the masses on the bits inside a segment, above it and above the
-    tile, and the grid, summed per ``_SEGMENT`` entries and run on in place
-    from 0, gives the running sums, the last the total. Every sum is of non-negative
+    them, into the (rows x segments) grid of segment sums, which is in y
+    order. :func:`_bit_sums` takes the masses on the bits inside a segment
+    from the sums per offset and on the bits above it from the grid; the grid,
+    summed per ``_SEGMENT`` entries and run on in place from 0, gives the
+    running sums, the last the total. Every sum is of non-negative
     integers no larger than the total: exact up to 2^53, and 2^53 or more above it.
     """
     rows, tile, width = _grid(size)
@@ -158,10 +160,9 @@ def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], np.ndarray]:
         flat *= flat
         per_offset += ones @ squares.reshape(-1, q)
         np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
-    masses = (m for part in (per_offset, segments.sum(axis=0), segments.sum(axis=1)) for m in _bit_sums(part))
     sums = np.zeros(size // min(_SEGMENT, size) + 1, np.int64)
     np.cumsum(segments.reshape(sums.size - 1, -1).sum(axis=1, dtype=np.int64, out=sums[1:]), out=sums[1:])
-    return tuple(masses), sums
+    return tuple(_bit_sums(per_offset) + _bit_sums(segments.reshape(-1))), sums
 
 
 def fwht(values) -> np.ndarray:
@@ -439,55 +440,39 @@ def verify_identities(f: TruthTable) -> list[dict]:
     """Run the spectral identity suite on one function.
 
     Checks, all in exact integer arithmetic:
-      * per-variable equality of the definitional and spectral influences,
+      * per-variable equality of the definitional influences
+        (:func:`influence_vector`) and the spectral masses,
       * Parseval: the sampler's last running sum of W^2 equals 4^n,
       * the autocorrelation transform identity C = FWHT(W^2) / 2^n: the
         transform-route C is compared with C(gamma) evaluated directly from
         f at every gamma up to n = 12, and above that at all-ones and the top
         n bits of k * 0x9E3779B97F4A7C15 mod 2^64, k = 1..8 (no generator); the
         unit vectors are left to the first check and Parseval (module docstring).
-        Up to n = 12 direct C(e_i) = 2^n - 2|V_1(i)| comes off the first check's
-        flip counts, other gammas from one batched pass over the packed words of
-        f; the transform route runs at the checked gammas alone, never at all 2^n.
+        Every direct C comes from one batched pass over the packed words of f;
+        the transform route runs at the checked gammas alone, never at all 2^n.
 
     Returns one {identity, passed, detail} record per check.
     """
     s = walsh_spectrum(f)
-    checks = []
-
-    size = 1 << f.n
-    words = _packed(f)
-    changed = [_flip_count(words, i) for i in range(1, f.n + 1)]
-    mismatched = [
-        i for i, v1 in enumerate(changed, 1)
-        if Fraction(v1, size) != influence_by_spectrum(s, i)
-    ]
-    checks.append({
-        "identity": "influence_definition_equals_spectral",
-        "passed": not mismatched,
-        "detail": "exact match for all variables" if not mismatched
-        else f"mismatch at variables {mismatched}",
-    })
-
-    total = s.square_sum()
-    checks.append({
-        "identity": "parseval",
-        "passed": total == 1 << (2 * f.n),
-        "detail": f"sum W^2 = {total}, 4^n = {1 << (2 * f.n)}",
-    })
-
-    direct = {1 << b: size - 2 * v1 for b, v1 in enumerate(changed)}
+    size, total = 1 << f.n, s.square_sum()
+    mismatched = [i for i, v in enumerate(influence_vector(f), 1) if v != influence_by_spectrum(s, i)]
     if f.n <= 12:
         gammas = range(size)
     else:  # check 1 and Parseval decide the unit vectors: 2^n C(e_i) = S - 2 M_i
         gammas = sorted({size - 1, *(k * 0x9E3779B97F4A7C15 % (1 << 64) >> (64 - f.n) for k in range(1, 9))})
-    rest = sorted(set(gammas) - set(direct))
-    direct.update((g, size - 2 * d) for g, d in zip(rest, _flip_counts_at(words, rest)))
-    del words
-    wrong = [g for g, c in zip(gammas, _correlation_at(s, gammas).tolist()) if c != direct[g]]
-    ok = not wrong
-    detail = (f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f" if ok
-              else f"FWHT(W^2) / 2^n != C at {len(wrong)} of {len(gammas)} gammas: {wrong[:8]}")
-    checks.append({"identity": "autocorrelation_transform", "passed": ok, "detail": detail})
-
-    return checks
+    direct = (size - 2 * d for d in _flip_counts_at(_packed(f), gammas))
+    wrong = [g for g, c, d in zip(gammas, _correlation_at(s, gammas).tolist(), direct) if c != d]
+    return [{
+        "identity": "influence_definition_equals_spectral",
+        "passed": not mismatched,
+        "detail": f"mismatch at variables {mismatched}" if mismatched else "exact match for all variables",
+    }, {
+        "identity": "parseval",
+        "passed": total == 1 << (2 * f.n),
+        "detail": f"sum W^2 = {total}, 4^n = {1 << (2 * f.n)}",
+    }, {
+        "identity": "autocorrelation_transform",
+        "passed": not wrong,
+        "detail": f"FWHT(W^2) / 2^n != C at {len(wrong)} of {len(gammas)} gammas: {wrong[:8]}" if wrong
+        else f"FWHT(W^2) / 2^n == C at {len(gammas)} gammas evaluated directly from f",
+    }]

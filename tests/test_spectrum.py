@@ -459,7 +459,7 @@ def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
     # route at the checked gammas over tiles of squares, with y split at bit
     # ceil(n/2), and the gammas in chunks of 2^16 >> ceil(n/2). At n=12 it
     # checks all 4096 gammas, 1024 at a time, and the direct counts take 256
-    # (1.49 MiB measured, set by the transform route; 4.8 MiB with two
+    # (1.29 MiB measured, set by the transform route; 4.8 MiB with two
     # 64 x 4096 float64 sign matrices and the per-row sums at once); at n=20
     # 0.65 MiB was measured, and 1.26 MiB with whole difference arrays per
     # variable. Before the chunked direct counts it peaked at 6.3 MiB at
@@ -670,9 +670,9 @@ def test_verify_transform_route_tests_the_function(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [10, 13])
 def test_verify_transform_route_fails_one_wrong_gamma(monkeypatch, n):
-    # one transform-route entry off by 2 fails the check there: at e_5, whose
-    # C is read off the flip counts, at n = 10; at all-ones at n = 13, where
-    # the unit vectors are left to check 1 and Parseval
+    # one transform-route entry off by 2 fails the check there: at e_5, which
+    # is checked like every gamma at n = 10; at all-ones at n = 13, where the
+    # unit vectors are left to check 1 and Parseval
     t = corpus(1, ns=[n])[0]
     real = spectrum._correlation_at
     wrong = 1 << 4 if n == 10 else (1 << n) - 1
@@ -689,3 +689,40 @@ def test_verify_transform_route_fails_one_wrong_gamma(monkeypatch, n):
         f"FWHT(W^2) / 2^n != C at 1 of {1024 if n == 10 else 9} gammas: [{wrong}]"
     )
     assert checks["parseval"]["passed"] and checks["influence_definition_equals_spectral"]["passed"]
+
+
+def test_verify_takes_every_direct_correlation_from_the_packed_kernel(monkeypatch):
+    # at n = 10 the unit vectors are checked like every other gamma: one flip
+    # count off at e_4 in the batched kernel fails the autocorrelation check there
+    t = corpus(1, ns=[10])[0]
+    real, wrong = spectrum._flip_counts_at, 1 << 3
+
+    def off_by_one(words, gammas):
+        counts = real(words, gammas)
+        counts[list(gammas).index(wrong)] += 1
+        return counts
+
+    monkeypatch.setattr(spectrum, "_flip_counts_at", off_by_one)
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert checks["autocorrelation_transform"] == {
+        "identity": "autocorrelation_transform", "passed": False,
+        "detail": f"FWHT(W^2) / 2^n != C at 1 of 1024 gammas: [{wrong}]",
+    }
+    assert checks["parseval"]["passed"] and checks["influence_definition_equals_spectral"]["passed"]
+
+
+def test_verify_checks_influence_vector_against_the_masses(monkeypatch):
+    # check 1 reads the definitional side from influence_vector, once: another
+    # table's vector fails it at the variables where the two differ, alone
+    t, other = random_function(10, 1), random_function(10, 2)
+    theirs, calls = influence_vector(other), []
+    monkeypatch.setattr(spectrum, "influence_vector", lambda f: calls.append(f) or theirs)
+    checks = {c["identity"]: c for c in verify_identities(t)}
+    assert calls == [t]
+    mismatched = [i for i, (a, b) in enumerate(zip(influence_vector(t), theirs), 1) if a != b]
+    assert mismatched
+    assert checks["influence_definition_equals_spectral"] == {
+        "identity": "influence_definition_equals_spectral", "passed": False,
+        "detail": f"mismatch at variables {mismatched}",
+    }
+    assert checks["parseval"]["passed"] and checks["autocorrelation_transform"]["passed"]
