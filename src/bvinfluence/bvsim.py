@@ -4,10 +4,9 @@ Measuring the circuit H^n -> phase oracle -> H^n yields y with
 probability (W(y) / 2^n)^2, so the full measurement law is already
 determined by the Walsh spectrum. The sampler therefore draws from that
 analytic distribution instead of simulating gates shot by shot; a dense
-statevector route (:func:`statevector_bv`) exists as an independent
-gate-level cross-check. The oracle's ancilla qubit is absorbed
-analytically through phase kickback, so only the n-bit register is ever
-materialized.
+statevector route (:func:`statevector_bv`) is an independent gate-level
+cross-check. The oracle's ancilla qubit is absorbed analytically through
+phase kickback, so only the n-bit register is ever materialized.
 
 :class:`BvDistribution` reads its law off the spectrum. Sampling is
 exact: a draw is a uniform integer in [0, 4^n) located among the running
@@ -20,20 +19,20 @@ from one generator in blocks of :func:`_key_block` keys, read off its raw
 words into one reused buffer by :func:`_blocks`; for the power-of-two
 bounds used here that is identical to ``Generator.integers``
 (``test_raw_word_draws_match_integers`` pins it; :mod:`.rng` gives the
-mapping). :func:`_locate` sorts each block in place and looks it up in
-one walk over the segments that hold its keys. Only a
-:class:`SampleBatch`, drawn by :func:`bv_sample` or ``SampleBatch(d, m,
-seed)`` and never built from outcomes handed in, keeps the outcomes, in
-draw order in one int64 array of m entries; the estimators and learners read
-per-position one-counts, which the counting path takes in place from
-each located block, holding one block and no other of its size, whatever m.
+mapping). :func:`_locate` sorts each block in place, looks it up in one
+walk over the segments that hold its keys and returns its keys per
+segment, from which, with the block, :func:`_ones_counts` takes the
+per-position one-counts the estimators and learners read. Only a
+:class:`SampleBatch` (:func:`bv_sample`) keeps the outcomes, in draw
+order in one int64 array of m entries.
 
 The counting path samples a junta on its core (Atici and Servedio, 2007).
 If f depends only on the k variables R, and g is its restriction to them,
 then W_f(y) = 2^(n-k) W_g(y_R) for y that is 0 off R, and 0 elsewhere.
 Placing g's outcomes at R keeps their order, and f's running sums there
 are 4^(n-k) times g's, so a key K in [0, 4^n) lands on the placement of
-the outcome that ``K >> 2(n-k)`` gets in g: f's spectrum is never built.
+the outcome that ``K >> 2(n-k)`` gets in g. The counting path shifts each
+key block so, in place, before its lookup: f's spectrum is never built.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 from .boolfn import TruthTable, _check_table
 from .rng import _check_int, make_generator, resolve_seed
 from .spectrum import (
-    _CHUNK, _SEGMENT, _TILE, WalshSpectrum, _bit_sums, _flip_count, _flips, _packed, influence_by_spectrum,
+    _CHUNK, _TILE, WalshSpectrum, _bit_sums, _flip_count, _flips, _packed, influence_by_spectrum,
     walsh_spectrum,
 )
 
@@ -111,40 +110,33 @@ class SampleBatch:
             raise TypeError(f"need a BvDistribution, got {type(d).__name__}")
         m, block = _check_int(m, "sample count", 1), _key_block(d.n)
         self.seed, blocks = _blocks(2 * d.n, m, seed, block)
-        self.n, self.m, self.outcomes = d.n, m, np.empty(m, dtype=np.int64)
+        self.n, self.m, self.outcomes, ones = d.n, m, np.empty(m, dtype=np.int64), 0
         for start, keys in zip(range(0, m, block), blocks):
             order = np.argsort(keys)
-            _locate(d.spectrum, keys)
+            counts = _locate(d.spectrum, keys)
             self.outcomes[start:start + keys.size][order] = keys
+            ones = ones + _ones_counts(d.n, keys, counts)
         self.outcomes.flags.writeable = False
+        self._ones = tuple(ones.tolist())
 
     def ones_counts(self) -> tuple[int, ...]:
-        """Per position i, how many outcomes have y_i = 1, counted in copies of slices of 2^15."""
-        bits = min(self.n, _SEGMENT.bit_length() - 1)  # 2^bits outcomes per segment
-        parts = [self.outcomes[s:s + _CHUNK] for s in range(0, self.m, _CHUNK)]
-        ends = (np.cumsum(np.bincount(p >> bits, minlength=1 << (self.n - bits))) for p in parts)
-        return _ones_counts(self.n, ((p.copy(), e) for p, e in zip(parts, ends)))
+        """Per position i, how many outcomes have y_i = 1, counted block by block as the batch was drawn."""
+        return self._ones
 
     def __repr__(self):
         return f"SampleBatch(n={self.n}, m={self.m}, seed={self.seed})"
 
 
-def _ones_counts(n: int, located) -> tuple[int, ...]:
-    """Per position i, how many outcomes y in [0, 2^n) have y_i = 1, from the pairs in ``located``.
+def _ones_counts(n: int, outcomes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per position i, how many of a block's outcomes y in [0, 2^n) have y_i = 1, as an int64 vector.
 
-    A pair is an int64 block of outcomes, overwritten here, and its segment
-    ends (:func:`_locate`): ``ends[h]`` outcomes lie below the end of the
-    h-th run of 2^n / ends.size outcomes. Added up in place, the ends give
-    the bits above a segment; the blocks, masked in place to the offsets
-    inside one and each counted by one ``bincount``, the bits inside.
+    ``counts``, the block's outcomes per segment (:func:`_locate`), give the
+    bits above a segment; the int64 ``outcomes``, masked in place to the
+    offsets inside one and counted by one ``bincount``, the bits inside.
     """
-    low, total = 0, None
-    for outcomes, ends in located:
-        width = (1 << n) // ends.size
-        outcomes &= width - 1
-        low = low + np.bincount(outcomes, minlength=width)
-        total = ends if total is None else np.add(total, ends, out=total)
-    return tuple(_bit_sums(low) + _bit_sums(np.diff(total, prepend=0)))
+    width = (1 << n) // counts.size
+    outcomes &= width - 1
+    return np.array(_bit_sums(np.bincount(outcomes, minlength=width)) + _bit_sums(counts), np.int64)
 
 
 def _blocks(bits: int, m: int, seed: int | None, block: int):
@@ -176,8 +168,8 @@ def _draws(raw, bits: int, m: int, block: int):
         yield keys
 
 
-def _locate(s: WalshSpectrum, keys: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Sort the keys, shifted right by ``shift`` into [0, 4^n), and replace each by its outcome under s, in place.
+def _locate(s: WalshSpectrum, keys: np.ndarray) -> np.ndarray:
+    """Sort the keys, each in [0, 4^n), and replace each by its outcome under s, in place.
 
     A key's outcome is ``np.searchsorted(bv_distribution(s).cumulative(),
     key, side="right")``. The spectrum's running sums at its 2^10-entry
@@ -187,14 +179,14 @@ def _locate(s: WalshSpectrum, keys: np.ndarray, shift: int = 0) -> np.ndarray:
     buffer, squared and summed on from the running sum before each: the
     rows run on as one sorted array, a key's index in it falls in its own
     segment's row, and that row's place in the spectrum maps it back.
-    Returns the segment ends: ``ends[h]`` keys lie below the end of segment h.
+    Returns the keys per segment: ``counts[h]`` keys lie in segment h.
     """
-    keys >>= shift
     keys.sort()
     w, bounds = s.w, s._segment_sums
     width = w.size // (bounds.size - 1)
     stops = np.searchsorted(keys, bounds)
-    held = np.flatnonzero(np.diff(stops))
+    counts = np.diff(stops)
+    held = np.flatnonzero(counts)
     per = _TILE // width
     sums = np.empty(min(held.size, per) * width, np.int64)
     for c in range(0, held.size, per):
@@ -206,8 +198,8 @@ def _locate(s: WalshSpectrum, keys: np.ndarray, shift: int = 0) -> np.ndarray:
         np.cumsum(rows, axis=1, out=rows)
         part = keys[stops[h[0]]:stops[h[-1] + 1]]
         part[...] = np.searchsorted(sums[:rows.size], part, side="right")
-        part += np.repeat((h - np.arange(h.size)) * width, stops[h + 1] - stops[h])
-    return stops[1:]
+        part += np.repeat((h - np.arange(h.size)) * width, counts[h])
+    return counts
 
 
 def bv_distribution(s: WalshSpectrum) -> BvDistribution:
@@ -223,7 +215,7 @@ def bv_sample(d: BvDistribution, m: int, seed: int | None = None) -> SampleBatch
     block of keys is located in sorted order, in place, and its outcomes
     are scattered back by the keys' draw order, so the outcome stream is
     the same as an unsorted ``searchsorted`` of all keys: 8 bytes per
-    draw, in one m-sized array, which the batch keeps.
+    draw, in one m-sized array, which the batch keeps with its counts, taken after each scatter.
     """
     return SampleBatch(d, m, seed)
 
@@ -264,14 +256,17 @@ def _sampled_ones(f: TruthTable, m: int, seed: int | None) -> tuple[tuple[int, .
     The counts are those of ``bv_sample(bv_distribution_of(f), m,
     seed).ones_counts()``. They do not depend on draw order, so each
     block of keys is located in place and counted, and no m-sized array is
-    ever held. The draws are f's 2n-bit keys, each shifted right by 2(n-k)
-    and located in the distribution of f's core g (:func:`_core`; module
-    docstring); g's counts go to R's positions, and every other count is 0.
+    ever held. Each block of f's 2n-bit keys is shifted right by 2(n-k) in
+    place and located in the distribution of f's core g (:func:`_core`;
+    module docstring); g's counts go to R's positions, every other is 0.
     """
     relevant, g = _core(f)
-    s, shift = walsh_spectrum(g), 2 * (f.n - g.n)
+    s, shift, ones = walsh_spectrum(g), 2 * (f.n - g.n), 0
     seed, blocks = _blocks(2 * f.n, m, seed, _key_block(f.n))
-    counts = dict(zip(relevant, _ones_counts(g.n, ((keys, _locate(s, keys, shift)) for keys in blocks))))
+    for keys in blocks:
+        keys >>= shift
+        ones = ones + _ones_counts(g.n, keys, _locate(s, keys))
+    counts = dict(zip(relevant, ones.tolist()))
     return tuple(counts.get(i, 0) for i in range(1, f.n + 1)), seed
 
 
