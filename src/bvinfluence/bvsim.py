@@ -13,8 +13,12 @@ exact: a draw is a uniform integer in [0, 4^n) located among the running
 sums of the integer weights W(y)^2, so outcomes with zero spectral weight
 are impossible, not merely improbable. The running sums are never held
 whole: the spectrum keeps them at every 2^10-entry segment boundary, a
-guide table (after Chen and Asau, 1974) that finds each key's segment,
-and the lookup squares only the segments that hold a key. Draws come
+guide table (after Chen and Asau, 1974) that finds each key's segment.
+The spectrum holds W half transformed, as G (:mod:`.spectrum`), and
+takes that table off G's square sums: a row of 2^s entries of G carries
+2^s times its squares of W (Parseval along the low bits), so the table
+is exact without W. The lookup finishes, squares and runs on only the
+segments that hold a key, each whole rows of G. Draws come
 from one generator in blocks of :func:`_key_block` keys, read off its raw
 words into one reused buffer by :func:`_blocks`; for the power-of-two
 bounds used here that is identical to ``Generator.integers``
@@ -44,8 +48,8 @@ import numpy as np
 from .boolfn import TruthTable, _check_table
 from .rng import _check_int, make_generator, resolve_seed
 from .spectrum import (
-    _CHUNK, _TILE, WalshSpectrum, _bit_sums, _flip_count, _flips, _packed, influence_by_spectrum,
-    walsh_spectrum,
+    _CHUNK, _TILE, WalshSpectrum, _bit_sums, _finish, _flip_count, _flips, _packed, _tiles,
+    influence_by_spectrum, walsh_spectrum,
 )
 
 STATEVECTOR_MAX_N = 12
@@ -72,8 +76,11 @@ class BvDistribution:
         self.denominator = 1 << (2 * spectrum.n)
 
     def prob(self, y: int) -> Fraction:
-        y = _check_int(y, "outcome", 0, (1 << self.n) - 1)
-        return Fraction(int(self.spectrum.w[y]) ** 2, self.denominator)
+        """W(y)^2 / 4^n, off the one finished row of G that holds y."""
+        y, s = _check_int(y, "outcome", 0, (1 << self.n) - 1), self.spectrum
+        row = y >> s._split << s._split
+        w = _finish(s._g[row:row + (1 << s._split)], s._split, np.empty((2, 1 << s._split), np.float32))
+        return Fraction(int(w[y - row]) ** 2, self.denominator)
 
     def marginal_one(self, i: int) -> Fraction:
         """Pr(y_i = 1); equals the influence of variable i exactly."""
@@ -91,7 +98,8 @@ class BvDistribution:
         return cum
 
     def __repr__(self):
-        return f"BvDistribution(n={self.n}, support={np.count_nonzero(self.spectrum.w)})"
+        support = sum(np.count_nonzero(tile) for _, tile in _tiles(self.spectrum))
+        return f"BvDistribution(n={self.n}, support={support})"
 
 
 class SampleBatch:
@@ -175,24 +183,27 @@ def _locate(s: WalshSpectrum, keys: np.ndarray) -> np.ndarray:
     key, side="right")``. The spectrum's running sums at its 2^10-entry
     segment boundaries give each segment's slice of the sorted keys; a
     segment of zero weight holds none. The segments that hold a key are
-    gathered, up to 2^16 entries at a time, into rows of one reused int64
-    buffer, squared and summed on from the running sum before each: the
-    rows run on as one sorted array, a key's index in it falls in its own
-    segment's row, and that row's place in the spectrum maps it back.
-    Returns the keys per segment: ``counts[h]`` keys lie in segment h.
+    gathered from G, up to 2^15 entries at a time, finished into W in one
+    reused float32 pair (whole rows of G: a segment is at least a row),
+    cast into rows of one reused int64 buffer, squared and summed on from
+    the running sum before each: the rows run on as one sorted array, a
+    key's index in it falls in its own segment's row, and that row's place
+    in the spectrum maps it back. Returns the keys per segment:
+    ``counts[h]`` keys lie in segment h.
     """
     keys.sort()
-    w, bounds = s.w, s._segment_sums
-    width = w.size // (bounds.size - 1)
+    g, bounds = s._g, s._segment_sums
+    width = g.size // (bounds.size - 1)
     stops = np.searchsorted(keys, bounds)
     counts = np.diff(stops)
     held = np.flatnonzero(counts)
-    per = _TILE // width
+    per = (_TILE >> 1) // width
     sums = np.empty(min(held.size, per) * width, np.int64)
+    bufs = np.empty((2, sums.size), np.float32)
     for c in range(0, held.size, per):
         h = held[c:c + per]
         rows = sums[:h.size * width].reshape(-1, width)
-        rows[...] = w.reshape(-1, width)[h]
+        sums[:rows.size] = _finish(g.reshape(-1, width)[h], s._split, bufs)
         rows *= rows
         rows[:, 0] += bounds[h]
         np.cumsum(rows, axis=1, out=rows)

@@ -37,7 +37,7 @@ from . import learn as ln
 from .boolfn import MAX_VARIABLES, TruthTable, _check_index, from_anf, random_function, to_truth_table
 from .bvsim import bv_distribution_of, bv_sample
 from .rng import resolve_seed, spawn_seeds
-from .spectrum import influence_vector, verify_identities, walsh_spectrum
+from .spectrum import _tiles, influence_vector, verify_identities, walsh_spectrum
 
 SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
@@ -175,33 +175,42 @@ def _cmd_influence(args, table):
 
 
 class _Column(list):
-    """An array read as the list a report renders: 2^16 values at a time, each chunk through ``render``.
+    """A column of ``size`` values read as the list a report renders, chunk by chunk, each through ``render``.
 
-    Only len() and iteration read the array, which is all json.dump and csv do; indexing and == see an empty list.
+    ``chunks()`` yields the values as arrays, in order, each read anew on
+    every iteration. Only len() and iteration read them, which is all
+    json.dump and csv do; indexing and == see an empty list.
     """
 
-    def __init__(self, values, render=None):
+    def __init__(self, size, chunks, render=None):
         super().__init__()
-        self.values, self.render = values, render
+        self.size, self.chunks, self.render = size, chunks, render
 
     def __len__(self):
-        return self.values.size
+        return self.size
 
     def __iter__(self):
-        chunks = (self.values[i:i + (1 << 16)].tolist() for i in range(0, len(self), 1 << 16))
-        return itertools.chain.from_iterable(map(self.render, chunks) if self.render else chunks)
+        lists = (chunk.tolist() for chunk in self.chunks())
+        return itertools.chain.from_iterable(map(self.render, lists) if self.render else lists)
+
+
+def _slices(values):
+    """The chunks of an array for :class:`_Column`: 2^16 values at a time."""
+    return lambda: (values[i:i + (1 << 16)] for i in range(0, values.size, 1 << 16))
 
 
 def _cmd_spectrum(args, table):
-    return {"n": table.n, "coefficients": _Column(walsh_spectrum(table).w)}
+    # W in finished tiles of 2^15 coefficients, cast to int per tile: the whole int32 W is never held
+    s = walsh_spectrum(table)
+    return {"n": table.n, "coefficients": _Column(1 << table.n, lambda: (t.astype(np.int32) for _, t in _tiles(s)))}
 
 
 def _cmd_bv_sample(args, table):
     outcomes, n = bv_sample(bv_distribution_of(table), args.m, args.seed).outcomes, table.n
     return {
-        "outcomes": _Column(outcomes),
+        "outcomes": _Column(outcomes.size, _slices(outcomes)),
         # y rendered as y_1 y_2 ... y_n, left to right
-        "bits": _Column(outcomes, lambda chunk: [format(y, f"0{n}b")[::-1] for y in chunk]),
+        "bits": _Column(outcomes.size, _slices(outcomes), lambda chunk: [format(y, f"0{n}b")[::-1] for y in chunk]),
     }
 
 

@@ -5,9 +5,9 @@ The definitional route (:func:`influence_vector`) builds no spectrum;
 The autocorrelation has one route, C = FWHT(W^2) / 2^n: ``correlation_fast``
 returns it at every gamma, and ``verify_identities`` evaluates it, by one
 split of y at every n, at the gammas it checks alone, against C(gamma) taken
-directly from f in one batched pass; it checks Parseval on the sampler's
-last running sum. With the influence check, that decides C at the unit
-vectors: 2^n C(e_i) = 4^n - 2 M_i.
+directly from f in one batched pass; the same pass over the finished
+spectrum gives the Parseval total it checks. With the influence check,
+that decides C at the unit vectors: 2^n C(e_i) = 4^n - 2 M_i.
 The definitional counts, the flips behind each influence and the direct
 C(gamma), are taken with XOR and popcount on f packed into 64-bit words.
 
@@ -17,24 +17,39 @@ Walsh coefficients are kept in their integer form
 power-of-two denominators and are only converted to floats at the
 reporting boundary.
 
-The transform runs as float matrix products in two sweeps over the
-array, and it is exact. Every intermediate value, and every partial sum
-inside a product, is a signed sum of a subset of the inputs, so its
-magnitude is at most the sum of the inputs' magnitudes. float32 holds
-every integer up to 2^24 and float64 every integer up to 2^53. The
-spectrum transforms the +-1 signs in float32 (the sum is 2^n <= 2^24),
-casts each chunk back to the int32 ``WalshSpectrum.w`` and sums its
-squares in float64 for the masses and for the running sums the sampler
-reads, one at each ``_SEGMENT`` boundary (at most 4^n <= 2^48, Parseval).
-The autocorrelation transforms the squares in float64 into the int64
-array ``correlation_fast`` returns; ``verify_identities`` sums the same
-signed squares at its gammas in float64 products. ``fwht`` runs in
-float64 and refuses inputs with max|v| * length > 2^53. Squares are
-int64; ``w * w`` wraps for n >= 16, so square with ``WalshSpectrum.squares()``.
+A spectrum is held half transformed, as one int16 array G. H_{2^n} is
+H_{2^(n-s)} (x) H_{2^s} (Fino and Algazi, 1976), with s = max(0, n - 14):
+G(x_low, y_high), at index y_high 2^s + x_low, is the transform of the
+signs along the high n - s bits of x alone, so |G| <= 2^(n-s) <= 2^14 and
+int16 holds it at every n <= 24 (s = n - 15 would let the constant
+function reach 2^15). Below n = 15, s = 0 and G is W. A row of 2^s
+entries of G is finished into W(y_high, .) only where it is read, by the
+transform of its low s bits (:func:`_finish`); a finished tile of G is
+the same stretch of W, in y order. By Parseval along the low bits, a
+row's squares of W sum to 2^s times its squares of G, so the running
+sums the sampler reads, and the masses on bits s and up, come off G's
+square sums per row; the masses on the bits below s take one finishing
+pass (:func:`_finished_sums`), run once, when first asked for.
+
+The transforms run as float matrix products, and they are exact. Every
+intermediate value, and every partial sum inside a product, is a signed
+sum of a subset of the inputs, so its magnitude is at most the sum of
+the inputs' magnitudes. float32 holds every integer up to 2^24 and
+float64 every integer up to 2^53. G transforms the +-1 signs in float32
+(the sums are at most 2^(n-s) <= 2^14), cast into the int16 G; finishing
+a row sums 2^s entries of G in float32 (at most 2^24). G's squares are
+int32 (at most 2^28) and their sums int64; W's squares are summed in
+float64 (at most 4^n <= 2^48, Parseval). The autocorrelation transforms
+the squares in float64 into the int64 array ``correlation_fast`` returns;
+``verify_identities`` sums the same signed squares at its gammas in
+float64 products. ``fwht`` runs in float64 and refuses inputs with
+max|v| * length > 2^53. Squares are int64; ``w * w`` wraps for n >= 16,
+so square with ``WalshSpectrum.squares()``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +67,14 @@ _BLOCK = 256
 # Entries per running sum of the squares that a spectrum keeps: 128 KiB at n=24.
 _SEGMENT = 1 << 10
 
+# Bits of x that G transforms: s = max(0, n - _G_BITS) are left to finishing (module docstring).
+_G_BITS = 14
+
+
+def _split(n: int) -> int:
+    """s, the low bits of y that a row of G leaves unfinished."""
+    return max(0, n - _G_BITS)
+
 
 def _signs(count: int, cols: np.ndarray) -> np.ndarray:
     """The float64 matrix (-1)^(a . cols[b]) for a < count; values below 2^16 are anded in uint16."""
@@ -63,28 +86,36 @@ def _signs(count: int, cols: np.ndarray) -> np.ndarray:
 _H16 = {t: _signs(16, np.arange(16)).astype(t) for t in (np.float32, np.float64)}
 
 
-def _grid(size: int) -> tuple[int, int, int]:
-    """(rows, tile, width) of a 2^n array's grid and its column chunks."""
-    tile = min(_TILE, size)
+def _grid(size: int, narrow: bool = False) -> tuple[int, int, int]:
+    """(rows, tile, width) of a 2^n array's grid and its column chunks.
+
+    A ``narrow`` (int16) array takes tiles half as long, so two rows at
+    least, and chunks a quarter as long: its float32 buffers are not views
+    of it, so they add to it. At n=16, whole-array tiles would hold two
+    float32 copies of it at once, and chunks of 2^14 entries took the
+    spectrum from 6.8 to 8.5 bytes per entry.
+    """
+    tile = min(_TILE, size) >> narrow
     rows = size // tile
-    if rows == 1:  # sweep 2 only casts and squares: a quarter of the tile at a time, or all of a short one
+    if rows == 1:  # sweep 2 only casts: a quarter of the tile at a time, or all of a short one
         return rows, tile, tile if tile <= _BLOCK else tile // 4
-    return rows, tile, min(tile, max(_BLOCK, _CHUNK // rows))
+    return rows, tile, min(tile, max(_BLOCK, (_CHUNK >> 2 * narrow) // rows))
 
 
 def _modes(src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
     """src times H_16 (H_r for a shorter last digit) along each index digit of place value below..stop.
 
     Each product goes into the next of ``bufs`` in turn: rows times H_r at
-    the lowest digit, H_r times slabs above it. Returns the array holding
-    the result, ``src`` itself if no digit is in range.
+    the lowest digit, H_r times slabs above it. ``src`` may hold any
+    number of runs of ``stop`` entries. Returns the array holding the
+    result, ``src`` itself if no digit is in range.
     """
     while below < stop:
         dst = bufs[src is bufs[0]]  # the one of the two that src is not
         r = min(16, stop // below)
         h = _H16[dst.dtype.type][:r, :r]
         if below == 1:
-            k = min(_BLOCK, src.size // r)
+            k = math.gcd(_BLOCK, src.size // r)
             np.matmul(src.reshape(-1, k, r), h, out=dst.reshape(-1, k, r))
         else:
             k = min(_BLOCK, below)
@@ -94,43 +125,49 @@ def _modes(src: np.ndarray, bufs, below: int, stop: int) -> np.ndarray:
     return src
 
 
-def _hadamard(out: np.ndarray, load):
-    """Walsh-Hadamard transform into the int32 or int64 ``out``, run in its float view (module docstring).
+def _hadamard(out: np.ndarray, load, below: int = 1):
+    """Walsh-Hadamard transform into the integer ``out`` along its index digits of place value ``below`` and up.
 
+    An int32 or int64 ``out`` is transformed in its own float view; an int16
+    one in float32 tiles and chunks, each cast into it (module docstring).
     H_{2^n} is a Kronecker power of H_16. Sweep 1 runs on the call, per
-    2^16-entry tile: ``load(tile, start, scratch)`` writes the input from
-    ``start`` on into the tile, and may use ``scratch``, a free buffer of
-    the tile's size; then the index digits inside the tile run in cache.
-    Sweep 2 is the returned generator (:func:`_columns`), which yields each
-    finished chunk of ``out``; the transform is done when it is exhausted.
+    tile: ``load(tile, start, scratch)`` writes the input from ``start`` on
+    into the float tile, and may use ``scratch``, a free float buffer of the
+    tile's size; then the index digits inside the tile run in cache. Sweep 2
+    is the returned generator (:func:`_columns`), which yields each finished
+    chunk of ``out``; the transform is done when it is exhausted.
     """
-    values = out.view(f"f{out.itemsize}")
-    rows, tile, width = _grid(out.size)
-    buf = np.empty(tile, values.dtype)
+    narrow = out.itemsize == 2
+    values = out if narrow else out.view(f"f{out.itemsize}")
+    rows, tile, width = _grid(out.size, narrow)
+    bufs = np.empty((1 + narrow, tile), np.float32 if narrow else values.dtype)
     for start in range(0, out.size, tile):
-        x = values[start:start + tile]
-        load(x, start, buf)
-        if (done := _modes(x, (buf, x), 1, tile)) is not x:
-            x[...] = done
+        x = bufs[1] if narrow else values[start:start + tile]
+        load(x, start, bufs[0])
+        if (done := _modes(x, (bufs[0], x), below, tile)) is not x or narrow:
+            values[start:start + tile] = done
     return _columns(out, values, rows, tile, width)
 
 
 def _columns(out: np.ndarray, values: np.ndarray, rows: int, tile: int, width: int):
     """Sweep 2 of :func:`_hadamard`, per column chunk of the (rows x tile) grid.
 
-    The higher digits run in two chunk buffers, and the result is cast back
-    into ``out``. With one row, n <= 16, no digit is left and the sweep
-    only casts, with no buffers.
+    The higher digits run in two chunk buffers, from the chunk of the float
+    view ``values``, or, for an int16 ``out`` (``values`` is ``out``), from
+    the chunk loaded into the first buffer; the result is cast back into
+    ``out``. With one row, n <= 16, no digit is left and the sweep only
+    casts, with no buffers.
     """
-    pair = tuple(np.empty((2, rows, width), values.dtype)) if rows > 1 else ()
+    narrow = values is out
+    pair = tuple(np.empty((2, rows, width), np.float32 if narrow else values.dtype)) if rows > 1 else ()
     shape = (rows, tile) if rows > 1 else (tile,)  # one row casts back in place in 1-D, with no temporary
     grid, float_grid = out.reshape(shape), values.reshape(shape)
     for c in range(0, tile, width):
-        grid[..., c:c + width] = _modes(float_grid[..., c:c + width], pair, width, rows * width)
-        yield grid[..., c:c + width]
-
-
-_ONES = np.ones(_BLOCK)  # no ones vector below is longer
+        chunk = grid[..., c:c + width]
+        if narrow:
+            pair[0][...] = chunk
+        chunk[...] = _modes(pair[0] if narrow else float_grid[..., c:c + width], pair, width, rows * width)
+        yield chunk
 
 
 def _bit_sums(sums: np.ndarray) -> list[int]:
@@ -138,31 +175,40 @@ def _bit_sums(sums: np.ndarray) -> list[int]:
     return [int(sums.reshape(-1, 2, 1 << j)[:, 1].sum()) for j in range(sums.size.bit_length() - 1)]
 
 
-def _square_sums(chunks, size: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Half-cube masses and running sums at each ``_SEGMENT`` boundary of the squares of a 2^n array's chunks.
+def _square_sums(chunks, size: int, split: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Masses on bits ``split`` and up, and running sums at each ``_SEGMENT`` boundary, of W^2, from G's chunks.
 
-    Each chunk is squared into one float64 buffer. Products with ones sum it
-    down its _BLOCK-entry segments, into the sums per offset, and along
-    them, into the (rows x segments) grid of segment sums, which is in y
-    order. :func:`_bit_sums` takes the masses on the bits inside a segment
-    from the sums per offset and on the bits above it from the grid; the grid,
-    summed per ``_SEGMENT`` entries and run on in place from 0, gives the
-    running sums, the last the total. Every sum is of non-negative
-    integers no larger than the total: exact up to 2^53, and 2^53 or more above it.
+    Each chunk of G is squared into one int32 buffer and summed in int64,
+    per row of 2^split entries, or per part of a row where a chunk is
+    narrower than one, onto the grid of row sums, which is in y order.
+    Times 2^split, in place, a row sum is the sum of W^2 over the row's
+    2^split y (Parseval along the low bits). :func:`_bit_sums` takes the
+    masses from the row sums; summed per ``_SEGMENT`` entries and run on in
+    place from 0, they give the running sums, the last the total.
     """
-    rows, tile, width = _grid(size)
-    q = min(_BLOCK, width)
-    squares = np.empty((rows, width // q, q))
-    per_offset, segments = np.zeros(q), np.empty((rows, tile // q))
-    flat, ones = squares.reshape(rows, width), _ONES[:rows * width // q]
+    rows, tile, width = _grid(size, True)
+    q = min(1 << split, width)
+    squares = np.empty((rows, width // q, q), np.int32)
+    row_sums = np.zeros((rows, tile >> split), np.int64)
     for k, chunk in enumerate(chunks):
-        flat[...] = chunk
-        flat *= flat
-        per_offset += ones @ squares.reshape(-1, q)
-        np.matmul(squares, _ONES[:q], out=segments[:, k * width // q:(k + 1) * width // q])
+        np.multiply(chunk, chunk, out=squares.reshape(rows, width), dtype=np.int32)
+        row_sums[:, k * width >> split:(k * width >> split) + width // q] += squares.sum(axis=2)
+    row_sums = row_sums.reshape(-1)
+    row_sums <<= split
     sums = np.zeros(size // min(_SEGMENT, size) + 1, np.int64)
-    np.cumsum(segments.reshape(sums.size - 1, -1).sum(axis=1, dtype=np.int64, out=sums[1:]), out=sums[1:])
-    return tuple(_bit_sums(per_offset) + _bit_sums(segments.reshape(-1))), sums
+    np.cumsum(row_sums.reshape(sums.size - 1, -1).sum(axis=1, out=sums[1:]), out=sums[1:])
+    return tuple(_bit_sums(row_sums)), sums
+
+
+def _finish(g: np.ndarray, split: int, bufs: np.ndarray) -> np.ndarray:
+    """W on whole rows of G: the float32 transform of each row of 2^split along its low bits.
+
+    ``g`` holds whole rows; ``bufs`` is two float32 buffers at least as
+    long. G is cast into the first, and the result is in one of the two.
+    """
+    x = bufs[0, :g.size]
+    x[...] = g.reshape(-1)
+    return _modes(x, (x, bufs[1, :g.size]), 1, 1 << split)
 
 
 def fwht(values) -> np.ndarray:
@@ -191,33 +237,63 @@ class WalshSpectrum:
     """Integer Walsh coefficients W(y) for all 2^n values of y, in enc order.
 
     Built only by :func:`walsh_spectrum`, from the transform's read-only
-    int32 ``w`` and the masses of its squares; ``w * w`` wraps for n >= 16,
-    so square it with :meth:`squares`. ``_segment_sums`` holds the running
-    sums of the squares at every ``_SEGMENT`` boundary, 0 to 4^n (only
-    those two below n = 10), which the sampler and :meth:`square_sum` read.
+    int16 G (module docstring) and the masses and running sums of its
+    squares. ``_segment_sums`` holds the running sums of W^2 at every
+    ``_SEGMENT`` boundary, 0 to 4^n (only those two below n = 10), which
+    the sampler and :meth:`square_sum` read. :attr:`w` finishes the whole
+    spectrum into a new int32 array, 64 MiB at n=24: the package itself
+    reads W only in finished tiles and rows (:func:`_tiles`, :func:`_finish`).
     """
 
-    def __init__(self, n: int, w: np.ndarray, masses: tuple):
-        self.n, self.w, (self._ones, self._segment_sums) = n, w, masses
+    def __init__(self, n: int, g: np.ndarray, masses: tuple):
+        self.n, self._g, (self._high, self._segment_sums) = n, g, masses
+        self._split = _split(n)
+        self._low = None if self._split else ()  # masses on bits below the split, on first use
+
+    @property
+    def w(self) -> np.ndarray:
+        """W(y) for every y, as a new read-only int32 array."""
+        w = np.empty(self._g.size, np.int32)
+        for start, tile in _tiles(self):
+            w[start:start + tile.size] = tile
+        w.flags.writeable = False
+        return w
 
     def squares(self) -> np.ndarray:
         """W(y)^2 for every y, as a new int64 array."""
-        return np.multiply(self.w, self.w, dtype=np.int64)
+        squares = np.empty(self._g.size, np.int64)
+        for start, tile in _tiles(self):
+            part = squares[start:start + tile.size]
+            part[...] = tile
+            part *= part
+        return squares
 
     def square_sum(self) -> int:
         return int(self._segment_sums[-1])
 
     def ones_square_sum(self, i: int) -> int:
-        """Sum of W(y)^2 over y with y_i = 1."""
-        return self._ones[_check_index(i, self.n) - 1]
+        """Sum of W(y)^2 over y with y_i = 1; below the split, off one finishing pass, taken on first use."""
+        j = _check_index(i, self.n) - 1
+        if j >= self._split:
+            return self._high[j - self._split]
+        if self._low is None:
+            self._low = _finished_sums(self, ())[0]
+        return self._low[j]
 
     def __eq__(self, other):
         if not isinstance(other, WalshSpectrum):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.w, other.w)
+        return self.n == other.n and np.array_equal(self._g, other._g)  # G determines W, at one n
 
     def __repr__(self):
         return f"WalshSpectrum(n={self.n})"
+
+
+def _tiles(s: WalshSpectrum):
+    """(start, W[start:start + 2^15]) over all y in order, each tile finished from G's rows into one reused pair."""
+    bufs = np.empty((2, min(_TILE >> 1, s._g.size)), np.float32)
+    for start in range(0, s._g.size, bufs.shape[1]):
+        yield start, _finish(s._g[start:start + bufs.shape[1]], s._split, bufs)
 
 
 # _BYTE_SIGNS[v] holds (-1)^b for the 8 bits b of the byte v, low bit first.
@@ -230,8 +306,8 @@ def _load_signs(packed: np.ndarray, tile: np.ndarray, start: int, scratch: np.nd
     Each byte picks its 8 signs from ``_BYTE_SIGNS``; the byte values are
     cast to indices in ``scratch``, a float buffer of the tile's size.
     """
-    if tile.size < 8:  # n < 3: the low 2^n bits of the one byte
-        tile[...] = _BYTE_SIGNS[packed[0], :tile.size]
+    if tile.size < 8:  # tiles of under a byte, at n <= 3
+        tile[...] = _BYTE_SIGNS[packed[start >> 3], start & 7:(start & 7) + tile.size]
         return
     index = scratch.view(np.intp)[:tile.size >> 3]
     np.copyto(index, packed[start >> 3:(start + tile.size) >> 3])
@@ -239,17 +315,17 @@ def _load_signs(packed: np.ndarray, tile: np.ndarray, start: int, scratch: np.nd
 
 
 def walsh_spectrum(f: TruthTable) -> WalshSpectrum:
-    """Exact spectrum of f by FWHT on the (-1)^f(x) table; O(n 2^n).
+    """Exact spectrum of f by FWHT on the (-1)^f(x) table, held as G (module docstring); O(n 2^n).
 
     Computed once per table and cached on it, so repeated calls on one
     table return the same object.
     """
     if _check_table(f)._spectrum is None:
-        w = np.empty(1 << f.n, np.int32)
-        chunks = _hadamard(w, lambda tile, start, scratch: _load_signs(f.packed, tile, start, scratch))
-        masses = _square_sums(chunks, w.size)
-        w.flags.writeable = False
-        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, w, masses))
+        g, split = np.empty(1 << f.n, np.int16), _split(f.n)
+        chunks = _hadamard(g, lambda tile, start, scratch: _load_signs(f.packed, tile, start, scratch), 1 << split)
+        masses = _square_sums(chunks, g.size, split)
+        g.flags.writeable = False
+        object.__setattr__(f, "_spectrum", WalshSpectrum(f.n, g, masses))
     return f._spectrum
 
 
@@ -386,15 +462,15 @@ def influence_vector(f: TruthTable) -> InfluenceVector:
 def correlation_fast(f: TruthTable) -> np.ndarray:
     """Autocorrelation C(gamma) = sum_x (-1)^(f(x) + f(x xor gamma)), all gamma, read-only int64.
 
-    Transform route, C = FWHT(W^2) / 2^n, O(n 2^n): the squares go tile by
-    tile into the float64 view of the result; divisibility by 2^n is checked
-    block by block.
+    Transform route, C = FWHT(W^2) / 2^n, O(n 2^n): each tile of G is
+    finished into the scratch buffer, then cast and squared into the
+    float64 view of the result; divisibility by 2^n is checked block by block.
     """
-    w = walsh_spectrum(f).w
-    def load(tile, start, _):  # cast, then square: a casting np.square goes through a ufunc buffer
-        tile[...] = w[start:start + tile.size]
+    s = walsh_spectrum(f)
+    def load(tile, start, scratch):  # cast, then square: a casting np.square goes through a ufunc buffer
+        tile[...] = _finish(s._g[start:start + tile.size], s._split, scratch.view(np.float32).reshape(2, -1))
         tile *= tile
-    c = np.empty(w.size, np.int64)
+    c = np.empty(s._g.size, np.int64)
     for _ in _hadamard(c, load):
         pass
     c = _divide_exactly(c, f.n)
@@ -410,30 +486,36 @@ def _divide_exactly(c: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _correlation_at(s: WalshSpectrum, gammas) -> np.ndarray:
-    """C(gamma) at each of ``gammas`` by the transform route, 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y); int64.
+def _finished_sums(s: WalshSpectrum, gammas) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """One pass over W in y order: the masses on bits below the split, sum_y W(y)^2, and C at each of ``gammas``.
 
-    y splits at its low ceil(n/2) bits; gammas and rows of ``w`` go in chunks of
-    2^16 >> ceil(n/2): each tile of rows is cast to float64, squared in place and
-    multiplied by the chunk's low-bit signs, and its row sums are folded with the
-    high-bit signs. Every partial sum is a signed subset sum of squares: exact.
+    Each finished tile (:func:`_tiles`) is squared in float64 and summed per
+    offset in a row of G, for the masses, and for the total. C comes by
+    the transform route, 2^n C(gamma) = sum_y W(y)^2 (-1)^(gamma.y), int64:
+    y splits at its low ceil(n/2) bits; a tile's squares, in rows of that
+    many bits, are multiplied by the low-bit signs of a chunk of 2^16 >>
+    ceil(n/2) gammas, and the row sums folded with the high-bit signs.
+    With one chunk of gammas, as above n = 12, the sign matrices are built
+    once. Every partial sum is a signed subset sum of squares: exact.
     """
     gammas = np.asarray(gammas, np.int64)
-    bits = (s.n + 1) // 2
-    rows, step = s.w.reshape(-1, 1 << bits), _TILE >> bits
-    c = np.empty(gammas.size, np.int64)
-    for g in range(0, gammas.size, step):
-        squares, low_signs = np.empty(rows[:step].shape), _signs(1 << bits, gammas[g:g + step] & ((1 << bits) - 1))
-        per_row = np.empty((rows.shape[0], low_signs.shape[1]))
-        for r in range(0, rows.shape[0], step):
-            squares[...] = rows[r:r + step]
-            squares *= squares
-            np.matmul(squares, low_signs, out=per_row[r:r + step])
-        del squares, low_signs  # before the high-bit signs
-        per_row *= _signs(rows.shape[0], gammas[g:g + step] >> bits)
-        c[g:g + step] = per_row.sum(axis=0)
-        del per_row
-    return _divide_exactly(c, s.n)
+    bits, split = (s.n + 1) // 2, s._split
+    rows, step, mask = min(_TILE >> 1, s._g.size) >> bits, _TILE >> bits, (1 << bits) - 1
+    if once := gammas.size <= step:
+        low, high = _signs(1 << bits, gammas & mask), _signs(s._g.size >> bits, gammas >> bits)
+    per_offset, c = np.zeros(1 << split), np.zeros(gammas.size)
+    squares = np.empty((rows, 1 << bits))
+    for start, tile in _tiles(s):
+        squares.reshape(-1)[...] = tile
+        squares *= squares
+        per_offset += squares.reshape(-1, 1 << split).sum(axis=0)
+        for g in range(0, gammas.size, step):  # more than one chunk only up to n = 12, in one tile
+            chunk = gammas[g:g + step]
+            per_row = squares @ (low if once else _signs(1 << bits, chunk & mask))
+            per_row *= high[start >> bits:(start >> bits) + rows] if once else _signs(rows, chunk >> bits)
+            c[g:g + step] += per_row.sum(axis=0)
+            del per_row  # before the next chunk's signs
+    return tuple(_bit_sums(per_offset)), int(per_offset.sum()), _divide_exactly(c.astype(np.int64), s.n)
 
 
 def verify_identities(f: TruthTable) -> list[dict]:
@@ -442,7 +524,9 @@ def verify_identities(f: TruthTable) -> list[dict]:
     Checks, all in exact integer arithmetic:
       * per-variable equality of the definitional influences
         (:func:`influence_vector`) and the spectral masses,
-      * Parseval: the sampler's last running sum of W^2 equals 4^n,
+      * Parseval: sum_y W(y)^2 equals 4^n, summed over the finished
+        spectrum, not off G's square sums, which would test only the
+        transform of the high bits,
       * the autocorrelation transform identity C = FWHT(W^2) / 2^n: the
         transform-route C is compared with C(gamma) evaluated directly from
         f at every gamma up to n = 12, and above that at all-ones and the top
@@ -451,17 +535,21 @@ def verify_identities(f: TruthTable) -> list[dict]:
         Every direct C comes from one batched pass over the packed words of f;
         the transform route runs at the checked gammas alone, never at all 2^n.
 
+    The spectrum is finished once, in one pass (:func:`_finished_sums`) that
+    gives the masses on the bits below the split, the Parseval total and the
+    transform-route C.
+
     Returns one {identity, passed, detail} record per check.
     """
-    s = walsh_spectrum(f)
-    size, total = 1 << f.n, s.square_sum()
-    mismatched = [i for i, v in enumerate(influence_vector(f), 1) if v != influence_by_spectrum(s, i)]
+    s, size = walsh_spectrum(f), 1 << f.n
     if f.n <= 12:
         gammas = range(size)
     else:  # check 1 and Parseval decide the unit vectors: 2^n C(e_i) = S - 2 M_i
         gammas = sorted({size - 1, *(k * 0x9E3779B97F4A7C15 % (1 << 64) >> (64 - f.n) for k in range(1, 9))})
+    s._low, total, transformed = _finished_sums(s, gammas)  # the masses below the split come from this pass too
+    mismatched = [i for i, v in enumerate(influence_vector(f), 1) if v != influence_by_spectrum(s, i)]
     direct = (size - 2 * d for d in _flip_counts_at(_packed(f), gammas))
-    wrong = [g for g, c, d in zip(gammas, _correlation_at(s, gammas).tolist(), direct) if c != d]
+    wrong = [g for g, c, d in zip(gammas, transformed.tolist(), direct) if c != d]
     return [{
         "identity": "influence_definition_equals_spectral",
         "passed": not mismatched,

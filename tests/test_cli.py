@@ -295,7 +295,7 @@ def test_columns_render_as_their_lists(size):
     # array's own tolist(), chunk boundaries included
     values = np.random.default_rng(size).integers(-(1 << 31), 1 << 31, size, dtype=np.int64).astype(np.int32)
     values[0] = -(1 << 31)
-    column = cli._Column(values)
+    column = cli._Column(values.size, cli._slices(values))
     assert json.dumps({"c": column}, indent=2) == json.dumps({"c": values.tolist()}, indent=2)
     assert _csv_text(enumerate(column)) == _csv_text(enumerate(values.tolist()))
     # bv-sample's two columns over one batch, the bit strings rendered per chunk

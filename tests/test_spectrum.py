@@ -40,6 +40,11 @@ AND2 = to_truth_table(from_anf("x1*x2", 2))
 MAJ3 = to_truth_table(from_anf("x1*x2 + x1*x3 + x2*x3", 3))
 
 
+def _correlation_at(s, gammas):
+    """C at ``gammas`` by verify's transform route, off its one finishing pass."""
+    return spectrum._finished_sums(s, gammas)[2]
+
+
 def test_fwht_matches_naive_summation():
     for t in corpus(40, ns=range(1, 9)):
         assert np.array_equal(walsh_spectrum(t).w, naive_walsh(t)), f"n={t.n}"
@@ -229,7 +234,7 @@ def test_direct_correlation_in_word_chunks_matches_the_transform_route():
     t = random_function(22, seed=6)
     gammas = [1, 63, 64, 1 << 15, 1 << 21, (1 << 22) - 1, *make_generator(6).integers(1, 1 << 22, 6).tolist()]
     direct = spectrum._flip_counts_at(spectrum._packed(t), gammas)
-    assert [(1 << 22) - 2 * d for d in direct] == spectrum._correlation_at(walsh_spectrum(t), gammas).tolist()
+    assert [(1 << 22) - 2 * d for d in direct] == _correlation_at(walsh_spectrum(t), gammas).tolist()
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])
@@ -314,9 +319,9 @@ def test_transform_runs_once_per_table(monkeypatch):
     calls = []
     kernel = spectrum._hadamard
 
-    def counted(out, load):
+    def counted(out, load, *below):
         calls.append((out.dtype, out.size))
-        return kernel(out, load)
+        return kernel(out, load, *below)
 
     monkeypatch.setattr(spectrum, "_hadamard", counted)
     t = random_function(9, seed=5)
@@ -333,11 +338,11 @@ def test_transform_runs_once_per_table(monkeypatch):
         algorithm2(t, 5, seed)
         algorithm3(t, 50, Fraction(1, 10), seed)
     assert influence_vector(t) == first
-    assert calls == [(np.int32, 512)]
+    assert calls == [(np.int16, 512)]
     # verify reuses the cached spectrum and its running sums, and runs no
     # transform of its own: the autocorrelation check sums signed squares
     verify_identities(t)
-    assert calls == [(np.int32, 512)]
+    assert calls == [(np.int16, 512)]
     # a junta on 3 of 9 variables is sampled on its core: one transform of
     # the 8-entry restriction, cached with it on the table, and none of f
     calls.clear()
@@ -347,7 +352,7 @@ def test_transform_runs_once_per_table(monkeypatch):
         influential_list(junta, 50, seed)
         algorithm2(junta, 5, seed)
         algorithm3(junta, 50, Fraction(1, 10), seed)
-    assert calls == [(np.int32, 8)]
+    assert calls == [(np.int16, 8)]
 
 
 def test_arrays_handed_to_results_are_not_shared():
@@ -564,7 +569,7 @@ def test_correlation_at_checked_gammas_matches_all_gammas(n):
     size = 1 << n
     gammas = [0, size - 1, *(1 << b for b in range(n)), *(g << 12 for g in (1, 3, 5) if g << 12 < size)]
     gammas += np.random.default_rng(n).integers(0, size, 16).tolist()
-    c = spectrum._correlation_at(walsh_spectrum(t), gammas)
+    c = _correlation_at(walsh_spectrum(t), gammas)
     assert c.tolist() == correlation_fast(t)[gammas].tolist()
     assert c[0] == size
 
@@ -588,7 +593,7 @@ def test_correlation_at_matches_the_full_transform(name):
         gammas = list(range(size))
     else:
         gammas = [0, *(1 << b for b in range(t.n)), size - 1, *make_generator(t.n).integers(1, size, 8).tolist()]
-    assert spectrum._correlation_at(walsh_spectrum(t), gammas).tolist() == correlation_fast(t)[gammas].tolist()
+    assert _correlation_at(walsh_spectrum(t), gammas).tolist() == correlation_fast(t)[gammas].tolist()
 
 
 @pytest.mark.parametrize("name", CORRELATION_TABLES)
@@ -598,7 +603,7 @@ def test_correlation_at_unit_vectors_is_decided_by_the_masses(name):
     t = CORRELATION_TABLES[name]()
     s = walsh_spectrum(t)
     units = [1 << b for b in range(t.n)]
-    assert spectrum._correlation_at(s, units).tolist() == [
+    assert _correlation_at(s, units).tolist() == [
         (s.square_sum() - 2 * s.ones_square_sum(i)) >> t.n for i in range(1, t.n + 1)
     ]
 
@@ -611,7 +616,7 @@ def _fixed_gammas(n):
 @pytest.mark.parametrize("n", range(13, 25))
 def test_fixed_gammas_are_distinct_and_reach_both_halves_of_y(n):
     # none is 0, a unit vector or all-ones, and each has bits both below and
-    # at or above bit ceil(n/2), where _correlation_at splits y
+    # at or above bit ceil(n/2), where the transform route splits y
     half = (n + 1) // 2
     gammas = _fixed_gammas(n)
     assert len(set(gammas)) == 8
@@ -623,8 +628,8 @@ def test_fixed_gammas_are_distinct_and_reach_both_halves_of_y(n):
 @pytest.mark.parametrize("n", [13, 17])
 def test_verify_checks_all_ones_and_the_fixed_gammas_above_n12(monkeypatch, n):
     t = random_function(n, 8)
-    real, seen = spectrum._correlation_at, []
-    monkeypatch.setattr(spectrum, "_correlation_at", lambda s, gammas: seen.append(gammas) or real(s, gammas))
+    real, seen = spectrum._finished_sums, []
+    monkeypatch.setattr(spectrum, "_finished_sums", lambda s, gammas: seen.append(gammas) or real(s, gammas))
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert seen == [sorted({(1 << n) - 1, *_fixed_gammas(n)})]
     assert checks["autocorrelation_transform"]["detail"] == "FWHT(W^2) / 2^n == C at 9 gammas evaluated directly from f"
@@ -635,7 +640,8 @@ def test_one_wrong_mass_above_n12_fails_check_1():
     # check 1 catches; the autocorrelation check no longer reads e_i
     t = random_function(13, 3)
     s = walsh_spectrum(t)
-    s._ones = (*s._ones[:4], s._ones[4] + (1 << 14), *s._ones[5:])  # C(e_5) as S - 2 M_5 moves by -4
+    assert s._split == 0  # every mass comes off G's square sums
+    s._high = (*s._high[:4], s._high[4] + (1 << 14), *s._high[5:])  # C(e_5) as S - 2 M_5 moves by -4
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["influence_definition_equals_spectral"] == {
         "identity": "influence_definition_equals_spectral", "passed": False, "detail": "mismatch at variables [5]",
@@ -643,16 +649,28 @@ def test_one_wrong_mass_above_n12_fails_check_1():
     assert checks["parseval"]["passed"] and checks["autocorrelation_transform"]["passed"]
 
 
-def test_parseval_reads_the_samplers_running_sums():
-    # verify's Parseval check is taken on the last running sum, the total
-    # the sampler draws its keys against: raising it fails the check alone
-    t = random_function(11, 3)
+def test_parseval_reads_the_finished_spectrum(monkeypatch):
+    # verify's Parseval total is summed over the finished W in its one pass,
+    # not read off the running sums, which come from G's square sums and
+    # would test only the transform of the high bits: raising the last
+    # running sum leaves the check passing ...
+    t = random_function(20, 3)
     walsh_spectrum(t)._segment_sums[-1] += 1
     checks = {c["identity"]: c for c in verify_identities(t)}
+    assert all(c["passed"] for c in checks.values())
+    assert checks["parseval"]["detail"] == f"sum W^2 = {4**20}, 4^n = {4**20}"
+    # ... and a finisher that doubles every W fails it, with check 1 at the
+    # 6 variables below the split (their masses come from the same pass), and
+    # the autocorrelation check, whose squares it also sums
+    t = random_function(20, 3)
+    real = spectrum._finish
+    monkeypatch.setattr(spectrum, "_finish", lambda g, split, bufs: real(g, split, bufs) * 2)
+    checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["parseval"] == {
-        "identity": "parseval", "passed": False, "detail": f"sum W^2 = {4**11 + 1}, 4^n = {4**11}",
+        "identity": "parseval", "passed": False, "detail": f"sum W^2 = {4**21}, 4^n = {4**20}",
     }
-    assert checks["influence_definition_equals_spectral"]["passed"] and checks["autocorrelation_transform"]["passed"]
+    assert checks["influence_definition_equals_spectral"]["detail"] == f"mismatch at variables {list(range(1, 7))}"
+    assert not checks["autocorrelation_transform"]["passed"]
 
 
 @pytest.mark.parametrize("n", [10, 12, 13])
@@ -674,15 +692,15 @@ def test_verify_transform_route_fails_one_wrong_gamma(monkeypatch, n):
     # is checked like every gamma at n = 10; at all-ones at n = 13, where the
     # unit vectors are left to check 1 and Parseval
     t = corpus(1, ns=[n])[0]
-    real = spectrum._correlation_at
+    real = spectrum._finished_sums
     wrong = 1 << 4 if n == 10 else (1 << n) - 1
 
     def corrupted(s, gammas):
-        c = real(s, gammas)
+        low, total, c = real(s, gammas)
         c[np.asarray(gammas) == wrong] += 2
-        return c
+        return low, total, c
 
-    monkeypatch.setattr(spectrum, "_correlation_at", corrupted)
+    monkeypatch.setattr(spectrum, "_finished_sums", corrupted)
     checks = {c["identity"]: c for c in verify_identities(t)}
     assert checks["autocorrelation_transform"]["passed"] is False
     assert checks["autocorrelation_transform"]["detail"] == (
