@@ -323,6 +323,26 @@ def test_sample_holds_its_array_once():
     assert peak <= batch.outcomes.nbytes + (16 << 20), (peak - batch.outcomes.nbytes) / 2**20
 
 
+def test_the_draw_counts_its_block_without_a_copy(monkeypatch):
+    # The draw's peak is set by its scatter, so the test above cannot see a
+    # second block-sized array held only for the count. Here the traced
+    # memory is read as each count starts, at n=20 on one whole block of
+    # 2^19 keys: it must hold only the outcomes, the block, its sort order
+    # and 1 MiB besides (the per-segment counts and small arrays). Counting
+    # a copy of the block (4 MiB more) fails it.
+    d = bv_distribution_of(random_function(20, seed=1))
+    m, real, held = _key_block(20), bvsim._ones_counts, []
+    monkeypatch.setattr(bvsim, "_ones_counts", lambda *args: held.append(tracemalloc.get_traced_memory()[0])
+                        or real(*args))
+    tracemalloc.start()
+    try:
+        batch = bv_sample(d, m, seed=3)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] <= batch.outcomes.nbytes + 8 * m + 8 * m + (1 << 20), (held[0] - 3 * 8 * m) / 2**20
+
+
 @pytest.mark.parametrize("m, bound_mib", [(4_000_000, 5.3), (1060, 1.18)])
 def test_counting_path_stays_within_its_memory_budget(m, bound_mib):
     # On a warm n=20 table the counting path holds one key block, drawn into

@@ -262,7 +262,9 @@ def test_int32_transform_at_the_cap(anf):
     t = to_truth_table(from_anf(anf, 24))
     s = walsh_spectrum(t)
     w = s.w
-    assert w.dtype == np.int32
+    # the spectrum holds G in int16; w finishes a fresh read-only int32 W
+    assert s._g.dtype == np.int16 and w.dtype == np.int32
+    assert not w.flags.writeable and s.w is not w
     assert np.array_equal(w, fwht(t.signs()))
     peak = 0 if anf == "1" else (1 << 24) - 1
     assert w[peak] == (-1 if anf == "1" else 1) << 24
@@ -415,11 +417,71 @@ def test_fused_masses_match_the_squares(name):
     assert s._segment_sums[0] == 0 and np.array_equal(s._segment_sums[1:], segment_sums)
 
 
+EDGE_TABLES = {
+    "random": lambda n: random_function(n, 60 + n),
+    "constant": lambda n: to_truth_table(from_anf("0", n)),
+    "affine": lambda n: to_truth_table(from_anf(f"1 + x1 + x{n}" if n > 1 else "1 + x1", n)),
+}
+
+
+@pytest.mark.parametrize("kind", EDGE_TABLES)
+def test_int16_layout_at_every_n_to_20(kind):
+    # G holds the transform of the signs along the high n - s bits of x,
+    # s = max(0, n - 14): G is W up to n = 14, and s > 0 from n = 15. At
+    # every n, G is that transform column by column, its finished rows are
+    # W, its running sums are those of W^2 at every 2^10-entry boundary, and
+    # its masses are the definitional influences.
+    for n in range(1, 21):
+        t = EDGE_TABLES[kind](n)
+        s = walsh_spectrum(t)
+        split, signs = max(0, n - 14), t.signs()
+        assert s._split == split and s._g.dtype == np.int16
+        columns = signs.reshape(-1, 1 << split).T
+        assert np.array_equal(s._g.reshape(-1, 1 << split), np.stack([fwht(x) for x in columns], axis=1)), n
+        w = fwht(signs)
+        assert np.array_equal(spectrum._finish(s._g, split, np.empty((2, 1 << n), np.float32)), w), n
+        width = min(spectrum._SEGMENT, 1 << n)
+        assert s._segment_sums.tolist() == [0, *np.cumsum(w * w)[width - 1::width].tolist()], n
+        assert [Fraction(s.ones_square_sum(i), 1 << (2 * n)) for i in range(1, n + 1)] == list(influence_vector(t)), n
+
+
+def test_int16_g_reaches_2_14_at_the_cap():
+    # the constant 0 puts all 2^(n-s) signs of each column x_low into
+    # G(x_low, 0): 2^14 at n = 24, s = 10, where s = n - 15 would give 2^15,
+    # which wraps in int16
+    s = walsh_spectrum(to_truth_table(from_anf("0", 24)))
+    assert s._split == 10
+    assert int(s._g.max()) == 1 << 14 == int(np.abs(s._g).max())
+    assert np.count_nonzero(s._g) == 1 << 10
+
+
+def test_verify_finishes_each_entry_once(monkeypatch):
+    # Building G finishes nothing. verify's one pass finishes each of the
+    # 2^n entries once, and gives the masses below the split, which check 1
+    # then reads without a second pass; on a fresh table the first mass
+    # below the split takes that pass, and no mass takes another.
+    real, finished = spectrum._finish, []
+    monkeypatch.setattr(spectrum, "_finish", lambda g, split, bufs: finished.append(g.size) or real(g, split, bufs))
+    t = random_function(20, 9)
+    s = walsh_spectrum(t)
+    assert finished == []
+    assert all(c["passed"] for c in verify_identities(t))
+    assert sum(finished) == 1 << 20
+    assert [s.ones_square_sum(i) for i in range(1, 21)] and sum(finished) == 1 << 20
+    finished.clear()
+    s = walsh_spectrum(random_function(20, 10))
+    s.ones_square_sum(20)  # above the split: off G's row sums
+    assert finished == []
+    s.ones_square_sum(1)
+    s.ones_square_sum(6)
+    assert sum(finished) == 1 << 20
+
+
 def test_exact_jobs_stay_within_their_memory_budget():
-    # Traced bytes per table entry at n=20. The int32 spectrum is 4; beside
-    # it every exact job holds only tile-sized buffers, so one 2^n int64
-    # array (8), or a widened spectrum, exceeds 6. A warmed table keeps the
-    # spectrum and its running sums per 2^10 entries: about 4.
+    # Traced bytes per table entry at n=20. The int16 G is 2; beside it
+    # every exact job holds only tile-sized buffers (2.3 to 2.6 measured),
+    # so a whole int32 W (4), or one 2^n int64 array (8), exceeds 4. A
+    # warmed table keeps G and its running sums per 2^10 entries: about 2.
     # influence_vector builds no spectrum: it counts flips on the 1/8-byte
     # packed table, one 2^15-word chunk of flips at a time.
     size = 1 << 20
@@ -437,11 +499,11 @@ def test_exact_jobs_stay_within_their_memory_budget():
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
+        assert peak <= 4 * size, f"{name}: peak {peak / size:.1f} bytes per entry"
         if name == "influence_vector":
             assert peak <= 0.5 * size, f"{name}: peak {peak / size:.2f} bytes per entry"
         if name == "bv_distribution_of":
-            assert retained <= 4.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
+            assert retained <= 2.5 * size, f"{name}: retained {retained / size:.1f} bytes per entry"
 
 
 def test_influence_vector_counts_flips_in_word_chunks():
@@ -482,11 +544,13 @@ def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
 
 
 def test_transforms_cast_in_place():
-    # The float transforms run in the float view of the integer result, and
-    # cast back in place: one 2^n buffer plus a tile-sized temporary.
+    # The spectrum transforms in float32 tiles and chunks cast into the int16
+    # G (2.28 bytes per entry measured); correlation_fast in the float view of
+    # its int64 result, cast back in place, finishing each tile of G in its
+    # scratch buffer (8.50): one 2^n buffer plus tile-sized temporaries.
     size = 1 << 20
     t = random_function(20, 4)
-    for job, width in ((walsh_spectrum, 4), (correlation_fast, 8)):
+    for job, width in ((walsh_spectrum, 2), (correlation_fast, 8)):
         tracemalloc.start()
         try:
             job(t)
@@ -517,11 +581,13 @@ def test_correlation_at_one_row_holds_two_arrays(n):
 
 
 def test_spectrum_at_n16_is_no_larger_than_before_the_fused_sweep():
-    # One row, n <= 16: sweep 1 holds the ping-pong tile buffer (4 bytes per
-    # entry) beside the int32 spectrum (4), and sweep 2 only casts and
-    # squares a quarter of the row at a time once that buffer is freed. The
-    # transform of e49963d, which left the masses for later, peaked at 8.04
-    # bytes per entry; the two-sweep transform with 2^15-entry chunk
+    # The int16 G (2 bytes per entry) in two rows of 2^15: sweep 1 holds two
+    # float32 tile buffers beside it (4), and sweep 2 two float32 chunk
+    # buffers and an int32 one of squares, of 2^13 entries each, and G's
+    # 2^14 row sums (2): 6.80 measured. The int32 spectrum peaked at 8.04;
+    # whole-array float32 tiles beside G would take 10, and 2^14-entry
+    # chunks took 8.5. The transform of e49963d, which left the masses for
+    # later, peaked at 8.04; the two-sweep transform with 2^15-entry chunk
     # buffers at 13.7.
     size = 1 << 16
     t = random_function(16, 4)
@@ -531,7 +597,7 @@ def test_spectrum_at_n16_is_no_larger_than_before_the_fused_sweep():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.05 * size, f"peak {peak / size:.3f} bytes per entry"
+    assert peak <= 7 * size, f"peak {peak / size:.3f} bytes per entry"
 
 
 def test_fwht_input_validation():

@@ -1,8 +1,10 @@
-"""Alternating CLI runs of two checkouts: wall time, peak RSS and whether their results agree.
+"""Alternating runs of two checkouts: CLI jobs, or whole benchmark workloads.
 
     python3 tools/pairs.py PARENT CHANGE --pairs 10 \\
         --job "estimate --random 20:1 --m 4000000 --seed 5" \\
         --job "classical --random 20:1 --m 4000000 --seed 5"
+    python3 tools/pairs.py PARENT CHANGE --pairs 10 --first-seed 101 \\
+        --bench exact-n24 --bench sample-n20
 
 PARENT and CHANGE are checkout roots, each with ``src/bvinfluence``. Each
 job is one CLI argv, run as ``python -m bvinfluence.cli <argv>`` with the
@@ -27,6 +29,17 @@ line of standard output is one JSON object: per job, the median, low and
 high wall seconds and peak MiB of each side, and in how many pairs the
 change was lower. The exit code is 1 when any run failed or the two
 sides' results differed.
+
+With ``--bench``, each named workload runs instead as each checkout's own
+``bench/run.py --workload W --seed k --trace 0`` (``--seconds`` passed
+on when given), one seed per pair from ``--first-seed`` on, the two sides
+alternating and the first side flipping each seed, as the benchmark's
+gate pairs them. These runs keep the caller's BLAS threads, as the
+benchmark does, and each side's own bytecode cache; a workload has no
+warm-up run, since each of its timings is a median over many children.
+Every run must report ``correct``. Per workload and end-to-end metric,
+the last line gives each side's median, interquartile range, low and
+high, and in how many seeds the change was lower.
 """
 
 from __future__ import annotations
@@ -48,9 +61,10 @@ SIDES = ("parent", "change")  # names of equal length: each is a cache directory
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _env(root: Path, cache: Path) -> dict:
+def _env(root: Path, cache: Path, one_thread: bool = True) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env.update(dict.fromkeys(THREADS, "1"))
+    if one_thread:
+        env.update(dict.fromkeys(THREADS, "1"))
     env["PYTHONPATH"] = str(root / "src")
     env["PYTHONPYCACHEPREFIX"] = str(cache)
     return env
@@ -83,14 +97,20 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "low": min(values), "high": max(values)}
 
 
-def compare(parent: Path, change: Path, jobs: list[str], pairs: int) -> dict:
-    """Run each job ``pairs`` times per side, alternating; see the module docstring."""
+def _roots(parent: Path, change: Path, needs: str) -> dict:
+    """The two checkout roots by side, each checked to hold ``needs`` and to have a path of the same length."""
     roots = dict(zip(SIDES, (parent.resolve(), change.resolve())))
     if len(str(roots["parent"])) != len(str(roots["change"])):
         raise ValueError(f"checkout paths differ in length: {roots['parent']} and {roots['change']}")
     for root in roots.values():
-        if not (root / "src" / "bvinfluence").is_dir():
-            raise ValueError(f"no src/bvinfluence under {root}")
+        if not (root / needs).exists():
+            raise ValueError(f"no {needs} under {root}")
+    return roots
+
+
+def compare(parent: Path, change: Path, jobs: list[str], pairs: int) -> dict:
+    """Run each job ``pairs`` times per side, alternating; see the module docstring."""
+    roots = _roots(parent, change, "src/bvinfluence")
     report = {"parent": str(roots["parent"]), "change": str(roots["change"]), "pairs": pairs, "jobs": [], "errors": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp, contextlib.ExitStack() as stack:
         scratch = Path(tmp)
@@ -119,17 +139,72 @@ def compare(parent: Path, change: Path, jobs: list[str], pairs: int) -> dict:
     return report
 
 
+def _bench(root: Path, workload: str, seed: int, seconds: float | None, env: dict) -> dict:
+    """The end-to-end metrics of one ``bench/run.py --trace 0`` run of ``workload`` in the checkout ``root``."""
+    argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    try:
+        result = json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if done.returncode or not result.get("correct"):
+        raise RuntimeError(f"seed {seed}: exit status {done.returncode}: {(done.stderr or done.stdout).strip()[-500:]}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _spread(values: list[float]) -> dict:
+    """Median, interquartile range (inclusive quartiles), low and high."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "iqr": q3 - q1, "low": min(values), "high": max(values)}
+
+
+def compare_bench(parent: Path, change: Path, workloads: list[str], pairs: int, first_seed: int,
+                  seconds: float | None = None) -> dict:
+    """Run each workload once per side and seed, alternating; see the module docstring."""
+    roots = _roots(parent, change, "bench/run.py")
+    seeds = list(range(first_seed, first_seed + pairs))
+    report = {"parent": str(roots["parent"]), "change": str(roots["change"]), "pairs": pairs, "seeds": seeds,
+              "seconds": seconds, "workloads": [], "errors": []}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        envs = {side: _env(roots[side], Path(tmp) / side, one_thread=False) for side in SIDES}
+        for workload in workloads:
+            runs = {side: [] for side in SIDES}
+            try:
+                for k, seed in enumerate(seeds):
+                    for side in SIDES[::-1] if k % 2 else SIDES:
+                        runs[side].append(_bench(roots[side], workload, seed, seconds, envs[side]))
+            except RuntimeError as exc:
+                report["errors"].append(f"{workload}: {exc}")
+                continue
+            metrics = {}
+            for name in runs["parent"][0]:
+                values = {side: [run[name] for run in runs[side]] for side in SIDES}
+                metrics[name] = {side: _spread(values[side]) for side in SIDES}
+                metrics[name]["change_lower"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            report["workloads"].append({"workload": workload, "metrics": metrics})
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--job", action="append", required=True, help="one CLI argv, quoted; repeatable")
-    parser.add_argument("--pairs", type=int, default=10, help="timed runs per side and job (default 10)")
+    work = parser.add_mutually_exclusive_group(required=True)
+    work.add_argument("--job", action="append", help="one CLI argv, quoted; repeatable")
+    work.add_argument("--bench", action="append", metavar="WORKLOAD", help="one bench/run.py workload; repeatable")
+    parser.add_argument("--pairs", type=int, default=10, help="timed runs per side and job, or seeds (default 10)")
+    parser.add_argument("--first-seed", type=int, default=1, help="with --bench: the first seed (default 1)")
+    parser.add_argument("--seconds", type=float, help="with --bench: bench/run.py's --seconds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     try:
-        report = compare(args.parent, args.change, args.job, args.pairs)
+        if args.bench:
+            report = compare_bench(args.parent, args.change, args.bench, args.pairs, args.first_seed, args.seconds)
+        else:
+            report = compare(args.parent, args.change, args.job, args.pairs)
     except ValueError as exc:
         print(f"pairs: error: {exc}", file=sys.stderr)
         return 2
