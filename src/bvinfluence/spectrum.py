@@ -500,19 +500,21 @@ def _finished_sums(s: WalshSpectrum, gammas) -> tuple[tuple[int, ...], int, np.n
     """
     gammas = np.asarray(gammas, np.int64)
     bits, split = (s.n + 1) // 2, s._split
-    rows, step, mask = min(_TILE >> 1, s._g.size) >> bits, _TILE >> bits, (1 << bits) - 1
+    rows, every_row = min(_TILE >> 1, s._g.size) >> bits, s._g.size >> bits
+    step, mask = _TILE >> bits, (1 << bits) - 1
     if once := gammas.size <= step:
-        low, high = _signs(1 << bits, gammas & mask), _signs(s._g.size >> bits, gammas >> bits)
+        low, high = _signs(1 << bits, gammas & mask), _signs(every_row, gammas >> bits)
     per_offset, c = np.zeros(1 << split), np.zeros(gammas.size)
     squares = np.empty((rows, 1 << bits))
     for start, tile in _tiles(s):
         squares.reshape(-1)[...] = tile
         squares *= squares
         per_offset += squares.reshape(-1, 1 << split).sum(axis=0)
-        for g in range(0, gammas.size, step):  # more than one chunk only up to n = 12, in one tile
+        first = start >> bits
+        for g in range(0, gammas.size, step):
             chunk = gammas[g:g + step]
             per_row = squares @ (low if once else _signs(1 << bits, chunk & mask))
-            per_row *= high[start >> bits:(start >> bits) + rows] if once else _signs(rows, chunk >> bits)
+            per_row *= (high if once else _signs(every_row, chunk >> bits))[first:first + rows]
             c[g:g + step] += per_row.sum(axis=0)
             del per_row  # before the next chunk's signs
     return tuple(_bit_sums(per_offset)), int(per_offset.sum()), _divide_exactly(c.astype(np.int64), s.n)

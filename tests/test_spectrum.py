@@ -635,6 +635,8 @@ def test_correlation_at_checked_gammas_matches_all_gammas(n):
     size = 1 << n
     gammas = [0, size - 1, *(1 << b for b in range(n)), *(g << 12 for g in (1, 3, 5) if g << 12 < size)]
     gammas += np.random.default_rng(n).integers(0, size, 16).tolist()
+    if n == 20:  # more than one chunk of 2^16 >> 10 gammas, over 32 tiles of rows
+        gammas += np.random.default_rng(0).integers(0, size, 100).tolist()
     c = _correlation_at(walsh_spectrum(t), gammas)
     assert c.tolist() == correlation_fast(t)[gammas].tolist()
     assert c[0] == size
