@@ -77,6 +77,9 @@ def test_distribution_closed_forms_at_the_cap(anf):
     cum = d.cumulative()
     assert cum[-1] == 1 << 48
     marginals = {d.marginal_one(i) for i in range(1, n + 1)}
+    # prob finishes the one row of G that holds y, in the first row and the last
+    for y in (0, 5, size - 1025, size - 1):
+        assert d.prob(y) == Fraction(int(cum[y]) - int(cum[y - 1]) if y else int(cum[0]), 1 << 48), y
     if anf == "1":
         assert cum[0] == 1 << 48
         assert np.flatnonzero(d.spectrum.w).tolist() == [0]

@@ -479,7 +479,7 @@ def test_verify_finishes_each_entry_once(monkeypatch):
 
 def test_exact_jobs_stay_within_their_memory_budget():
     # Traced bytes per table entry at n=20. The int16 G is 2; beside it
-    # every exact job holds only tile-sized buffers (2.3 to 2.6 measured),
+    # every exact job holds only tile-sized buffers (2.5 to 2.7 measured),
     # so a whole int32 W (4), or one 2^n int64 array (8), exceeds 4. A
     # warmed table keeps G and its running sums per 2^10 entries: about 2.
     # influence_vector builds no spectrum: it counts flips on the 1/8-byte
@@ -545,7 +545,7 @@ def test_verify_on_a_warm_table_holds_little_beyond_its_spectrum():
 
 def test_transforms_cast_in_place():
     # The spectrum transforms in float32 tiles and chunks cast into the int16
-    # G (2.28 bytes per entry measured); correlation_fast in the float view of
+    # G (2.50 bytes per entry measured); correlation_fast in the float view of
     # its int64 result, cast back in place, finishing each tile of G in its
     # scratch buffer (8.50): one 2^n buffer plus tile-sized temporaries.
     size = 1 << 20

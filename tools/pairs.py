@@ -33,10 +33,10 @@ sides' results differed.
 With ``--bench``, each named workload runs instead as each checkout's own
 ``bench/run.py --workload W --seed k --trace 0`` (``--seconds`` passed
 on when given), one seed per pair from ``--first-seed`` on, the two sides
-alternating and the first side flipping each seed, as the benchmark's
-gate pairs them. These runs keep the caller's BLAS threads, as the
-benchmark does, and each side's own bytecode cache; a workload has no
-warm-up run, since each of its timings is a median over many children.
+alternating and the first side flipping each seed, with each side's own
+bytecode cache (``bench/run.py`` gives its children one BLAS thread
+itself). A workload has no warm-up run: each of its timings is a
+median over many children.
 Every run must report ``correct``. Per workload and end-to-end metric,
 the last line gives each side's median, interquartile range, low and
 high, and in how many seeds the change was lower.
@@ -61,10 +61,9 @@ SIDES = ("parent", "change")  # names of equal length: each is a cache directory
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _env(root: Path, cache: Path, one_thread: bool = True) -> dict:
+def _env(root: Path, cache: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    if one_thread:
-        env.update(dict.fromkeys(THREADS, "1"))
+    env.update(dict.fromkeys(THREADS, "1"))
     env["PYTHONPATH"] = str(root / "src")
     env["PYTHONPYCACHEPREFIX"] = str(cache)
     return env
@@ -168,7 +167,7 @@ def compare_bench(parent: Path, change: Path, workloads: list[str], pairs: int, 
     report = {"parent": str(roots["parent"]), "change": str(roots["change"]), "pairs": pairs, "seeds": seeds,
               "seconds": seconds, "workloads": [], "errors": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        envs = {side: _env(roots[side], Path(tmp) / side, one_thread=False) for side in SIDES}
+        envs = {side: _env(roots[side], Path(tmp) / side) for side in SIDES}
         for workload in workloads:
             runs = {side: [] for side in SIDES}
             try:
